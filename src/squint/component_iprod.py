@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import ceil_one_plus_log2, logsumexp
-from .polytopes import ConceptClass, Decomposition, clamp_interior, unconstrained_update
+from .polytopes import ConceptClass, clamp_interior, unconstrained_update
 from .regret_bounds import ComparatorAggregate, binary_relative_entropy
 
 __all__ = [
@@ -257,8 +257,3 @@ class ComponentBayes:
             raise RuntimeError("update() requires a preceding play()")
         self.u_tilde = clamp_interior(unconstrained_update(self._played, x1, x0))
         self._played = None
-
-
-def decompose_usage(state: CombGameState, usage: np.ndarray) -> Decomposition:
-    """Convex decomposition of a played usage into concepts (sampling step)."""
-    return state.concept_class.decompose(usage)

@@ -3,7 +3,9 @@
 Runs a configured algorithm over a generated loss stream, writes one CSV row
 per round (losses, weights or usage, audited regret/variance/bound columns,
 sampled potential) plus a JSON summary, and flags any round where a measured
-aggregate regret exceeds its guarantee.
+aggregate regret exceeds its guarantee.  Both modes share one run loop; a
+per-mode learner supplies the play, the audited statistics with the
+theorem's bound, and the potential.
 
 Determinism is part of the contract: streams come from the counter-based
 Philox generator keyed by the config seed, floats are serialized with
@@ -12,8 +14,13 @@ produce byte-identical outputs.
 
 Subcommands: ``run`` (config -> outputs), ``audit`` (re-verify an existing
 CSV), ``enumerate`` (list a concept class's vertices), ``grid`` (print the
-learning-rate grid for a horizon).  Exit status is nonzero iff a bound
-violation or invariant failure is detected.
+learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
+a failed invariant or a malformed config.  A nan regret, bound or potential
+is a violation in ``run`` and ``audit`` alike.  ``parse_config`` rejects a
+malformed config before the first round, including wrong vector lengths, a
+``prior_pi`` off the simplex, bad subsets, and a combinatorial
+``algorithm.t_max`` below 1 or below ``horizon`` (Theorem 4 only covers a
+grid tuned for the horizon).
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ __all__ = [
 
 SCHEMA = "squint-experiment/1"
 SUMMARY_SCHEMA = "squint-summary/1"
+_POTENTIAL_TOL = 1e-9  # a sampled potential above this (or nan) is a violation
 
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
@@ -55,13 +63,23 @@ class ConfigError(ValueError):
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
-def gen_stochastic(num_experts: int, means, seed: int, horizon: int) -> np.ndarray:
-    """Independent Bernoulli losses, coordinate k with the given mean."""
+def _check_means(num_experts: int, means) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     if means.shape != (num_experts,):
         raise ValueError(f"means must have length {num_experts}")
     if np.any((means < 0.0) | (means > 1.0)):
         raise ValueError("means must lie in [0, 1]")
+    return means
+
+def _check_shift(segment_length: int, noise: float) -> None:
+    if segment_length < 1:
+        raise ValueError(f"segment length must be >= 1, got {segment_length}")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError("noise must lie in [0, 1]")
+
+def gen_stochastic(num_experts: int, means, seed: int, horizon: int) -> np.ndarray:
+    """Independent Bernoulli losses, coordinate k with the given mean."""
+    means = _check_means(num_experts, means)
     draws = _rng(seed).random((horizon, num_experts))
     return (draws < means[None, :]).astype(float)
 
@@ -73,10 +91,7 @@ def gen_adversarial_shift(
     With ``noise`` > 0 each entry is flipped independently with that
     probability, keeping losses in {0, 1}.
     """
-    if segment_length < 1:
-        raise ValueError(f"segment length must be >= 1, got {segment_length}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise must lie in [0, 1]")
+    _check_shift(segment_length, noise)
     t_idx = np.arange(horizon)
     best = (t_idx // segment_length) % num_experts
     losses = np.ones((horizon, num_experts))
@@ -90,10 +105,10 @@ def gen_uniform_signed(num_components: int, seed: int, horizon: int) -> np.ndarr
     """Independent uniform losses on [-1, +1] (combinatorial mode)."""
     return _rng(seed).uniform(-1.0, 1.0, (horizon, num_components))
 
-_ENV_PARAMS = {
-    "stochastic": {"means"},
-    "adversarial_shift": {"segment_length", "noise"},
-    "uniform_signed": set(),
+_ENV_PARAMS = {  # name -> (required, optional) parameters besides name and seed
+    "stochastic": ({"means"}, set()),
+    "adversarial_shift": ({"segment_length"}, {"noise"}),
+    "uniform_signed": (set(), set()),
 }
 
 def generate_stream(env: dict, dim: int, horizon: int) -> np.ndarray:
@@ -130,7 +145,8 @@ class ExperimentConfig:
     output_summary: str
     potential_every: int = 10
     num_experts: int | None = None
-    prior_pi: list | None = None
+    prior_pi: np.ndarray | None = None
+    prior: ex.LearningRatePrior | None = None
     concept_class: Any = None
     prior_vec: list | None = None
     t_max: int | None = None
@@ -169,8 +185,18 @@ def _parse_prior(doc: dict) -> ex.LearningRatePrior:
         return ex.DiscreteGridPrior.uniform_on(etas)
     raise ConfigError(f"unknown prior kind {kind!r}")
 
+def _report_subsets(report: dict, k: int) -> list[list[int]]:
+    subsets = [sorted(set(int(i) for i in s)) for s in report.get("subsets", [])]
+    if report.get("singletons", False):
+        subsets += [[i] for i in range(k)]
+    return subsets
+
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document; unknown keys anywhere are rejected."""
+    """Validate a config document; unknown keys anywhere are rejected.
+
+    Everything that can be checked without playing a round is checked here,
+    so a malformed config fails before the run starts.
+    """
     _require_keys(
         doc,
         {"schema", "mode", "horizon", "environment", "algorithm", "output"},
@@ -190,9 +216,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require_keys(env, {"name", "seed"}, {"means", "segment_length", "noise"}, "environment")
     if env["name"] not in _ENV_PARAMS:
         raise ConfigError(f"unknown environment {env['name']!r}")
-    extra = set(env) - {"name", "seed"} - _ENV_PARAMS[env["name"]]
-    if extra:
-        raise ConfigError(f"environment {env['name']!r} does not accept {sorted(extra)}")
+    required, optional = _ENV_PARAMS[env["name"]]
+    _require_keys(env, {"name", "seed"} | required, optional, f"environment {env['name']!r}")
 
     out = doc["output"]
     _require_keys(out, {"csv", "summary"}, set(), "output")
@@ -215,20 +240,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if mode == "experts":
         if "num_experts" not in doc:
             raise ConfigError("experts mode requires num_experts")
-        cfg.num_experts = int(doc["num_experts"])
-        if cfg.num_experts < 1:
+        k = cfg.num_experts = int(doc["num_experts"])
+        if k < 1:
             raise ConfigError("num_experts must be positive")
-        cfg.prior_pi = doc.get("prior_pi")
         _require_keys(algo, {"name"}, {"prior", "eta", "grid_t_max"}, "algorithm")
         if algo["name"] == "squint":
             if "prior" not in algo:
                 raise ConfigError("squint requires a prior")
-            _parse_prior(algo["prior"])
+            cfg.prior = _parse_prior(algo["prior"])
         elif algo["name"] == "hedge":
-            if "eta" not in algo or float(algo["eta"]) <= 0.0:
+            if "eta" not in algo or not float(algo["eta"]) > 0.0:
                 raise ConfigError("hedge requires a positive eta")
         elif algo["name"] == "iprod":
-            pass
+            if int(algo.get("grid_t_max", 1)) < 1:
+                raise ConfigError("iprod grid_t_max must be >= 1")
         else:
             raise ConfigError(f"unknown experts algorithm {algo['name']!r}")
         _require_keys(
@@ -236,227 +261,228 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
         if env["name"] == "uniform_signed":
             raise ConfigError("experts mode requires losses in [0, 1]")
+        pi = doc.get("prior_pi")
+        cfg.prior_pi = np.full(k, 1.0 / k) if pi is None else np.asarray(pi, dtype=float)
+        if cfg.prior_pi.shape != (k,):
+            raise ConfigError(f"prior_pi must have length {k}")
+        start = ex.ExpertGameState.from_prior(cfg.prior_pi)  # checks the simplex
+        for subset in _report_subsets(cfg.report, k):
+            rb.aggregate_subset(start, subset)  # nonempty, in range, positive prior mass
     else:
         if "concept_class" not in doc:
             raise ConfigError("combinatorial mode requires concept_class")
         cfg.concept_class = _parse_concept_class(doc["concept_class"])
+        k = cfg.concept_class.num_components
         cfg.prior_vec = doc.get("prior_vec")
         _require_keys(algo, {"name"}, {"t_max"}, "algorithm")
         if algo["name"] != "component_iprod":
             raise ConfigError(f"unknown combinatorial algorithm {algo['name']!r}")
         cfg.t_max = int(algo.get("t_max", max(horizon, 1)))
+        if cfg.t_max < 1:
+            raise ConfigError("algorithm.t_max must be >= 1")
+        if horizon > cfg.t_max:
+            # Theorem 4 holds for the grid tuned to t_max, at horizons up to t_max
+            raise ConfigError(f"horizon {horizon} exceeds algorithm.t_max {cfg.t_max}")
         _require_keys(cfg.report, set(), {"comparators", "vertices"}, "report")
+        vectors = list(cfg.report.get("comparators", []))
+        for vec in vectors + ([] if cfg.prior_vec is None else [cfg.prior_vec]):
+            vec = np.asarray(vec, dtype=float)
+            if vec.shape != (k,) or np.any((vec < 0.0) | (vec > 1.0)):
+                raise ConfigError(f"prior_vec and comparators must be {k}-vectors in [0, 1]")
+    # the generators' own checks, without drawing (numpy.random is slow to import)
+    if env["name"] == "stochastic":
+        _check_means(k, env["means"])
+    elif env["name"] == "adversarial_shift":
+        _check_shift(env["segment_length"], env.get("noise", 0.0))
     return cfg
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
-def _experts_bound(algo: dict, agg: rb.SubsetAggregate, t: int) -> float | None:
-    if algo["name"] != "squint":
-        return None
-    kind = algo["prior"]["kind"]
-    if kind == "conjugate":
-        a = float(algo["prior"].get("a", 0.0))
-        b = float(algo["prior"].get("b", 0.0))
-        return rb.bound_theorem1(agg.v_agg, agg.pi_mass, a, b)
-    if kind == "improper":
-        return rb.bound_theorem3(agg.v_agg, agg.pi_mass, t)
-    if kind == "cv":
-        return rb.bound_theorem2(agg.v_agg, agg.pi_mass)
+def _record(entry: dict, regret: float, variance: float, bound: float | None) -> dict:
+    """Add an audited item's statistics (and its verdict, if a bound applies)."""
+    entry.update(regret=regret, variance=variance)
+    if bound is not None:
+        entry.update(bound=bound, violated=not regret <= bound)
+    return entry
+
+def _experts_theorem(prior):
+    """The guarantee of the Squint rule under ``prior``, as f(aggregate, t), or None."""
+    if isinstance(prior, ex.ConjugatePrior):
+        return lambda agg, t: rb.bound_theorem1(agg.v_agg, agg.pi_mass, prior.a, prior.b)
+    if isinstance(prior, ex.ImproperPrior):
+        return lambda agg, t: rb.bound_theorem3(agg.v_agg, agg.pi_mass, t)
+    if isinstance(prior, ex.CVPrior):
+        return lambda agg, t: rb.bound_theorem2(agg.v_agg, agg.pi_mass)
     return None
 
-def _run_experts(cfg: ExperimentConfig) -> dict:
-    k = cfg.num_experts
-    losses = generate_stream(cfg.environment, k, cfg.horizon)
-    prior = np.asarray(cfg.prior_pi, dtype=float) if cfg.prior_pi else np.full(k, 1.0 / k)
-    state = ex.ExpertGameState.from_prior(prior)
-    algo = cfg.algorithm
-    prior_spec = _parse_prior(algo["prior"]) if algo["name"] == "squint" else None
+class _Experts:
+    """Squint, Hedge or iProd on K experts, audited on prior-weighted subsets."""
 
-    subsets = [sorted(set(int(i) for i in s)) for s in cfg.report.get("subsets", [])]
-    if cfg.report.get("singletons", False):
-        subsets += [[i] for i in range(k)]
-    has_bound = algo["name"] == "squint" and algo["prior"]["kind"] in (
-        "conjugate",
-        "improper",
-        "cv",
-    )
+    played = "w"
 
-    header = ["t"] + [f"loss_{i + 1}" for i in range(k)] + [f"w_{i + 1}" for i in range(k)]
-    for j in range(len(subsets)):
-        header += [f"R_S{j}", f"V_S{j}"] + ([f"bound_S{j}"] if has_bound else [])
-    header.append("potential")
-
-    history = [] if algo["name"] == "iprod" else None
-    iprod_grid = None
-    if algo["name"] == "iprod":
-        iprod_grid = ex.DiscreteGridPrior.uniform_on(
-            ci.learning_rate_grid(int(algo.get("grid_t_max", max(cfg.horizon, 1))))
-        )
-
-    rows = []
-    any_violation = False
-    max_potential = None
-    for t in range(cfg.horizon):
+    def __init__(self, cfg: ExperimentConfig):
+        k = self.dim = cfg.num_experts
+        self.state = ex.ExpertGameState.from_prior(cfg.prior_pi)
+        self.prior = cfg.prior
+        self.theorem = _experts_theorem(cfg.prior)
+        self.has_bound = self.theorem is not None
+        self.subsets = _report_subsets(cfg.report, k)
+        self.names = [f"S{j}" for j in range(len(self.subsets))]
+        self.near_best_fraction = cfg.report.get("near_best_fraction")
+        self.history = None
+        algo = cfg.algorithm
         if algo["name"] == "squint":
-            w = ex.weights_for_prior(state, prior_spec)
+            self._weights = lambda: ex.weights_for_prior(self.state, self.prior)
         elif algo["name"] == "hedge":
-            w = ex.hedge_weights(state, float(algo["eta"]))
+            eta = float(algo["eta"])
+            self._weights = lambda: ex.hedge_weights(self.state, eta)
         else:
-            w = ex.iprod_weights_grid(
-                np.asarray(history).reshape(-1, k), state.prior, iprod_grid
+            history = self.history = []
+            grid = ex.DiscreteGridPrior.uniform_on(
+                ci.learning_rate_grid(int(algo.get("grid_t_max", max(cfg.horizon, 1))))
             )
-        loss_t = losses[t]
-        state = ex.update(state, w, loss_t)
-        if history is not None:
-            history.append(float(w @ loss_t) - loss_t)
+            self._weights = lambda: ex.iprod_weights_grid(
+                np.asarray(history).reshape(-1, k), self.state.prior, grid
+            )
 
-        row = [str(state.t)] + [_fmt(x) for x in loss_t] + [_fmt(x) for x in w]
-        for subset in subsets:
+    def step(self, loss: np.ndarray) -> tuple[int, np.ndarray]:
+        w = self._weights()
+        self.state = ex.update(self.state, w, loss)
+        if self.history is not None:
+            self.history.append(float(w @ loss) - loss)
+        return self.state.t, w
+
+    def audit(self) -> list[tuple]:
+        """(regret, variance, bound or None) of every reported subset."""
+        state, theorem = self.state, self.theorem
+        stats = []
+        for subset in self.subsets:
             agg = rb.aggregate_subset(state, subset)
-            row += [_fmt(agg.r_agg), _fmt(agg.v_agg)]
-            if has_bound:
-                bound = _experts_bound(algo, agg, state.t)
-                row.append(_fmt(bound))
-                if agg.r_agg > bound:
-                    any_violation = True
-        if (
-            cfg.potential_every > 0
-            and prior_spec is not None
-            and state.t % cfg.potential_every == 0
-        ):
-            phi = ex.potential(state, prior_spec)
-            max_potential = phi if max_potential is None else max(max_potential, phi)
-            if phi > 1e-9:
-                any_violation = True
-            row.append(_fmt(phi))
-        else:
-            row.append("")
-        rows.append(row)
+            bound = None if theorem is None else theorem(agg, state.t)
+            stats.append((agg.r_agg, agg.v_agg, bound))
+        return stats
 
-    audits = []
-    for j, subset in enumerate(subsets):
-        agg = rb.aggregate_subset(state, subset) if cfg.horizon else None
-        entry = {"name": f"S{j}", "subset": subset}
-        if agg is not None:
-            entry.update(
-                pi_mass=agg.pi_mass, regret=agg.r_agg, variance=agg.v_agg
-            )
-            bound = _experts_bound(algo, agg, state.t) if has_bound else None
-            if bound is not None:
-                entry.update(bound=bound, violated=agg.r_agg > bound)
-        audits.append(entry)
+    def potential(self) -> float | None:
+        return None if self.prior is None else ex.potential(self.state, self.prior)
 
-    frac = cfg.report.get("near_best_fraction")
-    near_best = None
-    if frac is not None and cfg.horizon > 0:
+    def summary(self, stats: list[tuple] | None) -> tuple[list[dict], dict | None]:
+        """Audit entries from the final round's stats (None: no rounds) and the near-best set."""
+        audits = [{"name": n, "subset": s} for n, s in zip(self.names, self.subsets)]
+        if stats is None:
+            return audits, None
+        state, frac = self.state, self.near_best_fraction
+        for entry, stat in zip(audits, stats):
+            entry["pi_mass"] = float(state.prior[entry["subset"]].sum())
+            _record(entry, *stat)
+        if frac is None:
+            return audits, None
         best = float(state.cum_loss.min())
-        members = [i for i in range(k) if state.cum_loss[i] <= best + float(frac) * state.t]
+        members = [i for i in range(self.dim) if state.cum_loss[i] <= best + float(frac) * state.t]
         agg = rb.aggregate_subset(state, members)
-        near_best = {
-            "subset": members,
-            "pi_mass": agg.pi_mass,
-            "regret": agg.r_agg,
-            "variance": agg.v_agg,
-        }
-        if has_bound:
-            bound = _experts_bound(cfg.algorithm, agg, state.t)
-            near_best.update(bound=bound, violated=agg.r_agg > bound)
-            any_violation = any_violation or agg.r_agg > bound
+        bound = None if self.theorem is None else self.theorem(agg, state.t)
+        near_best = {"subset": members, "pi_mass": agg.pi_mass}
+        return audits, _record(near_best, agg.r_agg, agg.v_agg, bound)
 
-    return {
-        "header": header,
-        "rows": rows,
-        "audits": audits,
-        "near_best": near_best,
-        "any_violation": any_violation,
-        "max_potential": max_potential,
-    }
+class _Combinatorial:
+    """Component iProd over a concept class, audited on hull comparators (Theorem 4)."""
 
-def _run_combinatorial(cfg: ExperimentConfig) -> dict:
-    cls = cfg.concept_class
-    k = cls.num_components
+    played = "u"
+    has_bound = True
+
+    def __init__(self, cfg: ExperimentConfig):
+        cls = cfg.concept_class
+        self.dim = cls.num_components
+        self.t_max = cfg.t_max
+        prior_vec = None if cfg.prior_vec is None else np.asarray(cfg.prior_vec, dtype=float)
+        self.game = ci.make_game(cls, prior_vec=prior_vec, t_max=cfg.t_max)
+        self.comparators = [np.asarray(c, dtype=float) for c in cfg.report.get("comparators", [])]
+        if cfg.report.get("vertices", False):
+            self.comparators += list(cls.vertices())
+        self.entropies = [
+            rb.binary_relative_entropy(v, self.game.prior_vec) for v in self.comparators
+        ]
+        self.names = [f"C{j}" for j in range(len(self.comparators))]
+
+    def step(self, loss: np.ndarray) -> tuple[int, np.ndarray]:
+        u = ci.play(self.game)
+        ci.observe(self.game, loss)
+        return self.game.t, u
+
+    def audit(self) -> list[tuple]:
+        """(regret, variance, Theorem 4 bound) of every reported comparator."""
+        game, k, t_max = self.game, self.dim, self.t_max
+        stats = []
+        for v, entropy in zip(self.comparators, self.entropies):
+            r_v, v_v = ci.comparator_stats(game, v)
+            stats.append((r_v, v_v, rb.bound_theorem4(v_v, entropy, k, t_max)))
+        return stats
+
+    def potential(self) -> float:
+        return ci.potential(self.game)
+
+    def summary(self, stats: list[tuple] | None) -> tuple[list[dict], None]:
+        """Audit entries from the final round's stats; unbounded zeros before any round."""
+        if stats is None:
+            stats = [ci.comparator_stats(self.game, v) + (None,) for v in self.comparators]
+        audits = [
+            _record({"name": n, "comparator": [float(x) for x in v], "entropy": e}, *stat)
+            for n, v, e, stat in zip(self.names, self.comparators, self.entropies, stats)
+        ]
+        return audits, None
+
+def _run(cfg: ExperimentConfig) -> tuple[list, list, dict]:
+    """Play and audit every round; returns the CSV header, its rows and the summary."""
+    learner = _Experts(cfg) if cfg.mode == "experts" else _Combinatorial(cfg)
+    k = learner.dim
     losses = generate_stream(cfg.environment, k, cfg.horizon)
-    prior_vec = np.asarray(cfg.prior_vec, dtype=float) if cfg.prior_vec else None
-    game = ci.make_game(cls, prior_vec=prior_vec, t_max=cfg.t_max)
 
-    comparators = [np.asarray(c, dtype=float) for c in cfg.report.get("comparators", [])]
-    if cfg.report.get("vertices", False):
-        comparators += list(cls.vertices())
-    entropies = [rb.binary_relative_entropy(v, game.prior_vec) for v in comparators]
-
-    header = ["t"] + [f"loss_{i + 1}" for i in range(k)] + [f"u_{i + 1}" for i in range(k)]
-    for j in range(len(comparators)):
-        header += [f"R_C{j}", f"V_C{j}", f"bound_C{j}"]
+    header = ["t"] + [f"loss_{i + 1}" for i in range(k)]
+    header += [f"{learner.played}_{i + 1}" for i in range(k)]
+    for name in learner.names:
+        header += [f"R_{name}", f"V_{name}"] + ([f"bound_{name}"] if learner.has_bound else [])
     header.append("potential")
 
     rows = []
+    stats = None
     any_violation = False
     max_potential = None
-    for t in range(cfg.horizon):
-        u = ci.play(game)
-        loss_t = losses[t]
-        ci.observe(game, loss_t)
-        row = [str(game.t)] + [_fmt(x) for x in loss_t] + [_fmt(x) for x in u]
-        for v, entropy in zip(comparators, entropies):
-            r_v, v_v = ci.comparator_stats(game, v)
-            bound = rb.bound_theorem4(v_v, entropy, k, cfg.t_max)
-            row += [_fmt(r_v), _fmt(v_v), _fmt(bound)]
-            if r_v > bound:
-                any_violation = True
-        if cfg.potential_every > 0 and game.t % cfg.potential_every == 0:
-            phi = ci.potential(game)
+    for loss_t in losses:
+        t, played = learner.step(loss_t)
+        row = [str(t)] + [_fmt(x) for x in loss_t] + [_fmt(x) for x in played]
+        stats = learner.audit()
+        for r, v, bound in stats:
+            row += [_fmt(r), _fmt(v)]
+            if bound is not None:
+                row.append(_fmt(bound))
+                if not r <= bound:
+                    any_violation = True
+        sample = cfg.potential_every > 0 and t % cfg.potential_every == 0
+        phi = learner.potential() if sample else None
+        if phi is None:
+            row.append("")
+        else:
             max_potential = phi if max_potential is None else max(max_potential, phi)
-            if phi > 1e-9:
+            if not phi <= _POTENTIAL_TOL:
                 any_violation = True
             row.append(_fmt(phi))
-        else:
-            row.append("")
         rows.append(row)
 
-    audits = []
-    for j, (v, entropy) in enumerate(zip(comparators, entropies)):
-        r_v, v_v = ci.comparator_stats(game, v)
-        bound = rb.bound_theorem4(v_v, entropy, k, cfg.t_max) if cfg.horizon else None
-        entry = {
-            "name": f"C{j}",
-            "comparator": [float(x) for x in v],
-            "entropy": entropy,
-            "regret": r_v,
-            "variance": v_v,
-        }
-        if bound is not None:
-            entry.update(bound=bound, violated=r_v > bound)
-        audits.append(entry)
-
-    return {
-        "header": header,
-        "rows": rows,
-        "audits": audits,
-        "near_best": None,
-        "any_violation": any_violation,
-        "max_potential": max_potential,
-    }
+    audits, near_best = learner.summary(stats)
+    summary = dict(schema=SUMMARY_SCHEMA, config=cfg.doc, rounds=cfg.horizon, audits=audits)
+    if near_best is not None:
+        summary["near_best"] = near_best
+        any_violation = any_violation or near_best.get("violated", False)
+    summary.update(any_violation=any_violation, max_potential=max_potential)
+    return header, rows, summary
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a parsed config; writes the CSV and summary, returns the summary."""
-    result = _run_experts(cfg) if cfg.mode == "experts" else _run_combinatorial(cfg)
-
+    header, rows, summary = _run(cfg)
     with open(cfg.output_csv, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(result["header"])
-        writer.writerows(result["rows"])
-
-    summary = {
-        "schema": SUMMARY_SCHEMA,
-        "config": cfg.doc,
-        "rounds": cfg.horizon,
-        "audits": result["audits"],
-        "any_violation": result["any_violation"],
-        "max_potential": result["max_potential"],
-    }
-    if result["near_best"] is not None:
-        summary["near_best"] = result["near_best"]
+        writer.writerow(header)
+        writer.writerows(rows)
     with open(cfg.output_summary, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -465,8 +491,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
     """Re-verify every bound column of an existing run CSV.
 
-    Returns (ok, messages): ok is False iff some measured regret column
-    exceeds its bound column in any row.
+    Returns (ok, messages): ok is False iff in some row a regret column is
+    not at most its bound column or a sampled potential is not at most
+    1e-9; a nan in either counts as a violation.
     """
     problems = []
     with open(csv_path, newline="") as fh:
@@ -480,12 +507,13 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
                     problems.append(f"column {name} has no matching {target}")
                     continue
                 pairs.append((header.index(target), i, name))
+        phi_idx = header.index("potential") if "potential" in header else None
         for row in reader:
             for r_idx, b_idx, name in pairs:
-                if float(row[r_idx]) > float(row[b_idx]):
-                    problems.append(
-                        f"t={row[0]}: R={row[r_idx]} exceeds {name}={row[b_idx]}"
-                    )
+                if not float(row[r_idx]) <= float(row[b_idx]):
+                    problems.append(f"t={row[0]}: R={row[r_idx]} exceeds {name}={row[b_idx]}")
+            if phi_idx is not None and row[phi_idx] and not float(row[phi_idx]) <= _POTENTIAL_TOL:
+                problems.append(f"t={row[0]}: potential={row[phi_idx]} exceeds {_POTENTIAL_TOL}")
     return (not problems, problems)
 
 def main(argv=None) -> int:

@@ -40,9 +40,6 @@ __all__ = [
     "KSubsets",
     "DagPaths",
     "ExplicitVertices",
-    "project",
-    "decompose",
-    "enumerate_vertices",
     "unconstrained_update",
     "INTERIOR_EPS",
 ]
@@ -105,8 +102,8 @@ class ConceptClass(ABC):
         """Max violation of the hull's linear description (incl. the box)."""
 
     @abstractmethod
-    def project(self, u_tilde: np.ndarray) -> np.ndarray:
-        """Entropy projection of an interior point onto the hull."""
+    def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
+        """Row-wise entropy projection of interior points onto the hull."""
 
     @abstractmethod
     def decompose(self, u: np.ndarray) -> Decomposition:
@@ -116,9 +113,9 @@ class ConceptClass(ABC):
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
         """All concepts as rows of a 0/1 matrix; raises when more than cap."""
 
-    def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        """Row-wise projection; subclasses may vectorize."""
-        return np.stack([self.project(row) for row in np.atleast_2d(u_tildes)])
+    def project(self, u_tilde: np.ndarray) -> np.ndarray:
+        """Entropy projection of one interior point onto the hull."""
+        return self.project_batch(self._check_dim(u_tilde)[None, :])[0]
 
     def contains(self, u: np.ndarray, tol: float = DECOMPOSITION_RESIDUAL) -> bool:
         return self.hull_residual(u) <= tol
@@ -128,6 +125,12 @@ class ConceptClass(ABC):
         if u.shape != (self.num_components,):
             raise ValueError(f"expected a {self.num_components}-vector, got shape {u.shape}")
         return u
+
+    def _interior_rows(self, u_tildes: np.ndarray) -> np.ndarray:
+        mat = clamp_interior(np.atleast_2d(u_tildes))
+        if mat.shape[1] != self.num_components:
+            raise ValueError(f"expected {self.num_components} columns")
+        return mat
 
 
 def _box_residual(u: np.ndarray) -> float:
@@ -150,9 +153,7 @@ class KSubsets(ConceptClass):
         return max(abs(float(u.sum()) - self.subset_size), _box_residual(u))
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        mat = clamp_interior(np.atleast_2d(u_tildes))
-        if mat.shape[1] != self.num_components:
-            raise ValueError(f"expected {self.num_components} columns")
+        mat = self._interior_rows(u_tildes)
         m = self.subset_size
         if m == 0:
             return np.zeros_like(mat)
@@ -171,10 +172,6 @@ class KSubsets(ConceptClass):
             hi = np.where(high, lam, hi)
             lo = np.where(high, lo, lam)
         return _sigmoid(logits + lam[:, None])
-
-    def project(self, u_tilde: np.ndarray) -> np.ndarray:
-        u_tilde = self._check_dim(u_tilde)
-        return self.project_batch(u_tilde[None, :])[0]
 
     def decompose(self, u: np.ndarray) -> Decomposition:
         u = self._check_dim(u)
@@ -360,9 +357,7 @@ class DagPaths(ConceptClass):
         from saturated bridge edges, for instance) are finished by cyclic
         per-constraint projections.
         """
-        mat = clamp_interior(np.atleast_2d(u_tildes))
-        if mat.shape[1] != self.num_components:
-            raise ValueError(f"expected {self.num_components} columns")
+        mat = self._interior_rows(u_tildes)
         solved = self._project_newton(mat)
         if solved is not None:
             return solved
@@ -448,10 +443,6 @@ class DagPaths(ConceptClass):
             bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
             lam = np.where(bad, 0.5 * (lo + hi), newton)
         return lam
-
-    def project(self, u_tilde: np.ndarray) -> np.ndarray:
-        u_tilde = self._check_dim(u_tilde)
-        return self.project_batch(u_tilde[None, :])[0]
 
     def _path_count(self) -> int:
         count = {n: 0 for n in self.nodes}
@@ -564,12 +555,11 @@ class ExplicitVertices(ConceptClass):
             res = max(res, float(np.max(np.abs(u[pinned] - self._pinned_value[pinned]))))
         return res
 
-    def project(self, u_tilde: np.ndarray) -> np.ndarray:
-        u = clamp_interior(self._check_dim(u_tilde))
-        out = u.copy()
+    def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
+        mat = self._interior_rows(u_tildes)
         pinned = ~self._free
-        out[pinned] = self._pinned_value[pinned]
-        return out
+        mat[:, pinned] = self._pinned_value[pinned]
+        return mat
 
     def decompose(self, u: np.ndarray) -> Decomposition:
         u = self._check_dim(u)
@@ -602,21 +592,6 @@ class ExplicitVertices(ConceptClass):
         if self._vertices.shape[0] > cap:
             raise ValueError(f"{self._vertices.shape[0]} vertices exceed the cap {cap}")
         return self._vertices.copy()
-
-
-def project(concept_class: ConceptClass, u_tilde: np.ndarray) -> np.ndarray:
-    """Entropy projection of ``u_tilde`` onto the class's usage polytope."""
-    return concept_class.project(u_tilde)
-
-
-def decompose(concept_class: ConceptClass, u: np.ndarray) -> Decomposition:
-    """Convex decomposition of a hull point into concepts."""
-    return concept_class.decompose(u)
-
-
-def enumerate_vertices(concept_class: ConceptClass, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-    """Complete, duplicate-free concept list (small instances only)."""
-    return concept_class.vertices(cap)
 
 
 def unconstrained_update(u: np.ndarray, x1: np.ndarray, x0: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import squint.regret_bounds as rb
 from squint.harness_cli import (
     ConfigError,
     audit_csv,
@@ -55,6 +56,75 @@ def comb_config(tmp_path, **overrides):
     return doc
 
 
+def expected_columns(prefix, k, items, bounds):
+    cols = ["t"] + [f"loss_{i + 1}" for i in range(k)] + [f"{prefix}_{i + 1}" for i in range(k)]
+    for name in items:
+        cols += [f"R_{name}", f"V_{name}"] + ([f"bound_{name}"] if bounds else [])
+    return cols + ["potential"]
+
+
+SUBSET_KEYS = {"name", "subset", "pi_mass", "regret", "variance"}
+COMPARATOR_KEYS = {"name", "comparator", "entropy", "regret", "variance"}
+VERDICT_KEYS = {"bound", "violated"}
+SINGLETONS = ["S0", "S1", "S2"]
+
+
+def prior_config(kind, **prior):
+    def make(tmp_path):
+        return experts_config(
+            tmp_path, algorithm={"name": "squint", "prior": {"kind": kind, **prior}}, horizon=20
+        )
+
+    return make
+
+
+# the middle coordinate pinned to 1, the other two free: a product set
+PRODUCT_VERTICES = [[0, 1, 0], [0, 1, 1], [1, 1, 0], [1, 1, 1]]
+
+# run shape -> (config factory, expected CSV header, expected keys of every summary audit)
+RUN_SHAPES = {
+    "improper": (
+        experts_config,
+        expected_columns("w", 3, SINGLETONS, True),
+        SUBSET_KEYS | VERDICT_KEYS,
+    ),
+    "conjugate": (
+        prior_config("conjugate", a=0.5, b=2.0),
+        expected_columns("w", 3, SINGLETONS, True),
+        SUBSET_KEYS | VERDICT_KEYS,
+    ),
+    "cv": (
+        prior_config("cv"),
+        expected_columns("w", 3, SINGLETONS, True),
+        SUBSET_KEYS | VERDICT_KEYS,
+    ),
+    "grid": (
+        prior_config("grid", etas=[0.5, 0.25, 0.125]),
+        expected_columns("w", 3, SINGLETONS, False),
+        SUBSET_KEYS,
+    ),
+    "potential_off": (
+        lambda tmp_path: experts_config(tmp_path, potential_every=0),
+        expected_columns("w", 3, SINGLETONS, True),
+        SUBSET_KEYS | VERDICT_KEYS,
+    ),
+    "explicit_class": (
+        lambda tmp_path: comb_config(
+            tmp_path,
+            concept_class={"kind": "explicit", "vertices": PRODUCT_VERTICES},
+            horizon=20,
+        ),
+        expected_columns("u", 3, ["C0", "C1", "C2", "C3"], True),
+        COMPARATOR_KEYS | VERDICT_KEYS,
+    ),
+    "combinatorial_zero_horizon": (
+        lambda tmp_path: comb_config(tmp_path, horizon=0),
+        expected_columns("u", 4, [f"C{j}" for j in range(6)], True),
+        COMPARATOR_KEYS,
+    ),
+}
+
+
 class TestGenerators:
     def test_all_zero_and_all_one_means(self):
         z = gen_stochastic(3, [0.0, 0.0, 0.0], seed=1, horizon=50)
@@ -89,6 +159,46 @@ class TestGenerators:
         assert np.all(np.abs(a) <= 1.0)
 
 
+# configs that must fail at parse time, before any round is played
+MALFORMED = {
+    "means_length": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "stochastic", "means": [0.2, 0.5], "seed": 11}
+    ),
+    "means_missing": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "stochastic", "seed": 11}
+    ),
+    "segment_length_zero": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "adversarial_shift", "segment_length": 0, "seed": 11}
+    ),
+    "hedge_eta_nan": lambda tmp_path: experts_config(
+        tmp_path, algorithm={"name": "hedge", "eta": math.nan}
+    ),
+    "iprod_grid_t_max_zero": lambda tmp_path: experts_config(
+        tmp_path, algorithm={"name": "iprod", "grid_t_max": 0}
+    ),
+    "prior_pi_length": lambda tmp_path: experts_config(tmp_path, prior_pi=[0.5, 0.5]),
+    "prior_pi_off_simplex": lambda tmp_path: experts_config(tmp_path, prior_pi=[0.5, 0.5, 0.5]),
+    "empty_subset": lambda tmp_path: experts_config(tmp_path, report={"subsets": [[]]}),
+    "subset_out_of_range": lambda tmp_path: experts_config(tmp_path, report={"subsets": [[0, 3]]}),
+    "subset_zero_mass": lambda tmp_path: experts_config(
+        tmp_path, prior_pi=[0.5, 0.5, 0.0], report={"subsets": [[2]]}
+    ),
+    "prior_vec_length": lambda tmp_path: comb_config(tmp_path, prior_vec=[0.5, 0.5, 0.5]),
+    "comparator_length": lambda tmp_path: comb_config(
+        tmp_path, report={"comparators": [[0.5, 0.5, 0.5]]}
+    ),
+    "comparator_out_of_range": lambda tmp_path: comb_config(
+        tmp_path, report={"comparators": [[0.5, 0.5, 0.5, 1.5]]}
+    ),
+    "horizon_above_t_max": lambda tmp_path: comb_config(
+        tmp_path, algorithm={"name": "component_iprod", "t_max": 4}
+    ),
+    "t_max_zero": lambda tmp_path: comb_config(
+        tmp_path, algorithm={"name": "component_iprod", "t_max": 0}
+    ),
+}
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path):
         doc = experts_config(tmp_path)
@@ -112,6 +222,13 @@ class TestConfigValidation:
         doc["environment"] = {"name": "stochastic", "seed": 1, "segment_length": 5}
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_config_exits_2(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(MALFORMED[case](tmp_path)))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_signed_losses_rejected_for_experts(self, tmp_path):
         doc = experts_config(tmp_path)
@@ -138,20 +255,24 @@ class TestRunExperiment:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 1  # header only
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        for sub, name in ((tmp_path / "a", "a"), (tmp_path / "b", "b")):
-            sub.mkdir()
-        doc_a = experts_config(tmp_path / "a")
-        doc_b = experts_config(tmp_path / "b")
-        run_experiment(parse_config(doc_a))
+    @pytest.mark.parametrize("shape", list(RUN_SHAPES))
+    def test_reruns_are_byte_identical(self, tmp_path, shape):
+        make, columns, audit_keys = RUN_SHAPES[shape]
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+        doc_a, doc_b = make(tmp_path / "a"), make(tmp_path / "b")
+        summary = run_experiment(parse_config(doc_a))
         run_experiment(parse_config(doc_b))
-        csv_a = (tmp_path / "a" / "run.csv").read_bytes()
-        csv_b = (tmp_path / "b" / "run.csv").read_bytes()
+        with open(doc_a["output"]["csv"], "rb") as fa, open(doc_b["output"]["csv"], "rb") as fb:
+            csv_a, csv_b = fa.read(), fb.read()
         assert csv_a == csv_b
-        ja = json.loads((tmp_path / "a" / "run.json").read_text())
-        jb = json.loads((tmp_path / "b" / "run.json").read_text())
+        assert csv_a.decode().splitlines()[0].split(",") == columns
+        with open(doc_a["output"]["summary"]) as fa, open(doc_b["output"]["summary"]) as fb:
+            ja, jb = json.load(fa), json.load(fb)
         ja["config"]["output"] = jb["config"]["output"] = None
         assert ja == jb
+        assert summary["any_violation"] is False
+        assert [set(a) for a in summary["audits"]] == [audit_keys] * len(summary["audits"])
 
     def test_hedge_run_emits_no_bound_columns(self, tmp_path):
         doc = experts_config(tmp_path, algorithm={"name": "hedge", "eta": 1.0})
@@ -206,6 +327,31 @@ class TestAudit:
         ok, problems = audit_csv(path)
         assert not ok
         assert problems
+
+    def test_nan_regret_fails_audit(self, tmp_path):
+        doc = experts_config(tmp_path)
+        run_experiment(parse_config(doc))
+        path = doc["output"]["csv"]
+        with open(path) as fh:
+            lines = fh.readlines()
+        col = lines[0].strip().split(",").index("R_S0")
+        parts = lines[-1].strip().split(",")
+        parts[col] = "nan"
+        lines[-1] = ",".join(parts) + "\n"
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        assert main(["audit", path]) == 2
+
+    def test_nan_bound_is_a_violation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rb, "bound_theorem3", lambda v_agg, pi_mass, horizon: math.nan)
+        doc = experts_config(tmp_path)
+        summary = run_experiment(parse_config(doc))
+        assert summary["any_violation"] is True
+        assert all(a["violated"] for a in summary["audits"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 2
+        assert main(["audit", doc["output"]["csv"]]) == 2
 
 
 class TestCli:

@@ -9,9 +9,6 @@ from squint.polytopes import (
     Decomposition,
     ExplicitVertices,
     KSubsets,
-    decompose,
-    enumerate_vertices,
-    project,
     unconstrained_update,
 )
 from squint.regret_bounds import binary_relative_entropy
@@ -58,7 +55,7 @@ def random_hull_point(cls, rng):
 
 class TestVertexEnumeration:
     def test_k_subsets_count(self):
-        v = enumerate_vertices(KSubsets(4, 2))
+        v = KSubsets(4, 2).vertices()
         assert v.shape == (6, 4)
         assert np.all(v.sum(axis=1) == 2)
         assert np.unique(v, axis=0).shape[0] == 6
@@ -197,12 +194,13 @@ class TestProjection:
         assert abs(u[1] + u[2] - 1.0) <= 1e-8
 
     def test_batch_matches_single(self):
-        cls = six_node_dag()
         rng = np.random.default_rng(7)
-        mat = rng.uniform(0.05, 0.95, size=(4, cls.num_components))
-        batch = cls.project_batch(mat)
-        for row_in, row_out in zip(mat, batch):
-            np.testing.assert_allclose(cls.project(row_in), row_out, atol=1e-9)
+        product = ExplicitVertices([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]])
+        for cls in (six_node_dag(), product):
+            mat = rng.uniform(0.05, 0.95, size=(4, cls.num_components))
+            batch = cls.project_batch(mat)
+            for row_in, row_out in zip(mat, batch):
+                np.testing.assert_allclose(cls.project(row_in), row_out, atol=1e-9)
 
 
 class TestDecomposition:
@@ -303,8 +301,8 @@ class TestUnconstrainedUpdate:
         with pytest.raises(ValueError):
             unconstrained_update(np.array([0.5]), np.array([math.inf]), np.array([0.0]))
 
-    def test_module_level_wrappers(self):
+    def test_project_then_decompose_roundtrip(self):
         cls = KSubsets(3, 1)
-        u = project(cls, np.full(3, 0.5))
-        d = decompose(cls, u)
+        u = cls.project(np.full(3, 0.5))
+        d = cls.decompose(u)
         np.testing.assert_allclose(d.usage(), u, atol=1e-9)
