@@ -25,6 +25,7 @@ from .experts import (
     ExpertGameState,
     ImproperPrior,
     hedge_weights,
+    iprod_log_factors,
     iprod_weights_grid,
     squint_weights_conjugate,
     squint_weights_cv,
@@ -60,6 +61,7 @@ __all__ = [
     "ExpertGameState",
     "ImproperPrior",
     "hedge_weights",
+    "iprod_log_factors",
     "iprod_weights_grid",
     "squint_weights_conjugate",
     "squint_weights_cv",

@@ -19,7 +19,8 @@ Weight rules:
   ln(2)/(eta ln^2 eta); no closed form, adaptive quadrature.
 - ``squint_weights_grid``: discrete prior on learning-rate points.
 - ``iprod_weights_grid``: replaces exp(eta R - eta^2 V) by the product
-  prod_t (1 + eta r_t), which requires the full regret history.
+  prod_t (1 + eta r_t), read from the (grid x K) running sums of
+  ln(1 + eta r_t) that ``iprod_log_factors`` supplies one round at a time.
 - ``hedge_weights``: classic exponentially weighted averages baseline.
 
 All accumulation happens in log domain with a max shift before
@@ -54,6 +55,7 @@ __all__ = [
     "squint_weights_improper",
     "squint_weights_cv",
     "squint_weights_grid",
+    "iprod_log_factors",
     "iprod_weights_grid",
     "hedge_weights",
     "weights_for_prior",
@@ -300,26 +302,37 @@ def squint_weights_grid(state: ExpertGameState, prior: DiscreteGridPrior) -> np.
     return _normalize_log_weights(log_w)
 
 
+def iprod_log_factors(r: np.ndarray, prior: DiscreteGridPrior) -> np.ndarray:
+    """One round's (G, K) log factors ln(1 + eta r^k), one row per grid point.
+
+    ``r`` is the round's instantaneous regret vector; adding these rows up
+    over the rounds gives the log-products that ``iprod_weights_grid``
+    reads.  Requires every factor 1 + eta r to stay positive, which holds
+    whenever |eta r| <= 1/2.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1:
+        raise ValueError("r must be one regret vector")
+    x = prior.etas[:, None] * r[None, :]
+    if np.any(1.0 + x <= 0.0):
+        raise ValueError("product factor 1 + eta*r is not positive; need |eta*r| <= 1/2")
+    return np.log1p(x)
+
+
 def iprod_weights_grid(
-    history: np.ndarray, prior_pi: np.ndarray, prior: DiscreteGridPrior
+    log_products: np.ndarray, prior_pi: np.ndarray, prior: DiscreteGridPrior
 ) -> np.ndarray:
     """Weights from products prod_t (1 + eta r_t^k) over a discrete grid.
 
-    ``history`` holds the instantaneous regret vectors r_1..r_T as rows; the
-    products are accumulated as sums of log1p terms.  Requires every factor
-    1 + eta r to stay positive, which holds whenever |eta r| <= 1/2.
+    ``log_products`` is the (G, K) array of sums over past rounds of
+    ``iprod_log_factors``: row g holds ln prod_t (1 + eta_g r_t^k).  Zeros
+    (no rounds yet) give back ``prior_pi``.
     """
-    history = np.asarray(history, dtype=float)
+    log_products = np.asarray(log_products, dtype=float)
     prior_pi = np.asarray(prior_pi, dtype=float)
     _check_simplex(prior_pi, "prior")
-    if history.size == 0:
-        history = history.reshape(0, prior_pi.shape[0])
-    if history.ndim != 2 or history.shape[1] != prior_pi.shape[0]:
-        raise ValueError("history must be (rounds, experts)")
-    factors = 1.0 + prior.etas[None, :, None] * history[:, None, :]
-    if np.any(factors <= 0.0):
-        raise ValueError("product factor 1 + eta*r is not positive; need |eta*r| <= 1/2")
-    log_products = np.log1p(prior.etas[None, :, None] * history[:, None, :]).sum(axis=0)
+    if log_products.shape != (prior.etas.shape[0], prior_pi.shape[0]):
+        raise ValueError("log_products must be (grid points, experts)")
     log_terms = log_products + np.log(prior.masses * prior.etas)[:, None]
     log_w = np.log(prior_pi) + logsumexp(log_terms, axis=0)
     return _normalize_log_weights(log_w)

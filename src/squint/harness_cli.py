@@ -18,9 +18,10 @@ learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
 a failed invariant or a malformed config.  A nan regret, bound or potential
 is a violation in ``run`` and ``audit`` alike.  ``parse_config`` rejects a
 malformed config before the first round, including wrong vector lengths, a
-``prior_pi`` off the simplex, bad subsets, and a combinatorial
-``algorithm.t_max`` below 1 or below ``horizon`` (Theorem 4 only covers a
-grid tuned for the horizon).
+``prior_pi`` off the simplex or with a zero entry, bad subsets,
+``report.vertices`` on a class with more than ``DEFAULT_VERTEX_CAP``
+vertices, and a combinatorial ``algorithm.t_max`` below 1 or below
+``horizon`` (Theorem 4 only covers a grid tuned for the horizon).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from . import component_iprod as ci
 from . import experts as ex
 from . import regret_bounds as rb
-from .polytopes import DagPaths, ExplicitVertices, KSubsets
+from .polytopes import DEFAULT_VERTEX_CAP, DagPaths, ExplicitVertices, KSubsets
 
 __all__ = [
     "ConfigError",
@@ -265,6 +266,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         cfg.prior_pi = np.full(k, 1.0 / k) if pi is None else np.asarray(pi, dtype=float)
         if cfg.prior_pi.shape != (k,):
             raise ConfigError(f"prior_pi must have length {k}")
+        if not np.all(cfg.prior_pi > 0.0):
+            # the weight rules take ln pi(k), and a subset audit needs prior mass
+            raise ConfigError("prior_pi entries must be positive")
         start = ex.ExpertGameState.from_prior(cfg.prior_pi)  # checks the simplex
         for subset in _report_subsets(cfg.report, k):
             rb.aggregate_subset(start, subset)  # nonempty, in range, positive prior mass
@@ -284,6 +288,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
             # Theorem 4 holds for the grid tuned to t_max, at horizons up to t_max
             raise ConfigError(f"horizon {horizon} exceeds algorithm.t_max {cfg.t_max}")
         _require_keys(cfg.report, set(), {"comparators", "vertices"}, "report")
+        if cfg.report.get("vertices", False):
+            count = cfg.concept_class.num_vertices()
+            if count > DEFAULT_VERTEX_CAP:
+                raise ConfigError(
+                    f"report.vertices: {count} vertices exceed the cap {DEFAULT_VERTEX_CAP}"
+                )
         vectors = list(cfg.report.get("comparators", []))
         for vec in vectors + ([] if cfg.prior_vec is None else [cfg.prior_vec]):
             vec = np.asarray(vec, dtype=float)
@@ -330,7 +340,7 @@ class _Experts:
         self.subsets = _report_subsets(cfg.report, k)
         self.names = [f"S{j}" for j in range(len(self.subsets))]
         self.near_best_fraction = cfg.report.get("near_best_fraction")
-        self.history = None
+        self.grid = None
         algo = cfg.algorithm
         if algo["name"] == "squint":
             self._weights = lambda: ex.weights_for_prior(self.state, self.prior)
@@ -338,19 +348,18 @@ class _Experts:
             eta = float(algo["eta"])
             self._weights = lambda: ex.hedge_weights(self.state, eta)
         else:
-            history = self.history = []
-            grid = ex.DiscreteGridPrior.uniform_on(
+            grid = self.grid = ex.DiscreteGridPrior.uniform_on(
                 ci.learning_rate_grid(int(algo.get("grid_t_max", max(cfg.horizon, 1))))
             )
-            self._weights = lambda: ex.iprod_weights_grid(
-                np.asarray(history).reshape(-1, k), self.state.prior, grid
-            )
+            # iProd's sufficient statistic: running sums of ln(1 + eta r_t)
+            log_products = self.log_products = np.zeros((grid.etas.size, k))
+            self._weights = lambda: ex.iprod_weights_grid(log_products, self.state.prior, grid)
 
     def step(self, loss: np.ndarray) -> tuple[int, np.ndarray]:
         w = self._weights()
         self.state = ex.update(self.state, w, loss)
-        if self.history is not None:
-            self.history.append(float(w @ loss) - loss)
+        if self.grid is not None:
+            self.log_products += ex.iprod_log_factors(float(w @ loss) - loss, self.grid)
         return self.state.t, w
 
     def audit(self) -> list[tuple]:

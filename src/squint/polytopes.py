@@ -110,8 +110,18 @@ class ConceptClass(ABC):
         """Write a hull point as a convex combination of concepts."""
 
     @abstractmethod
+    def num_vertices(self) -> int:
+        """The number of concepts, counted without enumerating them."""
+
+    @abstractmethod
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
         """All concepts as rows of a 0/1 matrix; raises when more than cap."""
+
+    def _check_vertex_cap(self, cap: int) -> int:
+        count = self.num_vertices()
+        if count > cap:
+            raise ValueError(f"{count} vertices exceed the cap {cap}")
+        return count
 
     def project(self, u_tilde: np.ndarray) -> np.ndarray:
         """Entropy projection of one interior point onto the hull."""
@@ -201,10 +211,11 @@ class KSubsets(ConceptClass):
         w = np.asarray(weights)
         return Decomposition(np.asarray(concepts), w / w.sum())
 
+    def num_vertices(self) -> int:
+        return math.comb(self.num_components, self.subset_size)
+
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-        count = math.comb(self.num_components, self.subset_size)
-        if count > cap:
-            raise ValueError(f"{count} vertices exceed the cap {cap}")
+        count = self._check_vertex_cap(cap)
         rows = np.zeros((count, self.num_components))
         for i, combo in enumerate(itertools.combinations(range(self.num_components), self.subset_size)):
             rows[i, list(combo)] = 1.0
@@ -444,7 +455,7 @@ class DagPaths(ConceptClass):
             lam = np.where(bad, 0.5 * (lo + hi), newton)
         return lam
 
-    def _path_count(self) -> int:
+    def num_vertices(self) -> int:
         count = {n: 0 for n in self.nodes}
         count[self.sink] = 1
         for n in reversed(self._topo):
@@ -453,9 +464,7 @@ class DagPaths(ConceptClass):
         return count[self.source]
 
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-        total = self._path_count()
-        if total > cap:
-            raise ValueError(f"{total} paths exceed the cap {cap}")
+        self._check_vertex_cap(cap)
         rows = []
 
         def walk(node, picked):
@@ -588,9 +597,11 @@ class ExplicitVertices(ConceptClass):
         w = np.asarray(weights)
         return Decomposition(np.asarray(concepts), w / w.sum())
 
+    def num_vertices(self) -> int:
+        return self._vertices.shape[0]
+
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-        if self._vertices.shape[0] > cap:
-            raise ValueError(f"{self._vertices.shape[0]} vertices exceed the cap {cap}")
+        self._check_vertex_cap(cap)
         return self._vertices.copy()
 
 

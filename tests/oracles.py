@@ -3,7 +3,10 @@
 Everything here deliberately avoids the code paths under test: plain
 composite Simpson panels (no adaptivity), mpmath high-precision quadrature,
 truncated Maclaurin series, dense dual-parameter sweeps, and a generic
-constrained solver.  Keep it that way.
+constrained solver.  Keep it that way.  The one exception is
+``iprod_weights_history``: the history-based iProd rule, kept as the
+reference the incremental one must match bit for bit, so it shares the
+production log-sum-exp and normalization.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from squint.numerics import logsumexp
 
 
 def simpson_exp_integral(r: float, v: float, with_eta: bool = False, panels: int = 10**6) -> float:
@@ -135,3 +140,30 @@ def slsqp_entropy_projection(
     if not res.success:
         raise RuntimeError(f"SLSQP oracle failed: {res.message}")
     return np.asarray(res.x)
+
+
+def iprod_log_products_history(history: np.ndarray, prior) -> np.ndarray:
+    """(G, K) sums over the rows r_1..r_T of ``history`` of ln(1 + eta r_t).
+
+    Re-sums the whole history (O(T) per call); ``prior`` is a
+    ``DiscreteGridPrior``.  Raises if some factor 1 + eta r is not positive.
+    """
+    history = np.asarray(history, dtype=float)
+    if history.ndim != 2:
+        raise ValueError("history must be (rounds, experts)")
+    x = prior.etas[None, :, None] * history[:, None, :]
+    if np.any(1.0 + x <= 0.0):
+        raise ValueError("product factor 1 + eta*r is not positive")
+    return np.log1p(x).sum(axis=0)
+
+
+def iprod_weights_history(history: np.ndarray, prior_pi: np.ndarray, prior) -> np.ndarray:
+    """iProd weights pi(k) sum_g mass_g eta_g prod_t (1 + eta_g r_t^k), normalized,
+    recomputed from the full regret history."""
+    prior_pi = np.asarray(prior_pi, dtype=float)
+    history = np.asarray(history, dtype=float).reshape(-1, prior_pi.shape[0])
+    log_products = iprod_log_products_history(history, prior)
+    log_terms = log_products + np.log(prior.masses * prior.etas)[:, None]
+    log_w = np.log(prior_pi) + logsumexp(log_terms, axis=0)
+    w = np.exp(log_w - logsumexp(log_w))
+    return w / w.sum()

@@ -358,16 +358,16 @@ def test_criterion_10_two_expert_reduction():
     rng = np.random.Generator(np.random.Philox(key=4242))
     game = ci.make_game(ExplicitVertices([[0.0], [1.0]]), prior_vec=np.array([pi1]), t_max=horizon)
     grid = ex.DiscreteGridPrior.uniform_on(ci.learning_rate_grid(horizon))
-    history = np.zeros((0, 2))
+    log_products = np.zeros((grid.etas.size, 2))
     worst = 0.0
     for _ in range(horizon):
         u = ci.play(game)[0]
-        w = ex.iprod_weights_grid(history, np.array([pi1, 1.0 - pi1]), grid)
+        w = ex.iprod_weights_grid(log_products, np.array([pi1, 1.0 - pi1]), grid)
         worst = max(worst, abs(u - w[0]))
         l1, l2 = rng.uniform(0.0, 1.0, 2)
         ci.observe(game, np.array([l1 - l2]))
         mix = w[0] * l1 + w[1] * l2
-        history = np.vstack([history, [mix - l1, mix - l2]])
+        log_products += ex.iprod_log_factors(np.array([mix - l1, mix - l2]), grid)
     assert worst <= 1e-10, f"max per-round gap {worst}"
     _report(10, f"single-component aggregation equals two-expert product weights (gap {worst:.1e})", started, "<5s")
 

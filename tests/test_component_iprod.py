@@ -15,7 +15,7 @@ from squint.component_iprod import (
     play,
     potential,
 )
-from squint.experts import DiscreteGridPrior, iprod_weights_grid
+from squint.experts import DiscreteGridPrior, iprod_log_factors, iprod_weights_grid
 from squint.polytopes import ExplicitVertices, KSubsets, unconstrained_update
 from squint.regret_bounds import binary_relative_entropy, bound_theorem4
 
@@ -251,15 +251,13 @@ class TestTwoExpertReduction:
         pi1 = 0.35
         game = make_game(ExplicitVertices([[0.0], [1.0]]), prior_vec=np.array([pi1]), t_max=t_max)
         grid = DiscreteGridPrior.uniform_on(learning_rate_grid(t_max))
-        history = []
+        log_products = np.zeros((grid.etas.size, 2))
         for _ in range(t_max):
             u = play(game)[0]
-            w = iprod_weights_grid(
-                np.asarray(history).reshape(-1, 2), np.array([pi1, 1.0 - pi1]), grid
-            )
+            w = iprod_weights_grid(log_products, np.array([pi1, 1.0 - pi1]), grid)
             assert abs(u - w[0]) <= 1e-10
             l1, l2 = rng.uniform(0, 1, 2)
             observe(game, np.array([l1 - l2]))
             r1 = (w[0] * l1 + w[1] * l2) - l1
             r2 = (w[0] * l1 + w[1] * l2) - l2
-            history.append([r1, r2])
+            log_products += iprod_log_factors(np.array([r1, r2]), grid)

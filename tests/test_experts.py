@@ -10,6 +10,7 @@ from squint.experts import (
     ExpertGameState,
     ImproperPrior,
     hedge_weights,
+    iprod_log_factors,
     iprod_weights_grid,
     potential,
     squint_weights_conjugate,
@@ -19,9 +20,15 @@ from squint.experts import (
     update,
     weights_for_prior,
 )
+from squint.component_iprod import learning_rate_grid
 from squint.numerics import QuadratureSpec
 
-from oracles import simpson_exp_integral, mp_cv_weight_integral
+from oracles import (
+    iprod_log_products_history,
+    iprod_weights_history,
+    mp_cv_weight_integral,
+    simpson_exp_integral,
+)
 
 # Frozen from the 1e6-panel Simpson oracle (eta-weighted, r=+-1, v=1):
 CONJ_W_POS = 0.6569304060901634
@@ -255,7 +262,7 @@ class TestIprodWeights:
         grid = DiscreteGridPrior.uniform_on([0.5, 0.25])
         pi = np.array([0.3, 0.7])
         np.testing.assert_allclose(
-            iprod_weights_grid(np.zeros((0, 2)), pi, grid), pi, atol=1e-14
+            iprod_weights_grid(np.zeros((2, 2)), pi, grid), pi, atol=1e-14
         )
 
     def test_single_round_single_eta(self):
@@ -263,7 +270,7 @@ class TestIprodWeights:
         grid = DiscreteGridPrior(etas=np.array([eta]), masses=np.array([1.0]))
         pi = np.array([0.4, 0.6])
         r1 = np.array([0.6, -0.2])
-        w = iprod_weights_grid(r1[None, :], pi, grid)
+        w = iprod_weights_grid(iprod_log_factors(r1, grid), pi, grid)
         want = pi * (1.0 + eta * r1)
         np.testing.assert_allclose(w, want / want.sum(), rtol=1e-12)
 
@@ -290,7 +297,31 @@ class TestIprodWeights:
     def test_rejects_nonpositive_factor(self):
         grid = DiscreteGridPrior(etas=np.array([0.5]), masses=np.array([1.0]))
         with pytest.raises(ValueError):
-            iprod_weights_grid(np.array([[-2.5, 0.0]]), np.array([0.5, 0.5]), grid)
+            iprod_log_factors(np.array([-2.5, 0.0]), grid)
+
+    def test_rejects_wrong_shape(self):
+        grid = DiscreteGridPrior.uniform_on([0.5, 0.25])
+        pi = np.array([0.5, 0.5])
+        for shape in [(0, 2), (1, 2), (2, 3), (2,)]:
+            with pytest.raises(ValueError):
+                iprod_weights_grid(np.zeros(shape), pi, grid)
+
+    # T = 0, T = 1, G > T > 1, and a long run past the grid size
+    @pytest.mark.parametrize("rounds", [0, 1, 5, 1100])
+    def test_running_sums_match_history_oracle(self, rounds):
+        rng = np.random.default_rng(rounds)
+        grid = DiscreteGridPrior.uniform_on(learning_rate_grid(1100))
+        assert grid.etas.size > 5
+        k = 20
+        pi = rng.dirichlet(np.ones(k))
+        history = rng.uniform(-1.0, 1.0, size=(rounds, k))
+        log_products = np.zeros((grid.etas.size, k))
+        for r in history:
+            log_products += iprod_log_factors(r, grid)
+        assert np.array_equal(log_products, iprod_log_products_history(history, grid))
+        assert np.array_equal(
+            iprod_weights_grid(log_products, pi, grid), iprod_weights_history(history, pi, grid)
+        )
 
 
 class TestHedgeWeights:

@@ -1,10 +1,13 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
+import squint.experts as ex
 import squint.regret_bounds as rb
+from squint.component_iprod import learning_rate_grid
 from squint.harness_cli import (
     ConfigError,
     audit_csv,
@@ -16,6 +19,7 @@ from squint.harness_cli import (
     run_experiment,
 )
 
+from oracles import iprod_weights_history
 from test_polytopes import DIAMOND
 
 
@@ -122,6 +126,21 @@ RUN_SHAPES = {
         expected_columns("u", 4, [f"C{j}" for j in range(6)], True),
         COMPARATOR_KEYS,
     ),
+    "iprod": (
+        lambda tmp_path: experts_config(tmp_path, algorithm={"name": "iprod"}),
+        expected_columns("w", 3, SINGLETONS, False),
+        SUBSET_KEYS,
+    ),
+    "iprod_grid_t_max": (
+        lambda tmp_path: experts_config(tmp_path, algorithm={"name": "iprod", "grid_t_max": 500}),
+        expected_columns("w", 3, SINGLETONS, False),
+        SUBSET_KEYS,
+    ),
+    "hedge": (
+        lambda tmp_path: experts_config(tmp_path, algorithm={"name": "hedge", "eta": 1.0}),
+        expected_columns("w", 3, SINGLETONS, False),
+        SUBSET_KEYS,
+    ),
 }
 
 
@@ -183,6 +202,17 @@ MALFORMED = {
     "subset_zero_mass": lambda tmp_path: experts_config(
         tmp_path, prior_pi=[0.5, 0.5, 0.0], report={"subsets": [[2]]}
     ),
+    # ln(0) in the improper and conjugate rules on round 1
+    "prior_pi_zero_improper": lambda tmp_path: experts_config(
+        tmp_path, prior_pi=[1.0, 0.0, 0.0], report={}
+    ),
+    # a near-best set of zero prior mass at the end of the run
+    "prior_pi_zero_near_best": lambda tmp_path: experts_config(
+        tmp_path,
+        algorithm={"name": "hedge", "eta": 1.0},
+        prior_pi=[0.0, 0.0, 1.0],
+        report={"near_best_fraction": 0.1},
+    ),
     "prior_vec_length": lambda tmp_path: comb_config(tmp_path, prior_vec=[0.5, 0.5, 0.5]),
     "comparator_length": lambda tmp_path: comb_config(
         tmp_path, report={"comparators": [[0.5, 0.5, 0.5]]}
@@ -195,6 +225,9 @@ MALFORMED = {
     ),
     "t_max_zero": lambda tmp_path: comb_config(
         tmp_path, algorithm={"name": "component_iprod", "t_max": 0}
+    ),
+    "vertices_over_cap": lambda tmp_path: comb_config(
+        tmp_path, concept_class={"kind": "k_subsets", "num_components": 20, "subset_size": 10}
     ),
 }
 
@@ -274,17 +307,52 @@ class TestRunExperiment:
         assert summary["any_violation"] is False
         assert [set(a) for a in summary["audits"]] == [audit_keys] * len(summary["audits"])
 
-    def test_hedge_run_emits_no_bound_columns(self, tmp_path):
-        doc = experts_config(tmp_path, algorithm={"name": "hedge", "eta": 1.0})
-        run_experiment(parse_config(doc))
+    def test_iprod_weights_match_history_oracle(self, tmp_path):
+        # the running log-product sums give the same bytes as re-summing
+        # the whole regret history every round
+        k, horizon = 5, 300
+        doc = experts_config(
+            tmp_path,
+            num_experts=k,
+            horizon=horizon,
+            algorithm={"name": "iprod"},
+            environment={"name": "stochastic", "means": [0.1, 0.3, 0.5, 0.7, 0.9], "seed": 7},
+            prior_pi=[0.1, 0.15, 0.2, 0.25, 0.3],
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 0
         with open(doc["output"]["csv"]) as fh:
-            header = fh.readline().strip().split(",")
-        assert not any(h.startswith("bound_") for h in header)
+            rows = list(csv.reader(fh))
+        header, rows = rows[0], rows[1:]
+        loss_cols = [header.index(f"loss_{i + 1}") for i in range(k)]
+        w_cols = [header.index(f"w_{i + 1}") for i in range(k)]
+        grid = ex.DiscreteGridPrior.uniform_on(learning_rate_grid(horizon))
+        pi = np.asarray(doc["prior_pi"])
+        history = []
+        assert len(rows) == horizon
+        for row in rows:
+            w = iprod_weights_history(history, pi, grid)
+            assert [row[c] for c in w_cols] == [repr(float(x)) for x in w]
+            loss = np.array([float(row[c]) for c in loss_cols])
+            history.append(float(w @ loss) - loss)
 
-    def test_iprod_run(self, tmp_path):
-        doc = experts_config(tmp_path, algorithm={"name": "iprod"}, horizon=20)
-        summary = run_experiment(parse_config(doc))
-        assert summary["any_violation"] is False
+    def test_iprod_reads_weights_once_per_round(self, tmp_path, monkeypatch):
+        # the harness reads iProd weights through ex.iprod_weights_grid, once
+        # per round, from a (G, K) array: benchmark tracing relies on this
+        shapes = []
+        original = ex.iprod_weights_grid
+
+        def counting(log_products, prior_pi, prior):
+            shapes.append(np.shape(log_products))
+            return original(log_products, prior_pi, prior)
+
+        monkeypatch.setattr(ex, "iprod_weights_grid", counting)
+        horizon = 50
+        doc = experts_config(tmp_path, algorithm={"name": "iprod"}, horizon=horizon)
+        run_experiment(parse_config(doc))
+        g = learning_rate_grid(horizon).size
+        assert shapes == [(g, 3)] * horizon
 
     def test_combinatorial_run(self, tmp_path):
         summary = run_experiment(parse_config(comb_config(tmp_path)))

@@ -76,6 +76,22 @@ class TestVertexEnumeration:
         with pytest.raises(ValueError):
             KSubsets(30, 15).vertices(cap=100)
 
+    @pytest.mark.parametrize(
+        "cls_factory",
+        [
+            lambda: KSubsets(6, 3),
+            diamond,
+            six_node_dag,
+            lambda: ExplicitVertices([[0, 1, 0], [0, 1, 1], [1, 1, 0], [1, 1, 1]]),
+        ],
+    )
+    def test_count_matches_enumeration_and_sets_the_cap(self, cls_factory):
+        cls = cls_factory()
+        count = cls.num_vertices()
+        assert cls.vertices(cap=count).shape == (count, cls.num_components)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            cls.vertices(cap=count - 1)
+
 
 class TestDagValidation:
     def test_rejects_cycle(self):
