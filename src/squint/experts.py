@@ -69,9 +69,10 @@ SIMPLEX_TOL = 1e-12
 
 
 def _check_simplex(p: np.ndarray, what: str) -> None:
-    if np.any(p < 0.0):
-        raise ValueError(f"{what} has negative entries")
-    if abs(float(p.sum()) - 1.0) > SIMPLEX_TOL:
+    # written as "not good" so that a nan entry fails both tests
+    if not np.all(p >= 0.0):
+        raise ValueError(f"{what} has negative or nan entries")
+    if not abs(float(p.sum()) - 1.0) <= SIMPLEX_TOL:
         raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {p.sum()!r}")
 
 
@@ -160,9 +161,9 @@ class DiscreteGridPrior:
         object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
         if self.etas.ndim != 1 or self.etas.shape != self.masses.shape:
             raise ValueError("etas and masses must be 1-d arrays of equal length")
-        if np.any(self.etas <= 0.0) or np.any(self.etas > 0.5):
+        if not np.all((self.etas > 0.0) & (self.etas <= 0.5)):
             raise ValueError("grid points must lie in (0, 1/2]")
-        if np.any(np.diff(self.etas) >= 0.0):
+        if not np.all(np.diff(self.etas) < 0.0):
             raise ValueError("grid points must be strictly decreasing")
         _check_simplex(self.masses, "grid masses")
 

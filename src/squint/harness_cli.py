@@ -316,14 +316,19 @@ def _record(entry: dict, regret: float, variance: float, bound: float | None) ->
         entry.update(bound=bound, violated=not regret <= bound)
     return entry
 
+def _items(stats: tuple) -> list[tuple]:
+    """Audit arrays (regret, variance, bound or None) as one float tuple per item."""
+    r, v, b = stats
+    return list(zip(r.tolist(), v.tolist(), [None] * r.size if b is None else b.tolist()))
+
 def _experts_theorem(prior):
-    """The guarantee of the Squint rule under ``prior``, as f(aggregate, t), or None."""
+    """The guarantee of the Squint rule under ``prior``, as f(V, pi mass, t), or None."""
     if isinstance(prior, ex.ConjugatePrior):
-        return lambda agg, t: rb.bound_theorem1(agg.v_agg, agg.pi_mass, prior.a, prior.b)
+        return lambda v, pi_mass, t: rb.bound_theorem1(v, pi_mass, prior.a, prior.b)
     if isinstance(prior, ex.ImproperPrior):
-        return lambda agg, t: rb.bound_theorem3(agg.v_agg, agg.pi_mass, t)
+        return lambda v, pi_mass, t: rb.bound_theorem3(v, pi_mass, t)
     if isinstance(prior, ex.CVPrior):
-        return lambda agg, t: rb.bound_theorem2(agg.v_agg, agg.pi_mass)
+        return lambda v, pi_mass, t: rb.bound_theorem2(v, pi_mass)
     return None
 
 class _Experts:
@@ -339,6 +344,12 @@ class _Experts:
         self.has_bound = self.theorem is not None
         self.subsets = _report_subsets(cfg.report, k)
         self.names = [f"S{j}" for j in range(len(self.subsets))]
+        # row j: the prior conditioned on subset j, so (cond @ R)[j] is its aggregate regret
+        pi = self.state.prior
+        self.masses = np.array([float(pi[s].sum()) for s in self.subsets])
+        self.cond = np.zeros((len(self.subsets), k))
+        for row, subset, mass in zip(self.cond, self.subsets, self.masses):
+            row[subset] = pi[subset] / mass
         self.near_best_fraction = cfg.report.get("near_best_fraction")
         self.grid = None
         algo = cfg.algorithm
@@ -362,34 +373,31 @@ class _Experts:
             self.log_products += ex.iprod_log_factors(float(w @ loss) - loss, self.grid)
         return self.state.t, w
 
-    def audit(self) -> list[tuple]:
-        """(regret, variance, bound or None) of every reported subset."""
-        state, theorem = self.state, self.theorem
-        stats = []
-        for subset in self.subsets:
-            agg = rb.aggregate_subset(state, subset)
-            bound = None if theorem is None else theorem(agg, state.t)
-            stats.append((agg.r_agg, agg.v_agg, bound))
-        return stats
+    def audit(self) -> tuple:
+        """Arrays of every reported subset's regret, variance and bound (or None)."""
+        state = self.state
+        v = self.cond @ state.variance
+        bound = None if self.theorem is None else self.theorem(v, self.masses, state.t)
+        return self.cond @ state.regret, v, bound
 
     def potential(self) -> float | None:
         return None if self.prior is None else ex.potential(self.state, self.prior)
 
-    def summary(self, stats: list[tuple] | None) -> tuple[list[dict], dict | None]:
+    def summary(self, stats: tuple | None) -> tuple[list[dict], dict | None]:
         """Audit entries from the final round's stats (None: no rounds) and the near-best set."""
         audits = [{"name": n, "subset": s} for n, s in zip(self.names, self.subsets)]
         if stats is None:
             return audits, None
         state, frac = self.state, self.near_best_fraction
-        for entry, stat in zip(audits, stats):
-            entry["pi_mass"] = float(state.prior[entry["subset"]].sum())
-            _record(entry, *stat)
+        for entry, mass, item in zip(audits, self.masses.tolist(), _items(stats)):
+            entry["pi_mass"] = mass
+            _record(entry, *item)
         if frac is None:
             return audits, None
         best = float(state.cum_loss.min())
         members = [i for i in range(self.dim) if state.cum_loss[i] <= best + float(frac) * state.t]
         agg = rb.aggregate_subset(state, members)
-        bound = None if self.theorem is None else self.theorem(agg, state.t)
+        bound = None if self.theorem is None else self.theorem(agg.v_agg, agg.pi_mass, state.t)
         near_best = {"subset": members, "pi_mass": agg.pi_mass}
         return audits, _record(near_best, agg.r_agg, agg.v_agg, bound)
 
@@ -408,9 +416,9 @@ class _Combinatorial:
         self.comparators = [np.asarray(c, dtype=float) for c in cfg.report.get("comparators", [])]
         if cfg.report.get("vertices", False):
             self.comparators += list(cls.vertices())
-        self.entropies = [
-            rb.binary_relative_entropy(v, self.game.prior_vec) for v in self.comparators
-        ]
+        self.entropies = np.array(
+            [rb.binary_relative_entropy(v, self.game.prior_vec) for v in self.comparators]
+        )
         self.names = [f"C{j}" for j in range(len(self.comparators))]
 
     def step(self, loss: np.ndarray) -> tuple[int, np.ndarray]:
@@ -418,25 +426,29 @@ class _Combinatorial:
         ci.observe(self.game, loss)
         return self.game.t, u
 
-    def audit(self) -> list[tuple]:
-        """(regret, variance, Theorem 4 bound) of every reported comparator."""
-        game, k, t_max = self.game, self.dim, self.t_max
-        stats = []
-        for v, entropy in zip(self.comparators, self.entropies):
-            r_v, v_v = ci.comparator_stats(game, v)
-            stats.append((r_v, v_v, rb.bound_theorem4(v_v, entropy, k, t_max)))
-        return stats
+    def _comparator_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        # one comparator at a time: a batched product differs in the last bit
+        stats = [ci.comparator_stats(self.game, v) for v in self.comparators]
+        r, v = np.array(stats).reshape(-1, 2).T
+        return r, v
+
+    def audit(self) -> tuple:
+        """Arrays of every reported comparator's regret, variance and Theorem 4 bound."""
+        r, v = self._comparator_stats()
+        return r, v, rb.bound_theorem4(v, self.entropies, self.dim, self.t_max)
 
     def potential(self) -> float:
         return ci.potential(self.game)
 
-    def summary(self, stats: list[tuple] | None) -> tuple[list[dict], None]:
+    def summary(self, stats: tuple | None) -> tuple[list[dict], None]:
         """Audit entries from the final round's stats; unbounded zeros before any round."""
         if stats is None:
-            stats = [ci.comparator_stats(self.game, v) + (None,) for v in self.comparators]
+            stats = self._comparator_stats() + (None,)
         audits = [
-            _record({"name": n, "comparator": [float(x) for x in v], "entropy": e}, *stat)
-            for n, v, e, stat in zip(self.names, self.comparators, self.entropies, stats)
+            _record({"name": n, "comparator": [float(x) for x in v], "entropy": e}, *item)
+            for n, v, e, item in zip(
+                self.names, self.comparators, self.entropies.tolist(), _items(stats)
+            )
         ]
         return audits, None
 
@@ -458,14 +470,17 @@ def _run(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     max_potential = None
     for loss_t in losses:
         t, played = learner.step(loss_t)
-        row = [str(t)] + [_fmt(x) for x in loss_t] + [_fmt(x) for x in played]
-        stats = learner.audit()
-        for r, v, bound in stats:
-            row += [_fmt(r), _fmt(v)]
-            if bound is not None:
-                row.append(_fmt(bound))
-                if not r <= bound:
-                    any_violation = True
+        r, v, bound = learner.audit()
+        audited = (r, v)
+        if bound is not None:
+            bound = np.broadcast_to(bound, r.shape)
+            if not np.all(r <= bound):  # a nan regret or bound is a violation
+                any_violation = True
+            audited += (bound,)
+        stats = (r, v, bound)
+        # R, V[, bound] per item; tolist() gives Python floats, repr'd as by _fmt
+        cells = np.concatenate((loss_t, played, np.column_stack(audited).ravel()))
+        row = [str(t)] + list(map(repr, cells.tolist()))
         sample = cfg.potential_every > 0 and t % cfg.potential_every == 0
         phi = learner.potential() if sample else None
         if phi is None:

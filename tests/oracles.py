@@ -3,10 +3,12 @@
 Everything here deliberately avoids the code paths under test: plain
 composite Simpson panels (no adaptivity), mpmath high-precision quadrature,
 truncated Maclaurin series, dense dual-parameter sweeps, and a generic
-constrained solver.  Keep it that way.  The one exception is
-``iprod_weights_history``: the history-based iProd rule, kept as the
-reference the incremental one must match bit for bit, so it shares the
-production log-sum-exp and normalization.
+constrained solver.  Keep it that way.  Two exceptions are kept as the
+references their replacements must match bit for bit, so they share
+production helpers: ``iprod_weights_history``, the history-based iProd rule
+(production log-sum-exp and normalization), and the scalar
+``bound_theorem*_scalar`` calculators (production ``ln_plus``,
+``z_conjugate`` and ``ceil_one_plus_log2``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 
 import numpy as np
 
-from squint.numerics import logsumexp
+from squint.numerics import ceil_one_plus_log2, logsumexp
+from squint.regret_bounds import ln_plus, z_conjugate
 
 
 def simpson_exp_integral(r: float, v: float, with_eta: bool = False, panels: int = 10**6) -> float:
@@ -167,3 +170,58 @@ def iprod_weights_history(history: np.ndarray, prior_pi: np.ndarray, prior) -> n
     log_w = np.log(prior_pi) + logsumexp(log_terms, axis=0)
     w = np.exp(log_w - logsumexp(log_w))
     return w / w.sum()
+
+
+def _check_pi_mass(pi_mass: float) -> None:
+    if not 0.0 < pi_mass <= 1.0:
+        raise ValueError(f"prior mass must lie in (0, 1], got {pi_mass}")
+
+
+def bound_theorem1_scalar(v_agg: float, pi_mass: float, a: float = 0.0, b: float = 0.0) -> float:
+    """Theorem 1 on one subset, in Python floats."""
+    _check_pi_mass(pi_mass)
+    if v_agg < 0.0:
+        raise ValueError(f"variance aggregate must be nonnegative, got {v_agg}")
+    z = z_conjugate(a, b)
+    vb = v_agg + b
+    main = 2.0 * math.sqrt(vb * (0.5 + ln_plus(z * math.sqrt(2.0 * vb) / pi_mass)))
+    tail = 5.0 * ln_plus(2.0 * math.sqrt(5.0) * z / pi_mass)
+    return main + tail - a
+
+
+def bound_theorem2_scalar(v_agg: float, pi_mass: float) -> float:
+    """Theorem 2 on one subset, in Python floats."""
+    _check_pi_mass(pi_mass)
+    if v_agg < 0.0:
+        raise ValueError(f"variance aggregate must be nonnegative, got {v_agg}")
+    inner = ln_plus(2.0 * math.sqrt(v_agg) / (2.0 - math.sqrt(2.0))) ** 2
+    main = math.sqrt(2.0 * v_agg) * (
+        1.0 + math.sqrt(2.0 * ln_plus(inner / (pi_mass * math.log(2.0))))
+    )
+    return main - 5.0 * math.log(pi_mass) + 4.0
+
+
+def bound_theorem3_scalar(v_agg: float, pi_mass: float, horizon: int) -> float:
+    """Theorem 3 on one subset, in Python floats."""
+    _check_pi_mass(pi_mass)
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    if v_agg < 0.0:
+        raise ValueError(f"variance aggregate must be nonnegative, got {v_agg}")
+    log_t = math.log(horizon + 1.0)
+    tail = 5.0 * math.log(1.0 + (1.0 + 2.0 * log_t) / pi_mass)
+    if v_agg == 0.0:
+        return tail
+    inner = max((0.5 + log_t) / pi_mass, 1.0)
+    return math.sqrt(2.0 * v_agg) * (1.0 + math.sqrt(2.0 * math.log(inner))) + tail
+
+
+def bound_theorem4_scalar(v_v: float, entropy: float, num_components: int, horizon: int) -> float:
+    """Theorem 4 on one comparator, in Python floats."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if v_v < 0.0 or entropy < 0.0:
+        raise ValueError("variance and entropy must be nonnegative")
+    log_g = math.log(ceil_one_plus_log2(horizon))
+    main = 4.0 / math.sqrt(3.0) * math.sqrt(v_v * (entropy + num_components * log_g))
+    return main + 4.0 * entropy + num_components * max(4.0 * log_g, 1.0)

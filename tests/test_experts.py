@@ -102,6 +102,13 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(s, np.array([0.7, 0.7]), np.array([0.5, 0.5]))
 
+    def test_rejects_nan_weights(self):
+        # nan fails "p >= 0" and "|sum - 1| <= tol" alike
+        s = ExpertGameState.uniform(2)
+        for w in ([math.nan, 1.0], [math.nan, math.nan]):
+            with pytest.raises(ValueError, match="nan"):
+                update(s, np.array(w), np.array([0.5, 0.5]))
+
 
 class TestConjugateWeights:
     def test_fresh_state_returns_prior(self):
@@ -255,6 +262,12 @@ class TestGridWeights:
             DiscreteGridPrior(etas=np.array([0.25, 0.5]), masses=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             DiscreteGridPrior(etas=np.array([0.6]), masses=np.array([1.0]))
+
+    def test_grid_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DiscreteGridPrior(etas=np.array([math.nan, 0.25]), masses=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            DiscreteGridPrior(etas=np.array([0.5, 0.25]), masses=np.array([math.nan, 1.0]))
 
 
 class TestIprodWeights:

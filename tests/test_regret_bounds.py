@@ -16,6 +16,13 @@ from squint.regret_bounds import (
     z_conjugate,
 )
 
+from oracles import (
+    bound_theorem1_scalar,
+    bound_theorem2_scalar,
+    bound_theorem3_scalar,
+    bound_theorem4_scalar,
+)
+
 # Frozen independent arithmetic-oracle values (mpmath, 50 digits):
 THM1_V100_PI01 = 59.16493573737543957
 THM2_V1000_PI005 = 224.31908701184350337
@@ -151,6 +158,85 @@ class TestTheorem4:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             bound_theorem4(1.0, 1.0, 1, 0)
+
+
+# (V, pi) grid: V = 0, tiny and large V, pi = 1 and mixed masses, every pair
+_V = np.array([0.0, 1e-12, 0.3, 1.0, 2.5, 17.0, 123.456, 999.0, 1e4])
+_PI = np.array([1.0, 0.75, 0.5, 1.0 / 3.0, 0.1, 0.013, 1e-6])
+_RNG = np.random.default_rng(8)
+STATS = {
+    "grid": tuple(x.ravel() for x in np.meshgrid(_V, _PI)),
+    # enough draws that a last-bit difference of np.log or np.square would show
+    "random": (10.0 ** _RNG.uniform(-3.0, 4.0, 10**5), _RNG.uniform(1e-4, 1.0, 10**5)),
+}
+
+
+class TestArrayForm:
+    """The array calculators equal the scalar ones element by element, bit for bit."""
+
+    def _assert_matches(self, got, oracle, *columns):
+        want = [oracle(*args) for args in zip(*(c.tolist() for c in columns))]
+        assert isinstance(got, np.ndarray) and got.shape == columns[0].shape
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("data", list(STATS))
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 2.0), (-1.0, 0.25)])
+    def test_theorem1(self, data, a, b):
+        v, pi = STATS[data]
+        got = bound_theorem1(v, pi, a, b)
+        self._assert_matches(got, lambda v, p: bound_theorem1_scalar(v, p, a, b), v, pi)
+
+    @pytest.mark.parametrize("data", list(STATS))
+    def test_theorem2(self, data):
+        v, pi = STATS[data]
+        self._assert_matches(bound_theorem2(v, pi), bound_theorem2_scalar, v, pi)
+
+    @pytest.mark.parametrize("data", list(STATS))
+    @pytest.mark.parametrize("t", [0, 1, 7, 200, 10**6])
+    def test_theorem3(self, data, t):
+        v, pi = STATS[data]
+        got = bound_theorem3(v, pi, t)
+        self._assert_matches(got, lambda v, p: bound_theorem3_scalar(v, p, t), v, pi)
+
+    @pytest.mark.parametrize("data", list(STATS))
+    @pytest.mark.parametrize("t", [1, 2, 200, 2**10, 10**6])
+    def test_theorem4(self, data, t):
+        v, pi = STATS[data]
+        entropy = 50.0 * pi  # mixed entropies, every seventh one exactly 0
+        entropy[::7] = 0.0
+        for k in (1, 60):
+            got = bound_theorem4(v, entropy, k, t)
+            self._assert_matches(got, lambda v, e: bound_theorem4_scalar(v, e, k, t), v, entropy)
+
+    def test_scalars_give_floats(self):
+        assert type(bound_theorem1(2.0, 0.5)) is float
+        assert type(bound_theorem2(2.0, 0.5)) is float
+        assert type(bound_theorem3(2.0, 0.5, 10)) is float
+        assert type(bound_theorem4(2.0, 1.0, 3, 10)) is float
+        assert bound_theorem3(2.0, 0.5, 10) == bound_theorem3_scalar(2.0, 0.5, 10)
+
+    def test_scalar_mass_broadcasts(self):
+        v = STATS["grid"][0]
+        got = bound_theorem3(v, 0.25, 50)
+        assert got.tolist() == [bound_theorem3_scalar(x, 0.25, 50) for x in v.tolist()]
+
+    def test_checks_every_entry(self):
+        v = np.array([1.0, 2.0, 3.0])
+        for pi in ([0.5, 0.0, 0.5], [0.5, 1.5, 0.5], [0.5, math.nan, 0.5]):
+            for bound in (bound_theorem1, bound_theorem2):
+                with pytest.raises(ValueError, match="prior mass"):
+                    bound(v, np.array(pi))
+            with pytest.raises(ValueError, match="prior mass"):
+                bound_theorem3(v, np.array(pi), 10)
+        for bound in (bound_theorem1, bound_theorem2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                bound(np.array([1.0, -1e-9]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            bound_theorem3(np.array([1.0, -1e-9]), np.array([0.5, 0.5]), 10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bound_theorem4(np.array([1.0, 2.0]), np.array([0.0, -1.0]), 3, 10)
+        with pytest.raises(ValueError, match="horizon"):
+            bound_theorem4(v, np.zeros(3), 3, 0)
 
 
 class TestBinaryRelativeEntropy:
