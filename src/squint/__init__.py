@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``squint.numerics``: erf/erfc kernels, the stable learning-rate integrals,
-  adaptive Simpson quadrature, log-domain helpers.
+- ``squint.numerics``: the stable learning-rate integrals (erfc-based closed
+  forms), batched adaptive Simpson quadrature, log-domain helpers.
 - ``squint.experts``: the expert-advice game state and all weight rules
   (closed-form conjugate and improper priors, the quadrature-backed CV
   prior, discrete grids, product-form weights, Hedge) plus the diagnostic
@@ -36,7 +36,6 @@ from .experts import (
 )
 from .component_iprod import (
     CombGameState,
-    ComponentBayes,
     learning_rate_grid,
     make_game,
     observe,
@@ -44,7 +43,6 @@ from .component_iprod import (
 )
 from .polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets
 from .regret_bounds import (
-    bound_eq20,
     bound_theorem1,
     bound_theorem2,
     bound_theorem3,
@@ -70,7 +68,6 @@ __all__ = [
     "update",
     "weights_for_prior",
     "CombGameState",
-    "ComponentBayes",
     "learning_rate_grid",
     "make_game",
     "observe",
@@ -79,7 +76,6 @@ __all__ = [
     "Decomposition",
     "ExplicitVertices",
     "KSubsets",
-    "bound_eq20",
     "bound_theorem1",
     "bound_theorem2",
     "bound_theorem3",

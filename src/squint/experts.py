@@ -230,6 +230,13 @@ def _cv_eta_of_u(u: np.ndarray) -> np.ndarray:
         return np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
 
 
+def _cv_peak(regret: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Per-expert argmax over [0, 1/2] of eta R - eta^2 V."""
+    with np.errstate(divide="ignore"):
+        peak = np.where(variance > 0.0, regret / np.maximum(2.0 * variance, 1e-300), math.inf)
+    return np.clip(np.where(regret >= 0.0, np.minimum(peak, 0.5), 0.0), 0.0, 0.5)
+
+
 def _cv_peak_knots(regret: np.ndarray, variance: np.ndarray, peak: np.ndarray) -> list[float]:
     knots = []
     for r, v, p in zip(regret, variance, peak):
@@ -260,9 +267,7 @@ def cv_log_integrals(
         spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-12, rel_tol=1e-10)
     regret = np.asarray(regret, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    with np.errstate(divide="ignore"):
-        peak = np.where(variance > 0.0, regret / np.maximum(2.0 * variance, 1e-300), math.inf)
-    peak = np.clip(np.where(regret >= 0.0, np.minimum(peak, 0.5), 0.0), 0.0, 0.5)
+    peak = _cv_peak(regret, variance)
     shift = peak * regret - peak * peak * variance
 
     def f(u: np.ndarray) -> np.ndarray:
@@ -274,18 +279,18 @@ def cv_log_integrals(
         0.0, _CV_UPPER, abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
         max_subdivisions=spec.max_subdivisions,
     )
-    integrals = integrate_adaptive_batch(f, u_spec, knots=_capped_knots(regret, variance, peak))
+    knots = _capped_knots(_cv_peak_knots(regret, variance, peak), _CV_UPPER)
+    integrals = integrate_adaptive_batch(f, u_spec, knots=knots)
     return shift + np.log(integrals) + math.log(math.log(2.0))
 
 
-def _capped_knots(regret, variance, peak) -> list[float] | None:
+def _capped_knots(knots: list[float], upper: float) -> list[float]:
     # per-component peak knots help sharp bumps; for large stacked batches
-    # they would multiply the initial grid, and a uniform seed suffices
-    # (bump widths in the substituted variable stay wide for variance <= t)
-    knots = _cv_peak_knots(regret, variance, peak)
+    # they would multiply the initial grid, and a uniform seed of [0, upper]
+    # suffices (bump widths stay wide for variance <= t)
     if len(knots) > 48:
-        knots = list(np.linspace(0.0, _CV_UPPER, 50)[1:-1])
-    return knots or None
+        return list(np.linspace(0.0, upper, 50)[1:-1])
+    return knots
 
 
 def squint_weights_cv(state: ExpertGameState, spec: QuadratureSpec | None = None) -> np.ndarray:
@@ -381,9 +386,7 @@ def improper_potential_terms(regret, variance) -> np.ndarray:
         return vals
 
     spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-12, rel_tol=1e-10)
-    knots = _interior_peaks(regret, variance)
-    if knots is not None and len(knots) > 48:
-        knots = list(np.linspace(0.0, 0.5, 50)[1:-1])
+    knots = _capped_knots(_interior_peaks(regret, variance), 0.5)
     return integrate_adaptive_batch(f, spec, knots=knots)
 
 
@@ -402,23 +405,11 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
         return np.expm1(g)
 
     spec = QuadratureSpec(0.0, _CV_UPPER, abs_tol=1e-12, rel_tol=1e-10)
-    with np.errstate(divide="ignore"):
-        peak = np.where(variance > 0.0, regret / np.maximum(2.0 * variance, 1e-300), math.inf)
-    peak = np.clip(np.where(regret >= 0.0, np.minimum(peak, 0.5), 0.0), 0.0, 0.5)
-    return math.log(2.0) * integrate_adaptive_batch(
-        f, spec, knots=_capped_knots(regret, variance, peak)
-    )
+    knots = _cv_peak_knots(regret, variance, _cv_peak(regret, variance))
+    return math.log(2.0) * integrate_adaptive_batch(f, spec, knots=_capped_knots(knots, _CV_UPPER))
 
 
-def _potential_improper(state: ExpertGameState) -> float:
-    return float(state.prior @ improper_potential_terms(state.regret, state.variance))
-
-
-def _potential_cv(state: ExpertGameState) -> float:
-    return float(state.prior @ cv_potential_terms(state.regret, state.variance))
-
-
-def _interior_peaks(regret: np.ndarray, variance: np.ndarray) -> list[float] | None:
+def _interior_peaks(regret: np.ndarray, variance: np.ndarray) -> list[float]:
     peaks = []
     for r, v in zip(regret, variance):
         if v > 0.0 and 0.0 < r / (2.0 * v) < 0.5:
@@ -428,7 +419,7 @@ def _interior_peaks(regret: np.ndarray, variance: np.ndarray) -> list[float] | N
                 cand = center + k * width
                 if 0.0 < cand < 0.5:
                     peaks.append(cand)
-    return sorted(set(peaks)) or None
+    return sorted(set(peaks))
 
 
 def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
@@ -457,7 +448,7 @@ def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
         log_terms = g + np.log(prior.masses)[None, :] + np.log(state.prior)[:, None]
         return math.expm1(logsumexp(log_terms))
     if isinstance(prior, ImproperPrior):
-        return _potential_improper(state)
+        return float(state.prior @ improper_potential_terms(state.regret, state.variance))
     if isinstance(prior, CVPrior):
-        return _potential_cv(state)
+        return float(state.prior @ cv_potential_terms(state.regret, state.variance))
     raise TypeError(f"unknown learning-rate prior {prior!r}")

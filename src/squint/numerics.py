@@ -4,33 +4,29 @@ Everything downstream reduces to integrals of exp(eta*r - eta^2*v) over the
 learning-rate interval [0, 1/2], possibly with an extra eta factor or a prior
 density in the integrand.  This module provides:
 
-- the Gauss error function and a log-domain complementary error function,
-- ``log_xi`` / ``xi_stable``: the closed erf-based form of
-  int_0^{1/2} exp(eta*r - eta^2*v) deta for v > 0, evaluated without
-  catastrophic cancellation over the whole (r, v) plane,
+- ``log_xi``: the closed erf-based form of
+  int_0^{1/2} exp(eta*r - eta^2*v) deta for v > 0, evaluated in log domain
+  without catastrophic cancellation over the whole (r, v) plane,
 - analytic values for the degenerate v == 0 case,
 - the eta-weighted integral int_0^{1/2} eta exp(eta*x - eta^2*y) deta used by
   conjugate-prior weights,
-- deterministic adaptive Simpson quadrature (scalar and batched over vector
-  integrands).
+- deterministic adaptive Simpson quadrature, batched over vector integrands.
 
 All potentially huge quantities are handled in log domain: the integrals grow
 like exp(r/2 - v/4) or exp(r^2/(4v)) and overflow float64 long before the
 algorithms upstream stop being well defined.  The ``log_*`` functions are
-total for any finite arguments; the plain-valued wrappers overflow to ``inf``
-where the value itself is not representable.
+total for any finite arguments.
 
 Naive evaluation of the erf-based closed form loses all precision when both
 erf arguments are large with the same sign (the difference of two values that
 round to +-1).  The classical fix is to switch to a second-order large-|r|
 expansion, (exp(r/2 - v/4)(r + v) - r)/r^2, outside the window
-r in [-12 sqrt(v), v + 12 sqrt(v)].  That expansion is kept here as
-``xi_taylor2`` for reference, but it carries a relative error of order
-1/72 + v^2/r^2 right at the window edge (0.7% at v=1 and almost 20% at
-v=100), so it is not used as the production branch.  Instead the erf
-difference is rearranged into complementary error functions of nonnegative
-arguments, with an asymptotic scaled-erfc series for arguments beyond 25,
-which keeps the relative error near 1e-13 uniformly.
+r in [-12 sqrt(v), v + 12 sqrt(v)].  That expansion carries a relative error
+of order 1/72 + v^2/r^2 right at the window edge (0.7% at v=1 and almost 20%
+at v=100), so it is not used.  Instead the erf difference is rearranged into
+complementary error functions of nonnegative arguments, with an asymptotic
+scaled-erfc series for arguments beyond 25, which keeps the relative error
+near 1e-13 uniformly.
 """
 
 from __future__ import annotations
@@ -44,15 +40,9 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "QuadratureSpec",
-    "erf",
-    "log_erfc",
-    "in_stability_window",
     "log_xi",
-    "xi_stable",
-    "xi_taylor2",
     "log_exp_integral",
     "log_eta_exp_integral",
-    "integrate_adaptive",
     "integrate_adaptive_batch",
     "logsumexp",
     "ceil_one_plus_log2",
@@ -98,17 +88,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be a positive integer")
 
 
-def erf(x: float) -> float:
-    """Gauss error function on finite inputs.
-
-    Delegates to the platform implementation (correctly-rounded rational
-    approximation, error well below 1e-14), with odd symmetry exact in sign.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"erf requires a finite argument, got {x}")
-    return math.erf(x)
-
-
 def _log_erfcx(x: float) -> float:
     """ln(erfcx(x)) = ln(exp(x^2) erfc(x)) for x >= 0, cancellation-free."""
     if x <= _ERFCX_SERIES_CUTOFF:
@@ -117,27 +96,6 @@ def _log_erfcx(x: float) -> float:
     # erfcx(x) ~ (1 - 1/(2x^2) + 3/(4x^4) - 15/(8x^6) + 105/(16x^8)) / (x sqrt(pi))
     s = 1.0 + z * (-0.5 + z * (0.75 + z * (-1.875 + z * 6.5625)))
     return -math.log(x) - _LN_SQRT_PI + math.log(s)
-
-
-def log_erfc(x: float) -> float:
-    """ln(erfc(x)) for any finite x, accurate into the deep right tail."""
-    if not math.isfinite(x):
-        raise ValueError(f"log_erfc requires a finite argument, got {x}")
-    if x <= _ERFCX_SERIES_CUTOFF:
-        return math.log(math.erfc(x))
-    return _log_erfcx(x) - x * x
-
-
-def in_stability_window(r: float, v: float) -> bool:
-    """Whether r lies in [-12 sqrt(v), v + 12 sqrt(v)] (window closed).
-
-    Inside the window the erf-based closed form is benign even when evaluated
-    naively; outside, both erf arguments exceed 6 with the same sign.
-    """
-    if v <= 0.0:
-        raise ValueError(f"stability window requires v > 0, got {v}")
-    s = 12.0 * math.sqrt(v)
-    return -s <= r <= v + s
 
 
 def log_xi(r: float, v: float) -> float:
@@ -168,36 +126,6 @@ def log_xi(r: float, v: float) -> float:
         return base + _log_erfcx(-a) + math.log1p(-math.exp(delta))
     # b < 0 < a: a plain sum, no cancellation
     return base + a * a + math.log(math.erf(a) + math.erf(-b))
-
-
-def xi_stable(r: float, v: float) -> float:
-    """xi(r, v) as a plain value; overflows to inf when ln xi > ~709.
-
-    For extreme regimes (cumulative statistics of very long games) use
-    ``log_xi`` directly.
-    """
-    lx = log_xi(r, v)
-    if lx >= 709.0:
-        return math.inf
-    return math.exp(lx)
-
-
-def xi_taylor2(r: float, v: float) -> float:
-    """Second-order large-|r| expansion (exp(r/2 - v/4)(r + v) - r) / r^2.
-
-    Reference fallback for |r| far outside the stability window; its relative
-    error at the window edge itself reaches the percent range, so production
-    code uses ``log_xi`` everywhere instead.  Overflows to inf when the value
-    exceeds float64 range.
-    """
-    if r == 0.0:
-        raise ValueError("expansion undefined at r = 0")
-    c = 0.5 * r - 0.25 * v
-    if c < _SAFE_EXP:
-        return (math.exp(c) * (r + v) - r) / (r * r)
-    # r large positive: the -r term is negligible at this magnitude
-    log_val = c + math.log(r + v) - 2.0 * math.log(r)
-    return math.exp(log_val) if log_val < 709.0 else math.inf
 
 
 def _log_flat_integral(r: float) -> float:
@@ -431,24 +359,6 @@ def integrate_adaptive_batch(
         coarse = np.concatenate([s_left[keep] * 0.5, s_right[keep] * 0.5])
 
     return done
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    spec: QuadratureSpec,
-    knots: Sequence[float] | None = None,
-) -> float:
-    """Adaptive Simpson integral of a scalar function over [lower, upper].
-
-    The integrand must be finite on the closed interval; removable endpoint
-    singularities are the caller's job (pass a function returning the limit
-    value at the endpoint).
-    """
-
-    def batch(xs: np.ndarray) -> np.ndarray:
-        return np.array([[f(float(x))] for x in xs])
-
-    return float(integrate_adaptive_batch(batch, spec, knots=knots)[0])
 
 
 def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:

@@ -40,7 +40,6 @@ __all__ = [
     "KSubsets",
     "DagPaths",
     "ExplicitVertices",
-    "unconstrained_update",
     "INTERIOR_EPS",
 ]
 
@@ -604,16 +603,3 @@ class ExplicitVertices(ConceptClass):
         self._check_vertex_cap(cap)
         return self._vertices.copy()
 
-
-def unconstrained_update(u: np.ndarray, x1: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Componentwise posterior u e^{-x1} / (u e^{-x1} + (1-u) e^{-x0}).
-
-    Computed as sigmoid(logit(u) + x0 - x1), which cannot underflow to 0/0
-    however large the exponents are.
-    """
-    u = clamp_interior(u)
-    x1 = np.asarray(x1, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x0))):
-        raise ValueError("loss components must be finite")
-    return _sigmoid(_logit(u) + x0 - x1)

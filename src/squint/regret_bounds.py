@@ -6,9 +6,9 @@ matching algorithm can be machine-checked: measured aggregate regret must
 never exceed the calculator's value.
 
 Subset aggregates average per-expert statistics under the prior conditioned
-on the subset; comparator aggregates carry the coordinate-wise statistics of
-a point in a usage polytope together with its binary relative entropy to the
-prior vector.
+on the subset; a comparator in a usage polytope is audited with its
+coordinate-wise statistics and its binary relative entropy to the prior
+vector.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from .numerics import ceil_one_plus_log2, log_exp_integral
 
 __all__ = [
     "SubsetAggregate",
-    "ComparatorAggregate",
     "aggregate_subset",
     "ln_plus",
     "z_conjugate",
     "bound_theorem1",
     "bound_theorem2",
     "bound_theorem3",
-    "bound_eq20",
     "bound_theorem4",
     "binary_relative_entropy",
 ]
@@ -48,16 +46,6 @@ class SubsetAggregate:
     pi_mass: float
     r_agg: float
     v_agg: float
-
-
-@dataclass(frozen=True)
-class ComparatorAggregate:
-    """Coordinate-wise regret statistics of a comparator point in the hull."""
-
-    v: np.ndarray
-    r_v: float
-    v_v: float
-    entropy: float
 
 
 def aggregate_subset(state, subset) -> SubsetAggregate:
@@ -182,16 +170,6 @@ def bound_theorem3(v_agg, pi_mass, horizon: int):
     )
     main = np.where(v_agg == 0.0, 0.0, np.sqrt(2.0 * v_agg) * (1.0 + root))
     return _result(main + tail, scalar)
-
-
-def bound_eq20(v_v: float, entropy: float, num_components: int, alpha: float, gamma_mass: float) -> float:
-    """Mistuned-grid guarantee (2/sqrt(alpha(2-alpha))) sqrt(V (D - K ln gamma))."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if not 0.0 < gamma_mass <= 1.0:
-        raise ValueError(f"gamma mass must lie in (0, 1], got {gamma_mass}")
-    coeff = 2.0 / math.sqrt(alpha * (2.0 - alpha))
-    return coeff * math.sqrt(v_v * (entropy - num_components * math.log(gamma_mass)))
 
 
 def bound_theorem4(v_v, entropy, num_components: int, horizon: int):

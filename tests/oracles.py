@@ -3,12 +3,22 @@
 Everything here deliberately avoids the code paths under test: plain
 composite Simpson panels (no adaptivity), mpmath high-precision quadrature,
 truncated Maclaurin series, dense dual-parameter sweeps, and a generic
-constrained solver.  Keep it that way.  Two exceptions are kept as the
-references their replacements must match bit for bit, so they share
-production helpers: ``iprod_weights_history``, the history-based iProd rule
-(production log-sum-exp and normalization), and the scalar
-``bound_theorem*_scalar`` calculators (production ``ln_plus``,
-``z_conjugate`` and ``ceil_one_plus_log2``).
+constrained solver.  Keep it that way.  The exceptions share production
+helpers:
+
+- references their replacements must match bit for bit:
+  ``iprod_weights_history``, the history-based iProd rule (production
+  log-sum-exp and normalization), and the scalar ``bound_theorem*_scalar``
+  calculators (production ``ln_plus``, ``z_conjugate`` and
+  ``ceil_one_plus_log2``);
+- the single-rate learner that Component iProd aggregates:
+  ``unconstrained_update`` (production ``clamp_interior``, logit and
+  sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
+  the closed-form ``observe`` is checked against this posterior;
+- ``lemma4_check``, the per-rate guarantee, read from a production
+  ``CombGameState`` through ``comparator_stats`` and
+  ``binary_relative_entropy``;
+- ``log_erfc``, a composition of the production scaled-erfc kernel.
 """
 
 from __future__ import annotations
@@ -17,8 +27,10 @@ import math
 
 import numpy as np
 
-from squint.numerics import ceil_one_plus_log2, logsumexp
-from squint.regret_bounds import ln_plus, z_conjugate
+from squint.component_iprod import comparator_stats
+from squint.numerics import _ERFCX_SERIES_CUTOFF, _log_erfcx, ceil_one_plus_log2, logsumexp
+from squint.polytopes import _logit, _sigmoid, clamp_interior
+from squint.regret_bounds import binary_relative_entropy, ln_plus, z_conjugate
 
 
 def simpson_exp_integral(r: float, v: float, with_eta: bool = False, panels: int = 10**6) -> float:
@@ -225,3 +237,85 @@ def bound_theorem4_scalar(v_v: float, entropy: float, num_components: int, horiz
     log_g = math.log(ceil_one_plus_log2(horizon))
     main = 4.0 / math.sqrt(3.0) * math.sqrt(v_v * (entropy + num_components * log_g))
     return main + 4.0 * entropy + num_components * max(4.0 * log_g, 1.0)
+
+
+def log_erfc(x: float) -> float:
+    """ln(erfc(x)) for any finite x, accurate into the deep right tail."""
+    if not math.isfinite(x):
+        raise ValueError(f"log_erfc requires a finite argument, got {x}")
+    if x <= _ERFCX_SERIES_CUTOFF:
+        return math.log(math.erfc(x))
+    return _log_erfcx(x) - x * x
+
+
+def unconstrained_update(u: np.ndarray, x1: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Componentwise posterior u e^{-x1} / (u e^{-x1} + (1-u) e^{-x0}).
+
+    Computed as sigmoid(logit(u) + x0 - x1), which cannot underflow to 0/0
+    however large the exponents are.
+    """
+    u = clamp_interior(u)
+    x1 = np.asarray(x1, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x0))):
+        raise ValueError("loss components must be finite")
+    return _sigmoid(_logit(u) + x0 - x1)
+
+
+def mix_loss(u: np.ndarray, x1: np.ndarray, x0: np.ndarray) -> float:
+    """Sum over coordinates of -ln(u e^{-x1} + (1-u) e^{-x0})."""
+    u = np.asarray(u, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise ValueError("usage must be interior for the mix loss")
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x0))):
+        raise ValueError("loss components must be finite")
+    shift = np.minimum(x1, x0)
+    inner = u * np.exp(shift - x1) + (1.0 - u) * np.exp(shift - x0)
+    return float(np.sum(shift - np.log(inner)))
+
+
+class ComponentBayes:
+    """Projected componentwise Bayesian updates for sums of mix losses.
+
+    Each round: play the hull projection of the current vector, receive a
+    pair of loss components per coordinate, move to the componentwise
+    posterior.  The cumulative mix loss exceeds any hull comparator's linear
+    loss by at most the comparator's binary relative entropy to the prior.
+    """
+
+    def __init__(self, concept_class, prior_vec: np.ndarray):
+        self.concept_class = concept_class
+        self.u_tilde = clamp_interior(np.asarray(prior_vec, dtype=float))
+        if self.u_tilde.shape != (concept_class.num_components,):
+            raise ValueError("prior vector length must match the class dimension")
+        self._played: np.ndarray | None = None
+
+    def play(self) -> np.ndarray:
+        self._played = self.concept_class.project(self.u_tilde)
+        return self._played
+
+    def update(self, x1: np.ndarray, x0: np.ndarray) -> None:
+        if self._played is None:
+            raise RuntimeError("update() requires a preceding play()")
+        self.u_tilde = clamp_interior(unconstrained_update(self._played, x1, x0))
+        self._played = None
+
+
+def lemma4_check(state, eta: float, v: np.ndarray) -> tuple[float, float]:
+    """(eta R_v - eta^2 V_v, entropy(v) - K ln gamma(eta)) for a grid eta.
+
+    ``state`` is a ``CombGameState``.  Callers assert lhs <= rhs; the
+    right-hand side is the per-rate guarantee the aggregation inherits.
+    """
+    match = [j for j, e in enumerate(state.etas) if math.isclose(e, eta, rel_tol=1e-12)]
+    if not match:
+        raise ValueError(f"{eta} is not a grid learning rate")
+    j = match[0]
+    r, var = comparator_stats(state, v)
+    lhs = eta * r - eta * eta * var
+    rhs = binary_relative_entropy(v, state.prior_vec) - state.num_components * math.log(
+        float(state.gamma[j])
+    )
+    return lhs, rhs

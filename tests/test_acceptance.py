@@ -26,7 +26,7 @@ from squint.harness_cli import (
 from squint.numerics import QuadratureSpec, log_eta_exp_integral, log_exp_integral, logsumexp
 from squint.polytopes import DagPaths, KSubsets, ExplicitVertices
 
-from oracles import dual_sweep_subset_projection
+from oracles import ComponentBayes, dual_sweep_subset_projection, lemma4_check, mix_loss
 from test_polytopes import DIAMOND, six_node_dag
 
 HORIZON = 1000
@@ -233,7 +233,7 @@ def test_criterion_05_mix_loss_regret():
         for eta in ci.learning_rate_grid(horizon):
             for seed in range(3):
                 rng = np.random.Generator(np.random.Philox(key=500 + 17 * cls_idx + seed))
-                learner = ci.ComponentBayes(cls, prior)
+                learner = ComponentBayes(cls, prior)
                 cum_mix = 0.0
                 cum_linear = np.zeros(len(verts))
                 for _ in range(horizon):
@@ -241,7 +241,7 @@ def test_criterion_05_mix_loss_regret():
                     r_pair = rng.uniform(-1.0, 1.0, (2, k))
                     x1 = -np.log1p(eta * r_pair[0])
                     x0 = -np.log1p(eta * r_pair[1])
-                    cum_mix += ci.mix_loss(u, x1, x0)
+                    cum_mix += mix_loss(u, x1, x0)
                     cum_linear += verts @ x1 + (1.0 - verts) @ x0
                     learner.update(x1, x0)
                 for v, lin in zip(verts, cum_linear):
@@ -280,13 +280,14 @@ def test_criterion_06_combinatorial_guarantees(comb_runs):
         verts = cls.vertices()
         for eta in game.etas:
             for v in verts:
-                lhs, rhs = ci.lemma4_check(game, float(eta), v)
+                lhs, rhs = lemma4_check(game, float(eta), v)
                 assert lhs <= rhs + 1e-8, f"{name} eta={eta}: {lhs} > {rhs}"
                 n_lemma4 += 1
         for v in verts:
-            agg = ci.comparator_aggregate(game, v)
-            bound = rb.bound_theorem4(agg.v_v, agg.entropy, cls.num_components, t_max)
-            assert agg.r_v <= bound, f"{name}: {agg.r_v} > {bound}"
+            r, var = ci.comparator_stats(game, v)
+            entropy = rb.binary_relative_entropy(v, game.prior_vec)
+            bound = rb.bound_theorem4(var, entropy, cls.num_components, t_max)
+            assert r <= bound, f"{name}: {r} > {bound}"
             n_thm4 += 1
     _report(
         6,

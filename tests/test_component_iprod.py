@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from squint.component_iprod import (
-    ComponentBayes,
-    comparator_aggregate,
     comparator_stats,
     learning_rate_grid,
-    lemma4_check,
     make_game,
-    mix_loss,
     observe,
     play,
     potential,
 )
 from squint.experts import DiscreteGridPrior, iprod_log_factors, iprod_weights_grid
-from squint.polytopes import ExplicitVertices, KSubsets, unconstrained_update
+from squint.polytopes import ExplicitVertices, KSubsets
 from squint.regret_bounds import binary_relative_entropy, bound_theorem4
 
+from oracles import ComponentBayes, lemma4_check, mix_loss, unconstrained_update
 from test_polytopes import diamond, six_node_dag
 
 
@@ -36,9 +33,9 @@ class TestGrid:
 
     def test_initialization(self):
         game = make_game(KSubsets(3, 1), t_max=8)
-        assert len(game.slices) == 4
+        assert len(game.u_tilde) == 4
         np.testing.assert_allclose(game.gamma, 0.25)
-        assert game.slices[0].neg_log_weight == pytest.approx(math.log(8.0), rel=1e-14)
+        assert game.neg_log_weight[0] == pytest.approx(math.log(8.0), rel=1e-14)
         with pytest.raises(ValueError):
             make_game(KSubsets(3, 1), t_max=0)
 
@@ -56,35 +53,35 @@ class TestPlayObserve:
         rng = np.random.default_rng(0)
         for _ in range(5):
             u = play(game)
-            np.testing.assert_allclose(u, game.slices[0].u_proj, atol=1e-12)
+            np.testing.assert_allclose(u, game.u_proj[0], atol=1e-12)
             observe(game, rng.uniform(-1, 1, 3))
 
     def test_equal_weights_average(self):
         cls = KSubsets(2, 1)
         game = make_game(cls, t_max=2)
-        game.slices[0].u_tilde = np.array([0.8, 0.2])
-        game.slices[1].u_tilde = np.array([0.4, 0.6])
-        game.slices[0].neg_log_weight = math.log(2.0)
-        game.slices[1].neg_log_weight = math.log(2.0)
+        game.u_tilde[0] = np.array([0.8, 0.2])
+        game.u_tilde[1] = np.array([0.4, 0.6])
+        game.neg_log_weight[0] = math.log(2.0)
+        game.neg_log_weight[1] = math.log(2.0)
         u = play(game)
-        want = 0.5 * (cls.project(game.slices[0].u_tilde) + cls.project(game.slices[1].u_tilde))
+        want = 0.5 * (cls.project(game.u_tilde[0]) + cls.project(game.u_tilde[1]))
         np.testing.assert_allclose(u, want, atol=1e-9)
 
     def test_zero_losses_change_nothing(self):
         game = make_game(KSubsets(4, 2), t_max=8)
         play(game)
-        before_t = [s.u_tilde.copy() for s in game.slices]
-        before_l = [s.neg_log_weight for s in game.slices]
+        before_t = game.u_tilde.copy()
+        before_l = game.neg_log_weight.copy()
         observe(game, np.zeros(4))
-        for s, bt, bl in zip(game.slices, before_t, before_l):
-            np.testing.assert_allclose(s.u_tilde, bt, atol=1e-12)
-            assert s.neg_log_weight == pytest.approx(bl, abs=1e-15)
+        for j, (bt, bl) in enumerate(zip(before_t, before_l)):
+            np.testing.assert_allclose(game.u_tilde[j], bt, atol=1e-12)
+            assert game.neg_log_weight[j] == pytest.approx(bl, abs=1e-15)
         np.testing.assert_array_equal(game.cum_r1, 0.0)
         np.testing.assert_array_equal(game.cum_sq0, 0.0)
 
     def test_regret_pair_definition(self):
         game = make_game(ExplicitVertices([[0.0], [1.0]]), t_max=1)
-        game.slices[0].u_tilde = np.array([1.0 - 1e-12])
+        game.u_tilde[0] = np.array([1.0 - 1e-12])
         u = play(game)
         assert u[0] == pytest.approx(1.0, abs=1e-9)
         observe(game, np.array([1.0]))
@@ -98,15 +95,15 @@ class TestPlayObserve:
         for _ in range(10):
             u = play(game)
             losses = rng.uniform(-1, 1, 5)
-            snapshot = [(s.eta, s.u_proj.copy()) for s in game.slices]
+            snapshot = [(eta, game.u_proj[j].copy()) for j, eta in enumerate(game.etas)]
             observe(game, losses)
             r1 = u * losses - losses
             r0 = u * losses
-            for (eta, u_proj), s in zip(snapshot, game.slices):
+            for j, (eta, u_proj) in enumerate(snapshot):
                 x1 = -np.log1p(eta * r1)
                 x0 = -np.log1p(eta * r0)
                 want = unconstrained_update(u_proj, x1, x0)
-                np.testing.assert_allclose(s.u_tilde, want, atol=1e-12)
+                np.testing.assert_allclose(game.u_tilde[j], want, atol=1e-12)
 
     def test_rejects_bad_usage_protocol(self):
         game = make_game(KSubsets(3, 1), t_max=4)
@@ -210,9 +207,10 @@ class TestComparators:
             play(game)
             observe(game, rng.uniform(-1, 1, 5))
         for v in cls.vertices():
-            agg = comparator_aggregate(game, v)
-            bound = bound_theorem4(agg.v_v, agg.entropy, cls.num_components, t_max)
-            assert agg.r_v <= bound + 1e-9
+            r, var = comparator_stats(game, v)
+            entropy = binary_relative_entropy(v, game.prior_vec)
+            bound = bound_theorem4(var, entropy, cls.num_components, t_max)
+            assert r <= bound + 1e-9
 
 
 class TestComponentBayes:

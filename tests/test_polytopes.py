@@ -4,16 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from squint.polytopes import (
-    DagPaths,
-    Decomposition,
-    ExplicitVertices,
-    KSubsets,
-    unconstrained_update,
-)
+from squint.polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets
 from squint.regret_bounds import binary_relative_entropy
 
-from oracles import dual_sweep_subset_projection, slsqp_entropy_projection
+from oracles import dual_sweep_subset_projection, slsqp_entropy_projection, unconstrained_update
 
 DIAMOND = {
     "nodes": ["s", "a", "b", "t"],

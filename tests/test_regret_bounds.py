@@ -7,7 +7,6 @@ from squint.experts import ExpertGameState
 from squint.regret_bounds import (
     aggregate_subset,
     binary_relative_entropy,
-    bound_eq20,
     bound_theorem1,
     bound_theorem2,
     bound_theorem3,
@@ -117,23 +116,6 @@ class TestTheorem3:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             bound_theorem3(1.0, 0.5, -1)
-
-
-class TestEq20:
-    def test_alpha_one_coefficient(self):
-        got = bound_eq20(4.0, 1.0, 1, alpha=1.0, gamma_mass=1.0)
-        assert got == pytest.approx(2.0 * math.sqrt(4.0), rel=1e-14)
-
-    def test_alpha_half_coefficient(self):
-        got = bound_eq20(1.0, 1.0, 1, alpha=0.5, gamma_mass=1.0)
-        assert got == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-14)
-
-    def test_zero_variance(self):
-        assert bound_eq20(0.0, 3.0, 5, alpha=1.0, gamma_mass=0.25) == 0.0
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            bound_eq20(1.0, 1.0, 1, alpha=2.0, gamma_mass=0.5)
 
 
 class TestTheorem4:
