@@ -137,7 +137,7 @@ def observe(state: CombGameState, losses: np.ndarray) -> CombGameState:
     denom = 1.0 + eta * (u - state.u_proj) * losses
     numer = 1.0 + eta * (u - 1.0) * losses
     if np.any(denom <= 0.0) or np.any(numer <= 0.0):
-        raise AssertionError("update factor went nonpositive; loss range violated")
+        raise ValueError("update factor went nonpositive; loss range violated")
     state.u_tilde = clamp_interior(state.u_proj * numer / denom)
     state.neg_log_weight -= np.log(denom).sum(axis=1) / k
     state.u_proj = None
@@ -162,12 +162,20 @@ def potential(state: CombGameState) -> float:
     return math.expm1(logsumexp(-state.neg_log_weight - log_etas))
 
 
-def comparator_stats(state: CombGameState, v: np.ndarray) -> tuple[float, float]:
-    """(aggregate regret, aggregate variance) of a comparator in the hull."""
+def comparator_stats(state: CombGameState, v: np.ndarray) -> tuple:
+    """(aggregate regret, aggregate variance) of hull comparators.
+
+    ``v`` is one comparator (K,), giving two floats, or a stack (N x K),
+    giving two (N,) arrays.  Row j of a stack gets the same bits as that row
+    alone: on a C-contiguous stack ``np.vecdot`` makes one BLAS ddot per row,
+    as ``row @ cum`` does, whereas a strided or Fortran-order stack would
+    take a kernel that rounds differently, hence the contiguous copy.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (state.num_components,):
-        raise ValueError(f"comparator must have length {state.num_components}")
+    if v.ndim not in (1, 2) or v.shape[-1] != state.num_components:
+        raise ValueError(f"comparators must be {state.num_components}-vectors or rows of them")
+    v = np.ascontiguousarray(v)
     w = 1.0 - v
-    r = float(v @ state.cum_r1 + w @ state.cum_r0)
-    var = float(v @ state.cum_sq1 + w @ state.cum_sq0)
-    return r, var
+    r = np.vecdot(v, state.cum_r1) + np.vecdot(w, state.cum_r0)
+    var = np.vecdot(v, state.cum_sq1) + np.vecdot(w, state.cum_sq0)
+    return (float(r), float(var)) if v.ndim == 1 else (r, var)

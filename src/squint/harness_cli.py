@@ -413,28 +413,24 @@ class _Combinatorial:
         self.t_max = cfg.t_max
         prior_vec = None if cfg.prior_vec is None else np.asarray(cfg.prior_vec, dtype=float)
         self.game = ci.make_game(cls, prior_vec=prior_vec, t_max=cfg.t_max)
-        self.comparators = [np.asarray(c, dtype=float) for c in cfg.report.get("comparators", [])]
+        comparators = list(cfg.report.get("comparators", []))
         if cfg.report.get("vertices", False):
-            self.comparators += list(cls.vertices())
+            comparators += list(cls.vertices())
+        # row j is comparator Cj; one comparator_stats call audits every row per round
+        self.matrix = np.array(comparators, dtype=float).reshape(-1, self.dim)
         self.entropies = np.array(
-            [rb.binary_relative_entropy(v, self.game.prior_vec) for v in self.comparators]
+            [rb.binary_relative_entropy(v, self.game.prior_vec) for v in self.matrix]
         )
-        self.names = [f"C{j}" for j in range(len(self.comparators))]
+        self.names = [f"C{j}" for j in range(len(self.matrix))]
 
     def step(self, loss: np.ndarray) -> tuple[int, np.ndarray]:
         u = ci.play(self.game)
         ci.observe(self.game, loss)
         return self.game.t, u
 
-    def _comparator_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        # one comparator at a time: a batched product differs in the last bit
-        stats = [ci.comparator_stats(self.game, v) for v in self.comparators]
-        r, v = np.array(stats).reshape(-1, 2).T
-        return r, v
-
     def audit(self) -> tuple:
         """Arrays of every reported comparator's regret, variance and Theorem 4 bound."""
-        r, v = self._comparator_stats()
+        r, v = ci.comparator_stats(self.game, self.matrix)
         return r, v, rb.bound_theorem4(v, self.entropies, self.dim, self.t_max)
 
     def potential(self) -> float:
@@ -443,11 +439,11 @@ class _Combinatorial:
     def summary(self, stats: tuple | None) -> tuple[list[dict], None]:
         """Audit entries from the final round's stats; unbounded zeros before any round."""
         if stats is None:
-            stats = self._comparator_stats() + (None,)
+            stats = ci.comparator_stats(self.game, self.matrix) + (None,)
         audits = [
-            _record({"name": n, "comparator": [float(x) for x in v], "entropy": e}, *item)
+            _record({"name": n, "comparator": v, "entropy": e}, *item)
             for n, v, e, item in zip(
-                self.names, self.comparators, self.entropies.tolist(), _items(stats)
+                self.names, self.matrix.tolist(), self.entropies.tolist(), _items(stats)
             )
         ]
         return audits, None

@@ -10,7 +10,8 @@ helpers:
   ``iprod_weights_history``, the history-based iProd rule (production
   log-sum-exp and normalization), and the scalar ``bound_theorem*_scalar``
   calculators (production ``ln_plus``, ``z_conjugate`` and
-  ``ceil_one_plus_log2``);
+  ``ceil_one_plus_log2``), and ``comparator_stats_rowwise``, one
+  comparator's two ddots for the batched ``comparator_stats``;
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -301,6 +302,16 @@ class ComponentBayes:
             raise RuntimeError("update() requires a preceding play()")
         self.u_tilde = clamp_interior(unconstrained_update(self._played, x1, x0))
         self._played = None
+
+
+def comparator_stats_rowwise(state, v: np.ndarray) -> tuple[float, float]:
+    """One comparator's (aggregate regret, aggregate variance) from a ``CombGameState``."""
+    v = np.asarray(v, dtype=float)
+    w = 1.0 - v
+    return (
+        float(v @ state.cum_r1 + w @ state.cum_r0),
+        float(v @ state.cum_sq1 + w @ state.cum_sq0),
+    )
 
 
 def lemma4_check(state, eta: float, v: np.ndarray) -> tuple[float, float]:

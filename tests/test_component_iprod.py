@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,13 @@ from squint.experts import DiscreteGridPrior, iprod_log_factors, iprod_weights_g
 from squint.polytopes import ExplicitVertices, KSubsets
 from squint.regret_bounds import binary_relative_entropy, bound_theorem4
 
-from oracles import ComponentBayes, lemma4_check, mix_loss, unconstrained_update
+from oracles import (
+    ComponentBayes,
+    comparator_stats_rowwise,
+    lemma4_check,
+    mix_loss,
+    unconstrained_update,
+)
 from test_polytopes import diamond, six_node_dag
 
 
@@ -105,6 +112,20 @@ class TestPlayObserve:
                 want = unconstrained_update(u_proj, x1, x0)
                 np.testing.assert_allclose(game.u_tilde[j], want, atol=1e-12)
 
+    def test_nonpositive_factor_raises_and_changes_nothing(self):
+        game = make_game(KSubsets(3, 1), t_max=8)
+        play(game)
+        # a usage outside [0, 1]: 1 + eta (u - 1) l = 1 - 0.5 * 4 < 0 at eta = 1/2
+        game.pending_usage = np.full(3, 5.0)
+        before = {f.name: getattr(game, f.name) for f in dataclasses.fields(game)}
+        arrays = {n: v.copy() for n, v in before.items() if isinstance(v, np.ndarray)}
+        with pytest.raises(ValueError, match="update factor went nonpositive"):
+            observe(game, np.full(3, -1.0))
+        for name, value in before.items():
+            assert getattr(game, name) is value, name  # no field rebound
+        for name, value in arrays.items():
+            np.testing.assert_array_equal(getattr(game, name), value, err_msg=name)  # nor changed
+
     def test_rejects_bad_usage_protocol(self):
         game = make_game(KSubsets(3, 1), t_max=4)
         with pytest.raises(RuntimeError):
@@ -173,6 +194,41 @@ class TestComparators:
         r, var = comparator_stats(game, v)
         assert r == pytest.approx(direct_r, abs=1e-9)
         assert 0.0 <= var <= cls.num_components * game.t
+
+    @pytest.mark.parametrize("cls_factory", [lambda: KSubsets(6, 3), six_node_dag])
+    def test_batched_stats_equal_rowwise_oracle(self, cls_factory):
+        cls = cls_factory()
+        k = cls.num_components
+        rng = np.random.default_rng(23)
+        game = make_game(cls, t_max=64)
+        for _ in range(64):
+            play(game)
+            observe(game, rng.uniform(-1, 1, k))
+        verts = cls.vertices()
+        hull_points = rng.dirichlet(np.ones(len(verts)), size=40) @ verts
+        stack = np.vstack([verts, hull_points])
+        want_r, want_var = np.array([comparator_stats_rowwise(game, v) for v in stack]).T
+        wide = np.zeros((len(stack), 2 * k))
+        wide[:, ::2] = stack
+        # C order, Fortran order and a column-strided view: every form must
+        # give the row-wise bits exactly, with no tolerance
+        for form in (stack, np.asfortranarray(stack), wide[:, ::2]):
+            r, var = comparator_stats(game, form)
+            assert r.shape == var.shape == (len(stack),)
+            assert (r == want_r).all() and (var == want_var).all()
+        for v, want in zip(stack, zip(want_r.tolist(), want_var.tolist())):
+            assert comparator_stats(game, v) == want
+
+    def test_stack_shapes(self):
+        game = make_game(KSubsets(4, 2), t_max=4)
+        play(game)
+        observe(game, np.full(4, 0.5))
+        for bad in (np.zeros((2, 3, 4)), np.zeros((3, 5)), np.zeros(5), np.zeros(())):
+            with pytest.raises(ValueError):
+                comparator_stats(game, bad)
+        r, var = comparator_stats(game, np.zeros((0, 4)))
+        assert r.shape == var.shape == (0,)
+        assert all(type(x) is float for x in comparator_stats(game, np.ones(4)))
 
     def test_lemma4_trivial_start(self):
         game = make_game(KSubsets(4, 2), t_max=8)

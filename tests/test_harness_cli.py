@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import squint.component_iprod as ci
 import squint.experts as ex
 import squint.regret_bounds as rb
 from squint.component_iprod import learning_rate_grid
@@ -420,6 +421,31 @@ class TestRunExperiment:
         assert calls == {"bound": [], "aggregate": 5}  # the five subsets, checked at parse
         run_experiment(cfg)
         assert calls == {"bound": [(5,)] * horizon + [()], "aggregate": 6}
+
+    @pytest.mark.parametrize("horizon, num_calls", [(12, 12), (0, 1)])
+    def test_audits_call_comparator_stats_once_per_round(
+        self, tmp_path, monkeypatch, horizon, num_calls
+    ):
+        # one call per round (one for the summary of a horizon-0 run) on the
+        # C-contiguous matrix of every comparator, row j being Cj: benchmark
+        # tracing of the component_iprod layer relies on this
+        stacks = []
+        comparator_stats = ci.comparator_stats
+
+        def counting_stats(state, v):
+            stacks.append(v)
+            return comparator_stats(state, v)
+
+        monkeypatch.setattr(ci, "comparator_stats", counting_stats)
+        report = {"comparators": [[0.5, 0.5, 0.5, 0.5], [0.25, 0.75, 0.5, 0.5]], "vertices": True}
+        doc = comb_config(tmp_path, horizon=horizon, report=report)
+        summary = run_experiment(parse_config(doc))
+        audits = summary["audits"]
+        assert [a["name"] for a in audits] == [f"C{j}" for j in range(8)]  # 2 + C(4,2)
+        assert len(stacks) == num_calls
+        for stack in stacks:
+            assert stack.shape == (8, 4) and stack.flags.c_contiguous
+            assert stack.tolist() == [a["comparator"] for a in audits]
 
     def test_combinatorial_run(self, tmp_path):
         summary = run_experiment(parse_config(comb_config(tmp_path)))
