@@ -226,8 +226,8 @@ _CV_UPPER = 1.0 / math.log(2.0)
 
 
 def _cv_eta_of_u(u: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+    # exactly 0.0 at u = 0: exp(-1e300) underflows
+    return np.exp(-1.0 / np.maximum(u, 1e-300))
 
 
 def _cv_peak(regret: np.ndarray, variance: np.ndarray) -> np.ndarray:
@@ -272,7 +272,7 @@ def cv_log_integrals(
 
     def f(u: np.ndarray) -> np.ndarray:
         eta = _cv_eta_of_u(u)
-        g = np.outer(eta, regret) - np.outer(eta * eta, variance) - shift[None, :]
+        g = eta[:, None] * regret - (eta * eta)[:, None] * variance - shift[None, :]
         return np.exp(g) * eta[:, None]
 
     u_spec = QuadratureSpec(
@@ -376,7 +376,7 @@ def improper_potential_terms(regret, variance) -> np.ndarray:
     variance = np.asarray(variance, dtype=float)
 
     def f(eta: np.ndarray) -> np.ndarray:
-        g = np.outer(eta, regret) - np.outer(eta * eta, variance)
+        g = eta[:, None] * regret - (eta * eta)[:, None] * variance
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(
                 eta[:, None] > 0.0,
@@ -401,7 +401,7 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
 
     def f(u: np.ndarray) -> np.ndarray:
         eta = _cv_eta_of_u(u)
-        g = np.outer(eta, regret) - np.outer(eta * eta, variance)
+        g = eta[:, None] * regret - (eta * eta)[:, None] * variance
         return np.expm1(g)
 
     spec = QuadratureSpec(0.0, _CV_UPPER, abs_tol=1e-12, rel_tol=1e-10)

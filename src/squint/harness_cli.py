@@ -18,7 +18,8 @@ learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
 a failed invariant or a malformed config.  A nan regret, bound or potential
 is a violation in ``run`` and ``audit`` alike.  ``parse_config`` rejects a
 malformed config before the first round, including wrong vector lengths, a
-``prior_pi`` off the simplex or with a zero entry, bad subsets,
+``prior_pi`` off the simplex or with a zero entry, non-integer counts, bad
+subsets, seeds, stream parameters, conjugate ``a``/``b`` or near-best fractions,
 ``report.vertices`` on a class with more than ``DEFAULT_VERTEX_CAP``
 vertices, and a combinatorial ``algorithm.t_max`` below 1 or below
 ``horizon`` (Theorem 4 only covers a grid tuned for the horizon).
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 
 import sys
 from dataclasses import dataclass
@@ -68,15 +70,26 @@ def _check_means(num_experts: int, means) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     if means.shape != (num_experts,):
         raise ValueError(f"means must have length {num_experts}")
-    if np.any((means < 0.0) | (means > 1.0)):
+    if not np.all((means >= 0.0) & (means <= 1.0)):  # nan fails too
         raise ValueError("means must lie in [0, 1]")
     return means
 
+def _check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """An integer (not a bool) with lo <= value < hi; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value < hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    return int(value)
+
+def _check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A finite number (not a bool or string) in [lo, hi]; ValueError otherwise."""
+    ok = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+    if not (ok and math.isfinite(value) and lo <= value <= hi):
+        raise ValueError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
+    return float(value)
+
 def _check_shift(segment_length: int, noise: float) -> None:
-    if segment_length < 1:
-        raise ValueError(f"segment length must be >= 1, got {segment_length}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise must lie in [0, 1]")
+    _check_int(segment_length, "segment length", 1)
+    _check_real(noise, "noise", 0.0, 1.0)
 
 def gen_stochastic(num_experts: int, means, seed: int, horizon: int) -> np.ndarray:
     """Independent Bernoulli losses, coordinate k with the given mean."""
@@ -159,7 +172,10 @@ def _parse_concept_class(doc: dict):
     kind = doc["kind"]
     if kind == "k_subsets":
         _require_keys(doc, {"kind", "num_components", "subset_size"}, set(), "concept_class")
-        return KSubsets(int(doc["num_components"]), int(doc["subset_size"]))
+        return KSubsets(
+            _check_int(doc["num_components"], "num_components", 1),
+            _check_int(doc["subset_size"], "subset_size", 0),
+        )
     if kind == "dag_paths":
         _require_keys(doc, {"kind", "dag"}, set(), "concept_class")
         return DagPaths.from_json(doc["dag"])
@@ -172,7 +188,9 @@ def _parse_prior(doc: dict) -> ex.LearningRatePrior:
     _require_keys(doc, {"kind"}, {"a", "b", "etas", "masses"}, "algorithm.prior")
     kind = doc["kind"]
     if kind == "conjugate":
-        return ex.ConjugatePrior(a=float(doc.get("a", 0.0)), b=float(doc.get("b", 0.0)))
+        a = _check_real(doc.get("a", 0.0), "conjugate a")
+        b = _check_real(doc.get("b", 0.0), "conjugate b (Theorem 1 needs b >= 0)", 0.0)
+        return ex.ConjugatePrior(a=a, b=b)
     if kind == "improper":
         return ex.ImproperPrior()
     if kind == "cv":
@@ -187,7 +205,10 @@ def _parse_prior(doc: dict) -> ex.LearningRatePrior:
     raise ConfigError(f"unknown prior kind {kind!r}")
 
 def _report_subsets(report: dict, k: int) -> list[list[int]]:
-    subsets = [sorted(set(int(i) for i in s)) for s in report.get("subsets", [])]
+    subsets = report.get("subsets", [])
+    if not isinstance(subsets, list) or not all(isinstance(s, list) for s in subsets):
+        raise ConfigError(f"report.subsets must be a list of expert index lists, got {subsets!r}")
+    subsets = [sorted(set(_check_int(i, "subset index", 0, k) for i in s)) for s in subsets]
     if report.get("singletons", False):
         subsets += [[i] for i in range(k)]
     return subsets
@@ -209,9 +230,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     mode = doc["mode"]
     if mode not in ("experts", "combinatorial"):
         raise ConfigError(f"unknown mode {mode!r}")
-    horizon = int(doc["horizon"])
-    if horizon < 0:
-        raise ConfigError("horizon must be nonnegative")
+    horizon = _check_int(doc["horizon"], "horizon", 0)
 
     env = doc["environment"]
     _require_keys(env, {"name", "seed"}, {"means", "segment_length", "noise"}, "environment")
@@ -219,6 +238,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown environment {env['name']!r}")
     required, optional = _ENV_PARAMS[env["name"]]
     _require_keys(env, {"name", "seed"} | required, optional, f"environment {env['name']!r}")
+    _check_int(env["seed"], "environment.seed", 0, 2**128)  # Philox's key range
 
     out = doc["output"]
     _require_keys(out, {"csv", "summary"}, set(), "output")
@@ -232,34 +252,32 @@ def parse_config(doc: dict) -> ExperimentConfig:
         report=doc.get("report", {}),
         output_csv=out["csv"],
         output_summary=out["summary"],
-        potential_every=int(doc.get("potential_every", 10)),
+        # 0 disables sampling
+        potential_every=_check_int(doc.get("potential_every", 10), "potential_every", 0),
     )
-    if cfg.potential_every < 0:
-        raise ConfigError("potential_every must be nonnegative (0 disables sampling)")
 
     algo = doc["algorithm"]
     if mode == "experts":
         if "num_experts" not in doc:
             raise ConfigError("experts mode requires num_experts")
-        k = cfg.num_experts = int(doc["num_experts"])
-        if k < 1:
-            raise ConfigError("num_experts must be positive")
+        k = cfg.num_experts = _check_int(doc["num_experts"], "num_experts", 1)
         _require_keys(algo, {"name"}, {"prior", "eta", "grid_t_max"}, "algorithm")
         if algo["name"] == "squint":
             if "prior" not in algo:
                 raise ConfigError("squint requires a prior")
             cfg.prior = _parse_prior(algo["prior"])
         elif algo["name"] == "hedge":
-            if "eta" not in algo or not float(algo["eta"]) > 0.0:
+            if not _check_real(algo.get("eta"), "hedge eta", 0.0) > 0.0:
                 raise ConfigError("hedge requires a positive eta")
         elif algo["name"] == "iprod":
-            if int(algo.get("grid_t_max", 1)) < 1:
-                raise ConfigError("iprod grid_t_max must be >= 1")
+            _check_int(algo.get("grid_t_max", 1), "iprod grid_t_max", 1)
         else:
             raise ConfigError(f"unknown experts algorithm {algo['name']!r}")
         _require_keys(
             cfg.report, set(), {"subsets", "singletons", "near_best_fraction"}, "report"
         )
+        if cfg.report.get("near_best_fraction") is not None:
+            _check_real(cfg.report["near_best_fraction"], "near_best_fraction", 0.0)
         if env["name"] == "uniform_signed":
             raise ConfigError("experts mode requires losses in [0, 1]")
         pi = doc.get("prior_pi")
@@ -281,9 +299,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _require_keys(algo, {"name"}, {"t_max"}, "algorithm")
         if algo["name"] != "component_iprod":
             raise ConfigError(f"unknown combinatorial algorithm {algo['name']!r}")
-        cfg.t_max = int(algo.get("t_max", max(horizon, 1)))
-        if cfg.t_max < 1:
-            raise ConfigError("algorithm.t_max must be >= 1")
+        cfg.t_max = _check_int(algo.get("t_max", max(horizon, 1)), "algorithm.t_max", 1)
         if horizon > cfg.t_max:
             # Theorem 4 holds for the grid tuned to t_max, at horizons up to t_max
             raise ConfigError(f"horizon {horizon} exceeds algorithm.t_max {cfg.t_max}")

@@ -290,9 +290,12 @@ def integrate_adaptive_batch(
 
     ``f`` maps an array of abscissas (n,) to values (n, m); the m components
     are integrated simultaneously over [spec.lower, spec.upper] and share the
-    subdivision pattern.  ``knots`` seeds extra subdivision points (e.g. the
-    known location of a sharp bump, which a coarse initial grid would
-    otherwise miss entirely).
+    subdivision pattern.  ``f`` must be pointwise: row i of its result
+    depends on ``x[i]`` only, so the abscissas of one subdivision level can
+    be batched into a single call.  Each abscissa is evaluated once, in one
+    call for the initial grid and one per level.  ``knots`` seeds extra
+    subdivision points (e.g. the known location of a sharp bump, which a
+    coarse initial grid would otherwise miss entirely).
 
     Deterministic: identical inputs produce identical results.  Raises
     ``QuadratureError`` when max_subdivisions is exhausted before every
@@ -311,32 +314,34 @@ def integrate_adaptive_batch(
             cleaned.append(e)
     cleaned[-1] = hi
 
-    a = np.asarray(cleaned[:-1])
-    b = np.asarray(cleaned[1:])
+    edge_x = np.asarray(cleaned)
+    n = edge_x.size - 1
+    a, b = edge_x[:-1], edge_x[1:]
     mid = 0.5 * (a + b)
-    fa = np.asarray(f(a), dtype=float)
-    fb = np.asarray(f(b), dtype=float)
-    fm = np.asarray(f(mid), dtype=float)
-    if fa.ndim != 2:
+    vals = np.asarray(f(np.concatenate((edge_x, mid))), dtype=float)
+    if vals.ndim != 2:
         raise ValueError("batch integrand must return a 2-d array (points, components)")
-    m_dim = fa.shape[1]
-    coarse = (b - a)[:, None] / 6.0 * (fa + 4.0 * fm + fb)
+    fa, fb, fm = vals[:n], vals[1 : n + 1], vals[n + 1 :]
+    span = b - a
+    coarse = span[:, None] / 6.0 * (fa + 4.0 * fm + fb)
 
-    done = np.zeros(m_dim)
-    n_subdiv = len(cleaned) - 1
-    while a.size:
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        flm = np.asarray(f(lm), dtype=float)
-        frm = np.asarray(f(rm), dtype=float)
-        s_left = (mid - a)[:, None] / 3.0 * (fa + 4.0 * flm + fm)
-        s_right = (b - mid)[:, None] / 3.0 * (fm + 4.0 * frm + fb)
-        fine = 0.5 * (s_left + s_right)
+    done = np.zeros(vals.shape[1])
+    n_subdiv = n
+    while n:
+        # the 2n halves, left halves first: [a, mid] then [mid, b]
+        lo_e = np.concatenate((a, mid))
+        hi_e = np.concatenate((mid, b))
+        x = 0.5 * (lo_e + hi_e)
+        fx = np.asarray(f(x), dtype=float)
+        f_lo, f_hi = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+        half_w = hi_e - lo_e
+        halves = half_w[:, None] / 3.0 * (f_lo + 4.0 * fx + f_hi)
+        fine = 0.5 * (halves[:n] + halves[n:])
         err = np.abs(fine - coarse) / 15.0
 
         total_est = done + fine.sum(axis=0)
         budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_est))
-        share = ((b - a) / width)[:, None] * budget[None, :]
+        share = (span / width)[:, None] * budget[None, :]
         ok = (err <= share).all(axis=1)
 
         if ok.any():
@@ -348,15 +353,12 @@ def integrate_adaptive_batch(
                 f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions; "
                 f"worst interval error {float(err[keep].max()):.3e}"
             )
-        a_k, b_k, mid_k = a[keep], b[keep], mid[keep]
-        fa_k, fb_k, fm_k = fa[keep], fb[keep], fm[keep]
-        a = np.concatenate([a_k, mid_k])
-        b = np.concatenate([mid_k, b_k])
-        mid = np.concatenate([lm[keep], rm[keep]])
-        fa = np.concatenate([fa_k, fm_k])
-        fb = np.concatenate([fm_k, fb_k])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        coarse = np.concatenate([s_left[keep] * 0.5, s_right[keep] * 0.5])
+        # children of the kept intervals, left children first
+        sel = np.concatenate((keep, keep))
+        a, b, mid = lo_e[sel], hi_e[sel], x[sel]
+        fa, fb, fm = f_lo[sel], f_hi[sel], fx[sel]
+        span, coarse = half_w[sel], halves[sel] * 0.5
+        n = a.size
 
     return done
 

@@ -10,8 +10,11 @@ helpers:
   ``iprod_weights_history``, the history-based iProd rule (production
   log-sum-exp and normalization), and the scalar ``bound_theorem*_scalar``
   calculators (production ``ln_plus``, ``z_conjugate`` and
-  ``ceil_one_plus_log2``), and ``comparator_stats_rowwise``, one
-  comparator's two ddots for the batched ``comparator_stats``;
+  ``ceil_one_plus_log2``), ``comparator_stats_rowwise``, one
+  comparator's two ddots for the batched ``comparator_stats``, and
+  ``integrate_adaptive_batch_reference``, adaptive Simpson with separate
+  integrand calls per edge set and per side (production ``QuadratureSpec``
+  and ``QuadratureError``);
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -25,11 +28,19 @@ helpers:
 from __future__ import annotations
 
 import math
+from typing import Callable, Sequence
 
 import numpy as np
 
 from squint.component_iprod import comparator_stats
-from squint.numerics import _ERFCX_SERIES_CUTOFF, _log_erfcx, ceil_one_plus_log2, logsumexp
+from squint.numerics import (
+    _ERFCX_SERIES_CUTOFF,
+    QuadratureError,
+    QuadratureSpec,
+    _log_erfcx,
+    ceil_one_plus_log2,
+    logsumexp,
+)
 from squint.polytopes import _logit, _sigmoid, clamp_interior
 from squint.regret_bounds import binary_relative_entropy, ln_plus, z_conjugate
 
@@ -330,3 +341,87 @@ def lemma4_check(state, eta: float, v: np.ndarray) -> tuple[float, float]:
         float(state.gamma[j])
     )
     return lhs, rhs
+
+
+def integrate_adaptive_batch_reference(
+    f: Callable[[np.ndarray], np.ndarray],
+    spec: QuadratureSpec,
+    knots: Sequence[float] | None = None,
+) -> np.ndarray:
+    """Adaptive Simpson with three integrand calls up front and two per level.
+
+    Interior edges are evaluated twice and the left and right halves are
+    built separately; ``integrate_adaptive_batch`` must return the same bits
+    and raise the same errors with one call per level.
+
+    ``f`` maps an array of abscissas (n,) to values (n, m); the m components
+    are integrated simultaneously over [spec.lower, spec.upper] and share the
+    subdivision pattern.  ``knots`` seeds extra subdivision points (e.g. the
+    known location of a sharp bump, which a coarse initial grid would
+    otherwise miss entirely).
+
+    Deterministic: identical inputs produce identical results.  Raises
+    ``QuadratureError`` when max_subdivisions is exhausted before every
+    interval meets its width-proportional share of the error budget.
+    """
+    lo, hi = spec.lower, spec.upper
+    width = hi - lo
+    edges = list(np.linspace(lo, hi, 9))
+    if knots is not None:
+        edges.extend(k for k in knots if lo < k < hi)
+    edges = sorted(set(edges))
+    # drop near-duplicate edges, keeping the endpoints
+    cleaned = [edges[0]]
+    for e in edges[1:]:
+        if e - cleaned[-1] > 1e-12 * width:
+            cleaned.append(e)
+    cleaned[-1] = hi
+
+    a = np.asarray(cleaned[:-1])
+    b = np.asarray(cleaned[1:])
+    mid = 0.5 * (a + b)
+    fa = np.asarray(f(a), dtype=float)
+    fb = np.asarray(f(b), dtype=float)
+    fm = np.asarray(f(mid), dtype=float)
+    if fa.ndim != 2:
+        raise ValueError("batch integrand must return a 2-d array (points, components)")
+    m_dim = fa.shape[1]
+    coarse = (b - a)[:, None] / 6.0 * (fa + 4.0 * fm + fb)
+
+    done = np.zeros(m_dim)
+    n_subdiv = len(cleaned) - 1
+    while a.size:
+        lm = 0.5 * (a + mid)
+        rm = 0.5 * (mid + b)
+        flm = np.asarray(f(lm), dtype=float)
+        frm = np.asarray(f(rm), dtype=float)
+        s_left = (mid - a)[:, None] / 3.0 * (fa + 4.0 * flm + fm)
+        s_right = (b - mid)[:, None] / 3.0 * (fm + 4.0 * frm + fb)
+        fine = 0.5 * (s_left + s_right)
+        err = np.abs(fine - coarse) / 15.0
+
+        total_est = done + fine.sum(axis=0)
+        budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_est))
+        share = ((b - a) / width)[:, None] * budget[None, :]
+        ok = (err <= share).all(axis=1)
+
+        if ok.any():
+            done += (fine[ok] + (fine[ok] - coarse[ok]) / 15.0).sum(axis=0)
+        keep = ~ok
+        n_subdiv += int(keep.sum())
+        if n_subdiv > spec.max_subdivisions:
+            raise QuadratureError(
+                f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions; "
+                f"worst interval error {float(err[keep].max()):.3e}"
+            )
+        a_k, b_k, mid_k = a[keep], b[keep], mid[keep]
+        fa_k, fb_k, fm_k = fa[keep], fb[keep], fm[keep]
+        a = np.concatenate([a_k, mid_k])
+        b = np.concatenate([mid_k, b_k])
+        mid = np.concatenate([lm[keep], rm[keep]])
+        fa = np.concatenate([fa_k, fm_k])
+        fb = np.concatenate([fm_k, fb_k])
+        fm = np.concatenate([flm[keep], frm[keep]])
+        coarse = np.concatenate([s_left[keep] * 0.5, s_right[keep] * 0.5])
+
+    return done

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import squint.experts as experts
 from squint.experts import (
     ConjugatePrior,
     CVPrior,
     DiscreteGridPrior,
     ExpertGameState,
     ImproperPrior,
+    cv_log_integrals,
+    cv_potential_terms,
     hedge_weights,
+    improper_potential_terms,
     iprod_log_factors,
     iprod_weights_grid,
     potential,
@@ -21,9 +25,10 @@ from squint.experts import (
     weights_for_prior,
 )
 from squint.component_iprod import learning_rate_grid
-from squint.numerics import QuadratureSpec
+from squint.numerics import QuadratureError, QuadratureSpec
 
 from oracles import (
+    integrate_adaptive_batch_reference,
     iprod_log_products_history,
     iprod_weights_history,
     mp_cv_weight_integral,
@@ -221,6 +226,49 @@ class TestCVWeights:
         starved = QuadratureSpec(0.0, 0.5, abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=4)
         with pytest.raises(QuadratureError):
             squint_weights_cv(s, starved)
+
+
+def random_statistics(seed: int, k: int):
+    """(R, V) with R < -e (the 1/ln|R| knots), V = 0 and interior peaks."""
+    rng = np.random.default_rng(seed)
+    regret = rng.uniform(-60.0, 40.0, k)
+    variance = rng.uniform(0.0, 80.0, k)
+    variance[:: 4] = 0.0
+    return regret, variance
+
+
+class TestQuadratureMatchesReference:
+    """Production integrands through the batched Simpson give the reference's bits."""
+
+    @pytest.mark.parametrize("k", [3, 12, 64])
+    @pytest.mark.parametrize(
+        "terms", [cv_log_integrals, cv_potential_terms, improper_potential_terms]
+    )
+    def test_terms(self, monkeypatch, terms, k):
+        regret, variance = random_statistics(k, k)
+        got = terms(regret, variance)
+        monkeypatch.setattr(experts, "integrate_adaptive_batch", integrate_adaptive_batch_reference)
+        assert np.array_equal(got, terms(regret, variance))
+
+    def test_draws_reach_every_knot_path(self):
+        for k in (3, 12, 64):
+            regret, variance = random_statistics(k, k)
+            assert (regret < -math.e).any() and (variance == 0.0).any()
+        peak = experts._cv_peak(regret, variance)
+        assert len(experts._cv_peak_knots(regret, variance, peak)) > 48
+        assert len(experts._interior_peaks(regret, variance)) > 48
+
+    @pytest.mark.parametrize("budget", [60, 120, 300])
+    def test_budget_exhaustion_message(self, monkeypatch, budget):
+        regret, variance = random_statistics(12, 12)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=budget)
+        messages = []
+        for quad in (experts.integrate_adaptive_batch, integrate_adaptive_batch_reference):
+            monkeypatch.setattr(experts, "integrate_adaptive_batch", quad)
+            with pytest.raises(QuadratureError) as info:
+                cv_log_integrals(regret, variance, spec)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestGridWeights:

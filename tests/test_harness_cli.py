@@ -246,6 +246,45 @@ MALFORMED = {
     "t_max_zero": lambda tmp_path: comb_config(
         tmp_path, algorithm={"name": "component_iprod", "t_max": 0}
     ),
+    # these used to pass parse_config, then fail with a traceback or a false violation
+    **{
+        f"near_best_fraction_{label}": lambda tmp_path, frac=frac: experts_config(
+            tmp_path, report={"singletons": True, "near_best_fraction": frac}
+        )
+        for label, frac in [("negative", -1), ("nan", math.nan), ("string", "abc")]
+    },
+    **{
+        f"seed_{label}": lambda tmp_path, seed=seed: experts_config(
+            tmp_path, environment={"name": "stochastic", "means": [0.2, 0.5, 0.8], "seed": seed}
+        )
+        for label, seed in [("negative", -1), ("string", "x"), ("too_large", 2**128)]
+    },
+    "means_nan": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "stochastic", "means": [0.2, math.nan, 0.8], "seed": 11}
+    ),
+    "subsets_not_lists": lambda tmp_path: experts_config(tmp_path, report={"subsets": 5}),
+    "subset_fractional_index": lambda tmp_path: experts_config(
+        tmp_path, report={"subsets": [[0.5]]}
+    ),
+    "noise_string": lambda tmp_path: experts_config(
+        tmp_path,
+        environment={"name": "adversarial_shift", "segment_length": 5, "noise": "x", "seed": 11},
+    ),
+    "segment_length_fractional": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "adversarial_shift", "segment_length": 2.5, "seed": 11}
+    ),
+    "horizon_fractional": lambda tmp_path: experts_config(tmp_path, horizon=2.7),
+    "potential_every_null": lambda tmp_path: experts_config(tmp_path, potential_every=None),
+    "num_experts_null": lambda tmp_path: experts_config(tmp_path, num_experts=None),
+    "hedge_eta_null": lambda tmp_path: experts_config(
+        tmp_path, algorithm={"name": "hedge", "eta": None}
+    ),
+    "num_components_fractional": lambda tmp_path: comb_config(
+        tmp_path, concept_class={"kind": "k_subsets", "num_components": 4.7, "subset_size": 2}
+    ),
+    "conjugate_a_nan": prior_config("conjugate", a=math.nan, b=1.0),
+    "conjugate_b_nan": prior_config("conjugate", a=0.0, b=math.nan),
+    "conjugate_b_negative": prior_config("conjugate", a=0.0, b=-1.0),
     "vertices_over_cap": lambda tmp_path: comb_config(
         tmp_path, concept_class={"kind": "k_subsets", "num_components": 20, "subset_size": 10}
     ),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import squint.numerics as numerics
 from squint.numerics import (
     QuadratureError,
     QuadratureSpec,
@@ -15,6 +16,7 @@ from squint.numerics import (
 )
 
 from oracles import (
+    integrate_adaptive_batch_reference,
     log_erfc,
     maclaurin_erf,
     mp_log_exp_integral,
@@ -251,6 +253,129 @@ class TestAdaptiveSimpson:
             QuadratureSpec(0.0, 1.0, abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(0.0, 1.0, max_subdivisions=0)
+
+
+def random_exp_family(seed: int, k: int):
+    """A pointwise (points, k) integrand from the exp, expm1/eta or eta*exp family."""
+    rng = np.random.default_rng(seed)
+    r, v = rng.uniform(-8.0, 8.0, k), rng.uniform(0.0, 12.0, k)
+    family = seed % 3
+
+    def f(x):
+        g = x[:, None] * r - (x * x)[:, None] * v
+        if family == 0:
+            return np.exp(g)
+        if family == 1:
+            safe = np.where(x > 0.0, x, 1.0)[:, None]
+            return np.where(x[:, None] > 0.0, np.expm1(g) / safe, r)
+        return x[:, None] * np.exp(g)
+
+    knots = list(rng.uniform(-0.1, 0.6, int(rng.integers(0, 60))))
+    return f, knots
+
+
+def use_reference(monkeypatch):
+    monkeypatch.setattr(numerics, "integrate_adaptive_batch", integrate_adaptive_batch_reference)
+
+
+def error_text(fn, *args, **kwargs):
+    with pytest.raises(QuadratureError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+class TestBatchedSimpsonMatchesReference:
+    """One integrand call per level gives the two-calls-per-level bits."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_integrands(self, seed):
+        f, knots = random_exp_family(seed, 1 + seed % 5)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        got = integrate_adaptive_batch(f, spec, knots=knots)
+        assert np.array_equal(got, integrate_adaptive_batch_reference(f, spec, knots=knots))
+
+    @pytest.mark.parametrize("budget", [70, 90, 150, 400])
+    def test_budget_exhaustion_message(self, budget):
+        f, knots = random_exp_family(3, 4)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=budget)
+        want = error_text(integrate_adaptive_batch_reference, f, spec, knots=knots)
+        assert error_text(integrate_adaptive_batch, f, spec, knots=knots) == want
+
+    def test_each_abscissa_evaluated_once(self):
+        f, knots = random_exp_family(4, 3)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        seen = {"new": [], "ref": []}
+
+        def counting(key):
+            def g(x):
+                seen[key].append(x.copy())
+                return f(x)
+            return g
+
+        integrate_adaptive_batch(counting("new"), spec, knots=knots)
+        integrate_adaptive_batch_reference(counting("ref"), spec, knots=knots)
+        new = np.concatenate(seen["new"])
+        ref = np.concatenate(seen["ref"])
+        assert np.unique(new).size == new.size
+        assert np.array_equal(np.unique(new), np.unique(ref))
+        # the reference: f(a), f(b), f(mid), then f(lm) and f(rm) per level
+        levels = (len(seen["ref"]) - 3) // 2
+        assert levels > 1 and len(seen["ref"]) == 3 + 2 * levels
+        assert len(seen["new"]) == 1 + levels
+
+    def test_budget_ties_follow_the_row_order_sum(self):
+        # total_est is fine.sum(axis=0) over C-ordered rows, added row after
+        # row; a column-contiguous fine would be summed pairwise, moving the
+        # error budget by an ulp.  Pick a rel_tol at which that ulp decides
+        # whether a first-level interval is accepted.
+        def f(x):
+            return np.column_stack((np.exp(2.0 * x - 7.0 * x * x), np.ones_like(x)))
+
+        edges = np.arange(17) / 32.0  # the nine default edges plus dyadic knots
+        a, b = edges[:-1], edges[1:]
+        mid = 0.5 * (a + b)
+        fa, fb, fm = f(a), f(b), f(mid)
+        coarse = (b - a)[:, None] / 6.0 * (fa + 4.0 * fm + fb)
+        s_left = (mid - a)[:, None] / 3.0 * (fa + 4.0 * f(0.5 * (a + mid)) + fm)
+        s_right = (b - mid)[:, None] / 3.0 * (fm + 4.0 * f(0.5 * (mid + b)) + fb)
+        fine = 0.5 * (s_left + s_right)
+        err = np.abs(fine - coarse) / 15.0
+        frac = ((b - a) / 0.5)[:, None]
+        rows, pairwise = fine.sum(axis=0), np.asfortranarray(fine).sum(axis=0)
+        assert rows[0] != pairwise[0]
+
+        def accepted(rel, total):
+            return (err <= frac * (rel * np.abs(total))[None, :]).all(axis=1)
+
+        ties = []
+        for i in range(a.size):
+            rel = err[i, 0] / frac[i, 0] / abs(rows[0])
+            for step in range(-6, 7):
+                cand = rel + step * np.spacing(rel)
+                if (accepted(cand, rows) != accepted(cand, pairwise)).any():
+                    ties.append(float(cand))
+        assert ties
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-300, rel_tol=ties[0])
+        knots = list(edges[1:-1])
+        got = integrate_adaptive_batch(f, spec, knots=knots)
+        assert np.array_equal(got, integrate_adaptive_batch_reference(f, spec, knots=knots))
+
+    def test_eta_integral_fallback(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-3.0, 3.0, 400) * 10.0 ** rng.uniform(-8.0, 5.0, 400)
+        ys = 10.0 ** rng.uniform(-10.0, 5.0, 400)
+        cases = [(x, y) for x, y in zip(xs, ys) if numerics._log_eta_closed(x, y) is None]
+        assert len(cases) > 100
+        got = [log_eta_exp_integral(x, y) for x, y in cases]
+        use_reference(monkeypatch)
+        assert np.array_equal(got, [log_eta_exp_integral(x, y) for x, y in cases])
+
+    def test_convex_exponent(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cases = list(zip(rng.uniform(-300.0, 300.0, 150), -(10.0 ** rng.uniform(-6.0, 3.0, 150))))
+        got = [log_exp_integral(r, v) for r, v in cases]
+        use_reference(monkeypatch)
+        assert np.array_equal(got, [log_exp_integral(r, v) for r, v in cases])
 
 
 class TestHelpers:
