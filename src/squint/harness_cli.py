@@ -31,10 +31,10 @@ import argparse
 import csv
 import json
 import math
-
+import os
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -464,8 +464,8 @@ class _Combinatorial:
         ]
         return audits, None
 
-def _run(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    """Play and audit every round; returns the CSV header, its rows and the summary."""
+def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
+    """Play and audit every round, writing each CSV line to ``out``; returns the summary."""
     learner = _Experts(cfg) if cfg.mode == "experts" else _Combinatorial(cfg)
     k = learner.dim
     losses = generate_stream(cfg.environment, k, cfg.horizon)
@@ -475,8 +475,9 @@ def _run(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     for name in learner.names:
         header += [f"R_{name}", f"V_{name}"] + ([f"bound_{name}"] if learner.has_bound else [])
     header.append("potential")
+    # no cell ever needs CSV quoting (float reprs, integers, "" and plain names)
+    out.write(",".join(header) + "\n")
 
-    rows = []
     stats = None
     any_violation = False
     max_potential = None
@@ -492,17 +493,16 @@ def _run(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         stats = (r, v, bound)
         # R, V[, bound] per item; tolist() gives Python floats, repr'd as by _fmt
         cells = np.concatenate((loss_t, played, np.column_stack(audited).ravel()))
-        row = [str(t)] + list(map(repr, cells.tolist()))
         sample = cfg.potential_every > 0 and t % cfg.potential_every == 0
         phi = learner.potential() if sample else None
         if phi is None:
-            row.append("")
+            potential = ""
         else:
             max_potential = phi if max_potential is None else max(max_potential, phi)
             if not phi <= _POTENTIAL_TOL:
                 any_violation = True
-            row.append(_fmt(phi))
-        rows.append(row)
+            potential = _fmt(phi)
+        out.write(f"{t},{','.join(map(repr, cells.tolist()))},{potential}\n")
 
     audits, near_best = learner.summary(stats)
     summary = dict(schema=SUMMARY_SCHEMA, config=cfg.doc, rounds=cfg.horizon, audits=audits)
@@ -510,15 +510,21 @@ def _run(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         summary["near_best"] = near_best
         any_violation = any_violation or near_best.get("violated", False)
     summary.update(any_violation=any_violation, max_potential=max_potential)
-    return header, rows, summary
+    return summary
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Execute a parsed config; writes the CSV and summary, returns the summary."""
-    header, rows, summary = _run(cfg)
-    with open(cfg.output_csv, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Execute a parsed config; writes the CSV and summary, returns the summary.
+
+    The CSV is written line by line as the rounds are played.  A run that
+    raises removes its partial CSV and writes no summary.
+    """
+    fh = open(cfg.output_csv, "w", newline="")
+    try:
+        with fh:
+            summary = _run(cfg, fh)
+    except BaseException:
+        os.remove(cfg.output_csv)
+        raise
     with open(cfg.output_summary, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -529,12 +535,16 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
 
     Returns (ok, messages): ok is False iff in some row a regret column is
     not at most its bound column or a sampled potential is not at most
-    1e-9; a nan in either counts as a violation.
+    1e-9; a nan in either counts as a violation.  Raises ``ValueError`` for a
+    file with no header line or a row whose length differs from the header's
+    (a truncated or otherwise malformed CSV).
     """
     problems = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{csv_path} has no header line")
         pairs = []
         for i, name in enumerate(header):
             if name.startswith("bound_"):
@@ -545,6 +555,10 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
                 pairs.append((header.index(target), i, name))
         phi_idx = header.index("potential") if "potential" in header else None
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+                )
             for r_idx, b_idx, name in pairs:
                 if not float(row[r_idx]) <= float(row[b_idx]):
                     problems.append(f"t={row[0]}: R={row[r_idx]} exceeds {name}={row[b_idx]}")

@@ -348,7 +348,7 @@ def integrate_adaptive_batch(
             done += (fine[ok] + (fine[ok] - coarse[ok]) / 15.0).sum(axis=0)
         keep = ~ok
         n_subdiv += int(keep.sum())
-        if n_subdiv > spec.max_subdivisions:
+        if n_subdiv > spec.max_subdivisions and keep.any():
             raise QuadratureError(
                 f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions; "
                 f"worst interval error {float(err[keep].max()):.3e}"

@@ -333,13 +333,45 @@ class DagPaths(ConceptClass):
             if out_e or in_e:
                 cons.append((np.array(out_e, dtype=int), np.array(in_e, dtype=int), 0.0))
         # dense signed incidence of the same constraints, for the Newton solver
-        self._inc = np.zeros((len(cons), self.num_components))
-        self._rhs = np.zeros(len(cons))
+        c, k = len(cons), self.num_components
+        self._inc = np.zeros((c, k))
+        self._rhs = np.zeros(c)
+        # each edge leaves at most one constrained node and enters at most one
+        frm, to = np.full(k, -1), np.full(k, -1)
         for i, (plus, minus, rhs) in enumerate(cons):
             self._inc[i, plus] = 1.0
             self._inc[i, minus] = -1.0
             self._rhs[i] = rhs
+            frm[plus], to[minus] = i, i
+        self._jac_entries, self._jac_terms = self._laplacian_terms(frm, to, c)
         return cons
+
+    @staticmethod
+    def _laplacian_terms(frm, to, c):
+        """Sparsity of the Newton Jacobian A diag(d) A^T, a grounded graph Laplacian.
+
+        Entry (i, i) sums d_e over the edges incident to row i; entry (i, j)
+        sums -d_e over the edges joining rows i and j.  Returns the flat
+        positions of the nonzero entries (nnz,) and a (slots, nnz) table of
+        columns into [d, -d, 0]: slot s holds each entry's s-th term in
+        increasing edge order, padded with the zero column.
+        """
+        k = frm.size
+        edges = np.arange(k)
+        has_f, has_t = frm >= 0, to >= 0
+        both = has_f & has_t
+        f, t, e = frm[both], to[both], edges[both]
+        # one term per (entry, edge): two diagonal terms and two off-diagonal ones per edge
+        pos = np.concatenate((frm[has_f] * (c + 1), to[has_t] * (c + 1), f * c + t, t * c + f))
+        edge = np.concatenate((edges[has_f], edges[has_t], e, e))
+        col = np.concatenate((edges[has_f], edges[has_t], k + e, k + e))
+        order = np.lexsort((edge, pos))
+        pos, col = pos[order], col[order]
+        entries, first, count = np.unique(pos, return_index=True, return_counts=True)
+        slot = np.arange(pos.size) - np.repeat(first, count)
+        terms = np.full((count.max(), entries.size), 2 * k)
+        terms[slot, np.repeat(np.arange(entries.size), count)] = col
+        return entries, terms
 
     def hull_residual(self, u: np.ndarray) -> float:
         u = self._check_dim(u)
@@ -379,13 +411,12 @@ class DagPaths(ConceptClass):
         n, c = mat.shape[0], inc.shape[0]
         theta = np.zeros((n, c))
         u = mat
-        res = np.abs(u @ inc.T - rhs).max(axis=1)
+        diff = u @ inc.T - rhs  # (n, c)
+        res = np.abs(diff).max(axis=1)
         for _ in range(80):
             if np.all(res <= PROJECTION_RESIDUAL):
                 return u
-            diff = u @ inc.T - rhs  # (n, c)
-            d = u * (1.0 - u)  # (n, K)
-            jac = (inc[None, :, :] * d[:, None, :]) @ inc.T  # (n, c, c)
+            jac = self._jacobian(u * (1.0 - u))  # (n, c, c)
             try:
                 step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -395,15 +426,31 @@ class DagPaths(ConceptClass):
             for _ in range(30):
                 cand_theta = theta - alpha[:, None] * step
                 cand_u = _sigmoid(logits + cand_theta @ inc)
-                cand_res = np.abs(cand_u @ inc.T - rhs).max(axis=1)
+                cand_diff = cand_u @ inc.T - rhs
+                cand_res = np.abs(cand_diff).max(axis=1)
                 worse = (cand_res > res) & (res > PROJECTION_RESIDUAL)
                 if not worse.any():
                     break
                 alpha = np.where(worse, 0.5 * alpha, alpha)
             else:
                 return None
-            theta, u, res = cand_theta, cand_u, cand_res
+            theta, u, diff, res = cand_theta, cand_u, cand_diff, cand_res
         return None
+
+    def _jacobian(self, d: np.ndarray) -> np.ndarray:
+        """A diag(d_r) A^T for each row d_r of d (n, K), as an (n, c, c) stack.
+
+        Each entry is summed from +0.0 in increasing edge order, which gives
+        the bits of the dense product ``(A * d_r) @ A^T``.
+        """
+        n, c = d.shape[0], self._inc.shape[0]
+        signed = np.concatenate((d, -d, np.zeros((n, 1))), axis=1)
+        vals = np.zeros((n, self._jac_entries.size))
+        for cols in self._jac_terms:
+            vals += np.take(signed, cols, axis=1)
+        jac = np.zeros((n, c * c))
+        jac[:, self._jac_entries] = vals
+        return jac.reshape(n, c, c)
 
     def _project_cyclic(self, mat: np.ndarray) -> np.ndarray:
         mat = mat.copy()

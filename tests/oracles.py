@@ -14,7 +14,8 @@ helpers:
   comparator's two ddots for the batched ``comparator_stats``, and
   ``integrate_adaptive_batch_reference``, adaptive Simpson with separate
   integrand calls per edge set and per side (production ``QuadratureSpec``
-  and ``QuadratureError``);
+  and ``QuadratureError``), and ``newton_jacobian_dense``, the dense
+  product that ``DagPaths._jacobian`` builds from its Laplacian structure;
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -343,6 +344,11 @@ def lemma4_check(state, eta: float, v: np.ndarray) -> tuple[float, float]:
     return lhs, rhs
 
 
+def newton_jacobian_dense(inc: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The dual Newton Jacobians A diag(d_r) A^T, one per row d_r of d, as one dense product."""
+    return (inc[None, :, :] * d[:, None, :]) @ inc.T
+
+
 def integrate_adaptive_batch_reference(
     f: Callable[[np.ndarray], np.ndarray],
     spec: QuadratureSpec,
@@ -409,7 +415,7 @@ def integrate_adaptive_batch_reference(
             done += (fine[ok] + (fine[ok] - coarse[ok]) / 15.0).sum(axis=0)
         keep = ~ok
         n_subdiv += int(keep.sum())
-        if n_subdiv > spec.max_subdivisions:
+        if n_subdiv > spec.max_subdivisions and keep.any():
             raise QuadratureError(
                 f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions; "
                 f"worst interval error {float(err[keep].max()):.3e}"

@@ -1,6 +1,9 @@
 import csv
+import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,6 +507,72 @@ class TestRunExperiment:
         assert summary["any_violation"] is False
 
 
+class TestStreamingCsv:
+    """The CSV is written line by line, with the bytes csv.writer would give."""
+
+    @pytest.mark.parametrize("shape", list(RUN_SHAPES))
+    def test_lines_match_csv_writer(self, tmp_path, shape):
+        doc = RUN_SHAPES[shape][0](tmp_path)
+        run_experiment(parse_config(doc))
+        with open(doc["output"]["csv"], "rb") as fh:
+            raw = fh.read()
+        rewritten = io.StringIO()
+        rows = csv.reader(io.StringIO(raw.decode(), newline=""))
+        csv.writer(rewritten, lineterminator="\n").writerows(rows)
+        assert rewritten.getvalue().encode() == raw
+
+    @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
+    def test_failed_run_leaves_no_outputs(self, tmp_path, monkeypatch, mode):
+        module, name, make = {
+            "experts": (ex, "update", experts_config),
+            "combinatorial": (ci, "observe", comb_config),
+        }[mode]
+        original = getattr(module, name)
+        rounds = []
+
+        def fail_at_round_5(*args, **kwargs):
+            rounds.append(None)
+            if len(rounds) == 5:
+                raise RuntimeError("injected failure in round 5")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, fail_at_round_5)
+        doc = make(tmp_path)
+        with pytest.raises(RuntimeError, match="round 5"):
+            run_experiment(parse_config(doc))
+        assert not os.path.exists(doc["output"]["csv"])
+        assert not os.path.exists(doc["output"]["summary"])
+
+    def test_memory_does_not_grow_with_horizon(self, tmp_path):
+        # Potential sampling is off: the improper potential's adaptive Simpson
+        # keeps more intervals as its integrand sharpens with t, which is a
+        # working set of the quadrature, not of the output path pinned here.
+        def peak_bytes(horizon):
+            doc = experts_config(
+                tmp_path,
+                num_experts=50,
+                horizon=horizon,
+                environment={
+                    "name": "stochastic",
+                    "means": np.linspace(0.1, 0.9, 50).tolist(),
+                    "seed": 1,
+                },
+                report={"singletons": True},
+                potential_every=0,
+            )
+            cfg = parse_config(doc)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(100)  # first-run allocations (imports, caches) count against neither
+        small = peak_bytes(100)
+        assert peak_bytes(400) - small < 1_000_000
+
+
 class TestAudit:
     def test_clean_run_passes_audit(self, tmp_path):
         doc = experts_config(tmp_path)
@@ -572,6 +641,36 @@ class TestAudit:
         assert [a["violated"] for a in summary["audits"]] == [True, False, False]
         assert summary["near_best"]["violated"] is False
         assert main(["audit", doc["output"]["csv"]]) == 2
+
+
+    def test_truncated_row_is_an_audit_error(self, tmp_path, capsys):
+        doc = experts_config(tmp_path)
+        run_experiment(parse_config(doc))
+        path = doc["output"]["csv"]
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:5])  # a run cut off mid-line
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ValueError, match="5 fields"):
+            audit_csv(path)
+        assert main(["audit", path]) == 2
+        assert "audit error" in capsys.readouterr().err
+
+    def test_empty_file_is_an_audit_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="no header"):
+            audit_csv(str(path))
+        assert main(["audit", str(path)]) == 2
+        assert "audit error" in capsys.readouterr().err
+
+    def test_header_only_csv_passes(self, tmp_path, capsys):
+        doc = experts_config(tmp_path, horizon=0)
+        run_experiment(parse_config(doc))
+        assert audit_csv(doc["output"]["csv"]) == (True, [])
+        assert main(["audit", doc["output"]["csv"]]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
 
 
 class TestCli:

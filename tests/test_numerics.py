@@ -225,6 +225,23 @@ class TestAdaptiveSimpson:
         with pytest.raises(QuadratureError):
             integrate_adaptive_batch(column(lambda e: np.exp(20.0 * e - 30.0 * e * e)), spec)
 
+    @pytest.mark.parametrize(
+        "integrate", [integrate_adaptive_batch, integrate_adaptive_batch_reference]
+    )
+    def test_budget_below_initial_grid_all_accepted(self, integrate):
+        # the 8 initial intervals exceed the budget, but Simpson is exact on x^2
+        spec = QuadratureSpec(0.0, 1.0, max_subdivisions=5)
+        got = integrate(column(lambda e: e * e), spec)[0]
+        assert got == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "integrate", [integrate_adaptive_batch, integrate_adaptive_batch_reference]
+    )
+    def test_budget_below_initial_grid_with_kept_intervals(self, integrate):
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=5)
+        text = error_text(integrate, column(lambda e: np.exp(20.0 * e - 30.0 * e * e)), spec)
+        assert text.startswith("adaptive Simpson exceeded 5 subdivisions; worst interval error ")
+
     def test_deterministic(self):
         spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
         f = column(lambda e: np.exp(3.0 * e - 7.0 * e * e))

@@ -7,7 +7,12 @@ import pytest
 from squint.polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets
 from squint.regret_bounds import binary_relative_entropy
 
-from oracles import dual_sweep_subset_projection, slsqp_entropy_projection, unconstrained_update
+from oracles import (
+    dual_sweep_subset_projection,
+    newton_jacobian_dense,
+    slsqp_entropy_projection,
+    unconstrained_update,
+)
 
 DIAMOND = {
     "nodes": ["s", "a", "b", "t"],
@@ -39,6 +44,31 @@ def six_node_dag():
         ("d", "t", 8),
     ]
     return DagPaths(["s", "a", "b", "c", "d", "t"], edges, "s", "t")
+
+
+def grid_dag(n):
+    """The n-by-n grid DAG: edges right then down in row-major order, source 0_0."""
+    edges = []
+    for r in range(n):
+        for c in range(n):
+            if c + 1 < n:
+                edges.append((f"{r}_{c}", f"{r}_{c + 1}", len(edges) + 1))
+            if r + 1 < n:
+                edges.append((f"{r}_{c}", f"{r + 1}_{c}", len(edges) + 1))
+    nodes = [f"{r}_{c}" for r in range(n) for c in range(n)]
+    return DagPaths(nodes, edges, "0_0", f"{n - 1}_{n - 1}")
+
+
+def parallel_edge_dag():
+    """Three parallel s -> a edges and two parallel a -> t edges, indices interleaved."""
+    edges = [("s", "a", 1), ("a", "t", 2), ("s", "a", 3), ("a", "t", 4), ("s", "a", 5)]
+    return DagPaths(["s", "a", "t"], edges, "s", "t")
+
+
+def direct_edge_dag():
+    """A diamond plus an edge straight from the source to the sink."""
+    edges = [("s", "a", 1), ("s", "t", 2), ("s", "b", 3), ("a", "t", 4), ("b", "t", 5)]
+    return DagPaths(["s", "a", "b", "t"], edges, "s", "t")
 
 
 def random_hull_point(cls, rng):
@@ -316,3 +346,41 @@ class TestUnconstrainedUpdate:
         u = cls.project(np.full(3, 0.5))
         d = cls.decompose(u)
         np.testing.assert_allclose(d.usage(), u, atol=1e-9)
+
+
+JACOBIAN_DAGS = {
+    "grid6": lambda: grid_dag(6),
+    "diamond": diamond,
+    "parallel_edges": parallel_edge_dag,
+    "source_to_sink_edge": direct_edge_dag,
+}
+
+
+class TestNewtonJacobian:
+    """The Laplacian-structured Jacobian has the dense product's bits."""
+
+    @pytest.mark.parametrize("name", list(JACOBIAN_DAGS))
+    def test_matches_dense_product_bytes(self, name):
+        cls = JACOBIAN_DAGS[name]()
+        rng = np.random.default_rng(8)
+        k = cls.num_components
+        for n in (1, 9, 14):
+            u = rng.uniform(0.0, 1.0, (n, k))
+            draws = [
+                u * (1.0 - u),
+                rng.uniform(0.0, 0.25, (n, k)),
+                rng.uniform(0.0, 1e-12, (n, k)),  # near 0
+                0.25 - rng.uniform(0.0, 1e-12, (n, k)),  # near 1/4
+                rng.choice([0.0, 5e-324, 1e-300, 1e-16, 0.1, 0.25 - 2**-54, 0.25], (n, k)),
+            ]
+            for d in draws:
+                want = newton_jacobian_dense(cls._inc, d)
+                assert cls._jacobian(d).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(JACOBIAN_DAGS))
+    def test_projection_bytes_match_dense_jacobian(self, name, monkeypatch):
+        cls = JACOBIAN_DAGS[name]()
+        mat = np.random.default_rng(9).uniform(0.01, 0.99, (9, cls.num_components))
+        got = cls.project_batch(mat)
+        monkeypatch.setattr(cls, "_jacobian", lambda d: newton_jacobian_dense(cls._inc, d))
+        assert cls.project_batch(mat).tobytes() == got.tobytes()
