@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ceil_one_plus_log2, logsumexp
+from .numerics import ceil_one_plus_log2, logsumexp, normalize_log_weights
 from .polytopes import ConceptClass, clamp_interior
 
 __all__ = [
@@ -115,10 +115,7 @@ def make_game(
 def play(state: CombGameState) -> np.ndarray:
     """Project every learner and return the mixture usage for this round."""
     state.u_proj = state.concept_class.project_batch(state.u_tilde)
-    log_w = -state.neg_log_weight
-    w = np.exp(log_w - logsumexp(log_w))
-    w = w / w.sum()
-    state.pending_usage = w @ state.u_proj
+    state.pending_usage = normalize_log_weights(-state.neg_log_weight) @ state.u_proj
     return state.pending_usage
 
 

@@ -30,7 +30,7 @@ exponentiation, so the rules stay finite for horizons up to 1e7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -41,6 +41,7 @@ from .numerics import (
     log_eta_exp_integral,
     log_exp_integral,
     logsumexp,
+    normalize_log_weights,
 )
 
 __all__ = [
@@ -74,11 +75,6 @@ def _check_simplex(p: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has negative or nan entries")
     if not abs(float(p.sum()) - 1.0) <= SIMPLEX_TOL:
         raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {p.sum()!r}")
-
-
-def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
-    w = np.exp(log_w - logsumexp(log_w))
-    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -139,10 +135,6 @@ class ConjugatePrior:
 class CVPrior:
     """Density ln(2) / (eta ln^2 eta) on (0, 1/2]; weights need quadrature."""
 
-    quadrature: QuadratureSpec = field(
-        default_factory=lambda: QuadratureSpec(0.0, 0.5, abs_tol=1e-12, rel_tol=1e-10)
-    )
-
 
 @dataclass(frozen=True)
 class ImproperPrior:
@@ -196,26 +188,21 @@ def update(state: ExpertGameState, weights: np.ndarray, losses: np.ndarray) -> E
     )
 
 
+def _log_terms(prior: np.ndarray, regret: np.ndarray, variance: np.ndarray, kernel) -> np.ndarray:
+    """Per-expert ln pi(k) + kernel(R^k, V^k), one scalar closed form per expert."""
+    return np.array([math.log(p) + kernel(r, v) for p, r, v in zip(prior, regret, variance)])
+
+
 def squint_weights_conjugate(state: ExpertGameState, a: float = 0.0, b: float = 0.0) -> np.ndarray:
     """Closed-form weights under the conjugate learning-rate prior."""
-    log_w = np.array(
-        [
-            math.log(p) + log_eta_exp_integral(a + r, b + v)
-            for p, r, v in zip(state.prior, state.regret, state.variance)
-        ]
-    )
-    return _normalize_log_weights(log_w)
+    log_w = _log_terms(state.prior, a + state.regret, b + state.variance, log_eta_exp_integral)
+    return normalize_log_weights(log_w)
 
 
 def squint_weights_improper(state: ExpertGameState) -> np.ndarray:
     """Weights under the improper 1/eta prior (closed form)."""
-    log_w = np.array(
-        [
-            math.log(p) + log_exp_integral(r, v)
-            for p, r, v in zip(state.prior, state.regret, state.variance)
-        ]
-    )
-    return _normalize_log_weights(log_w)
+    log_w = _log_terms(state.prior, state.regret, state.variance, log_exp_integral)
+    return normalize_log_weights(log_w)
 
 
 # Substituting u = -1/ln(eta) maps (0, 1/2] to (0, 1/ln 2] and turns the
@@ -263,8 +250,6 @@ def cv_log_integrals(
     variable u = -1/ln eta), each max-shifted by its own peak exponent.  Only
     the tolerances and subdivision budget of ``spec`` are used.
     """
-    if spec is None:
-        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-12, rel_tol=1e-10)
     regret = np.asarray(regret, dtype=float)
     variance = np.asarray(variance, dtype=float)
     peak = _cv_peak(regret, variance)
@@ -275,10 +260,7 @@ def cv_log_integrals(
         g = eta[:, None] * regret - (eta * eta)[:, None] * variance - shift[None, :]
         return np.exp(g) * eta[:, None]
 
-    u_spec = QuadratureSpec(
-        0.0, _CV_UPPER, abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-    )
+    u_spec = replace(spec or QuadratureSpec(0.0, 0.5), lower=0.0, upper=_CV_UPPER)
     knots = _capped_knots(_cv_peak_knots(regret, variance, peak), _CV_UPPER)
     integrals = integrate_adaptive_batch(f, u_spec, knots=knots)
     return shift + np.log(integrals) + math.log(math.log(2.0))
@@ -296,7 +278,7 @@ def _capped_knots(knots: list[float], upper: float) -> list[float]:
 def squint_weights_cv(state: ExpertGameState, spec: QuadratureSpec | None = None) -> np.ndarray:
     """Weights under the near-1/eta proper prior, by adaptive quadrature."""
     log_w = np.log(state.prior) + cv_log_integrals(state.regret, state.variance, spec)
-    return _normalize_log_weights(log_w)
+    return normalize_log_weights(log_w)
 
 
 def squint_weights_grid(state: ExpertGameState, prior: DiscreteGridPrior) -> np.ndarray:
@@ -305,7 +287,7 @@ def squint_weights_grid(state: ExpertGameState, prior: DiscreteGridPrior) -> np.
     g = np.outer(state.regret, etas) - np.outer(state.variance, etas * etas)
     log_terms = g + np.log(masses * etas)[None, :]
     log_w = np.log(state.prior) + logsumexp(log_terms, axis=1)
-    return _normalize_log_weights(log_w)
+    return normalize_log_weights(log_w)
 
 
 def iprod_log_factors(r: np.ndarray, prior: DiscreteGridPrior) -> np.ndarray:
@@ -341,7 +323,7 @@ def iprod_weights_grid(
         raise ValueError("log_products must be (grid points, experts)")
     log_terms = log_products + np.log(prior.masses * prior.etas)[:, None]
     log_w = np.log(prior_pi) + logsumexp(log_terms, axis=0)
-    return _normalize_log_weights(log_w)
+    return normalize_log_weights(log_w)
 
 
 def hedge_weights(state: ExpertGameState, eta: float) -> np.ndarray:
@@ -349,7 +331,7 @@ def hedge_weights(state: ExpertGameState, eta: float) -> np.ndarray:
     if eta <= 0.0:
         raise ValueError(f"hedge learning rate must be positive, got {eta}")
     log_w = np.log(state.prior) - eta * state.cum_loss
-    return _normalize_log_weights(log_w)
+    return normalize_log_weights(log_w)
 
 
 def weights_for_prior(state: ExpertGameState, prior: LearningRatePrior) -> np.ndarray:
@@ -357,7 +339,7 @@ def weights_for_prior(state: ExpertGameState, prior: LearningRatePrior) -> np.nd
     if isinstance(prior, ConjugatePrior):
         return squint_weights_conjugate(state, prior.a, prior.b)
     if isinstance(prior, CVPrior):
-        return squint_weights_cv(state, prior.quadrature)
+        return squint_weights_cv(state)
     if isinstance(prior, ImproperPrior):
         return squint_weights_improper(state)
     if isinstance(prior, DiscreteGridPrior):
@@ -436,12 +418,8 @@ def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
     """
     if isinstance(prior, ConjugatePrior):
         log_z = log_exp_integral(prior.a, prior.b)
-        log_terms = np.array(
-            [
-                math.log(p) + log_exp_integral(prior.a + r, prior.b + v) - log_z
-                for p, r, v in zip(state.prior, state.regret, state.variance)
-            ]
-        )
+        regret, variance = prior.a + state.regret, prior.b + state.variance
+        log_terms = _log_terms(state.prior, regret, variance, log_exp_integral) - log_z
         return math.expm1(logsumexp(log_terms))
     if isinstance(prior, DiscreteGridPrior):
         g = np.outer(state.regret, prior.etas) - np.outer(state.variance, prior.etas**2)

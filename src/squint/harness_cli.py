@@ -20,9 +20,11 @@ is a violation in ``run`` and ``audit`` alike.  ``parse_config`` rejects a
 malformed config before the first round, including wrong vector lengths, a
 ``prior_pi`` off the simplex or with a zero entry, non-integer counts, bad
 subsets, seeds, stream parameters, conjugate ``a``/``b`` or near-best fractions,
-``report.vertices`` on a class with more than ``DEFAULT_VERTEX_CAP``
-vertices, and a combinatorial ``algorithm.t_max`` below 1 or below
-``horizon`` (Theorem 4 only covers a grid tuned for the horizon).
+a malformed DAG description (non-integer edge indices, duplicate node names),
+non-boolean ``report.singletons`` or ``report.vertices``, ``report.vertices``
+on a class with more than ``DEFAULT_VERTEX_CAP`` vertices, and a
+combinatorial ``algorithm.t_max`` below 1 or below ``horizon`` (Theorem 4
+only covers a grid tuned for the horizon).
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ def _check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -
     if not (ok and math.isfinite(value) and lo <= value <= hi):
         raise ValueError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
     return float(value)
+
+def _check_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 def _check_shift(segment_length: int, noise: float) -> None:
     _check_int(segment_length, "segment length", 1)
@@ -276,6 +283,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _require_keys(
             cfg.report, set(), {"subsets", "singletons", "near_best_fraction"}, "report"
         )
+        _check_bool(cfg.report.get("singletons", False), "report.singletons")
         if cfg.report.get("near_best_fraction") is not None:
             _check_real(cfg.report["near_best_fraction"], "near_best_fraction", 0.0)
         if env["name"] == "uniform_signed":
@@ -304,13 +312,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
             # Theorem 4 holds for the grid tuned to t_max, at horizons up to t_max
             raise ConfigError(f"horizon {horizon} exceeds algorithm.t_max {cfg.t_max}")
         _require_keys(cfg.report, set(), {"comparators", "vertices"}, "report")
-        if cfg.report.get("vertices", False):
+        if _check_bool(cfg.report.get("vertices", False), "report.vertices"):
             count = cfg.concept_class.num_vertices()
             if count > DEFAULT_VERTEX_CAP:
                 raise ConfigError(
                     f"report.vertices: {count} vertices exceed the cap {DEFAULT_VERTEX_CAP}"
                 )
-        vectors = list(cfg.report.get("comparators", []))
+        vectors = cfg.report.get("comparators", [])
+        if not isinstance(vectors, list):
+            raise ConfigError(f"report.comparators must be a list of {k}-vectors, got {vectors!r}")
         for vec in vectors + ([] if cfg.prior_vec is None else [cfg.prior_vec]):
             vec = np.asarray(vec, dtype=float)
             if vec.shape != (k,) or np.any((vec < 0.0) | (vec > 1.0)):

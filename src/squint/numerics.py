@@ -45,6 +45,7 @@ __all__ = [
     "log_eta_exp_integral",
     "integrate_adaptive_batch",
     "logsumexp",
+    "normalize_log_weights",
     "ceil_one_plus_log2",
 ]
 
@@ -373,6 +374,12 @@ def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
+    """The probability vector proportional to exp(log_w), max-shifted."""
+    w = np.exp(log_w - logsumexp(log_w))
+    return w / w.sum()
 
 
 def ceil_one_plus_log2(t: int) -> int:

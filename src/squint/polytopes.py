@@ -13,10 +13,12 @@ Projections exploit that every hull constraint here is linear with +-1
 coefficients: the projection onto a single such equality moves all incident
 coordinates by a common shift in logit space, u_e -> sigmoid(logit(u_e) +/-
 lambda), with the shift found by monotone root-finding.  The subset class
-needs exactly one such shift; the flow polytope of a DAG cycles Bregman
-projections through its conservation equalities until the residual is met
-(for affine equalities the cyclic method converges to the projection onto
-the intersection without correction terms).
+needs exactly one such shift.  The flow polytope of a DAG solves for all its
+conservation equalities' shifts at once by damped Newton on the dual; rows
+Newton fails to converge are finished by cycling Bregman projections through
+the equalities until the residual is met (for affine equalities the cyclic
+method converges to the projection onto the intersection without correction
+terms).
 
 Coordinates are clamped to [1e-12, 1 - 1e-12] before any projection: the
 entropy geometry is undefined at the boundary and multiplicative updates
@@ -97,16 +99,16 @@ class ConceptClass(ABC):
     num_components: int
 
     @abstractmethod
-    def hull_residual(self, u: np.ndarray) -> float:
-        """Max violation of the hull's linear description (incl. the box)."""
+    def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
+        """Per row of mat, the max violation of the hull's equalities."""
 
     @abstractmethod
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         """Row-wise entropy projection of interior points onto the hull."""
 
     @abstractmethod
-    def decompose(self, u: np.ndarray) -> Decomposition:
-        """Write a hull point as a convex combination of concepts."""
+    def _peel(self, point: np.ndarray) -> tuple[list, list]:
+        """Concepts and their unnormalized weights summing to a hull point in [0,1]^K."""
 
     @abstractmethod
     def num_vertices(self) -> int:
@@ -126,8 +128,23 @@ class ConceptClass(ABC):
         """Entropy projection of one interior point onto the hull."""
         return self.project_batch(self._check_dim(u_tilde)[None, :])[0]
 
+    def hull_residual(self, u: np.ndarray) -> float:
+        """Max violation of the hull's linear description (incl. the box)."""
+        u = self._check_dim(u)
+        eq = self._equality_residuals(u[None, :])[0]
+        return float(max(np.max(-u, initial=0.0), np.max(u - 1.0, initial=0.0), 0.0, eq))
+
     def contains(self, u: np.ndarray, tol: float = DECOMPOSITION_RESIDUAL) -> bool:
         return self.hull_residual(u) <= tol
+
+    def decompose(self, u: np.ndarray) -> Decomposition:
+        """Write a hull point as a convex combination of concepts."""
+        u = self._check_dim(u)
+        if not self.contains(u):
+            raise ValueError(f"point is outside the hull (residual {self.hull_residual(u):.2e})")
+        concepts, weights = self._peel(np.clip(u, 0.0, 1.0).astype(float))
+        w = np.asarray(weights)
+        return Decomposition(np.asarray(concepts), w / w.sum())
 
     def _check_dim(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -142,8 +159,33 @@ class ConceptClass(ABC):
         return mat
 
 
-def _box_residual(u: np.ndarray) -> float:
-    return float(max(np.max(-u, initial=0.0), np.max(u - 1.0, initial=0.0), 0.0))
+def _peel_greedy(residual: np.ndarray, pick) -> tuple[list, list]:
+    """Peel concepts off a point of a hull cut out by the box and at most one sum.
+
+    ``pick(residual, mass)`` chooses the next concept's coordinates; each
+    concept takes the largest weight that keeps every residual coordinate in
+    [0, mass].
+    """
+    mass = 1.0
+    concepts, weights = [], []
+    for _ in range(2 * residual.size + 2):
+        if mass <= 1e-12:
+            break
+        chosen = pick(residual, mass)
+        lows = residual[chosen]
+        highs = (mass - residual)[~chosen]
+        p = min(
+            float(lows.min()) if lows.size else mass,
+            float(highs.min()) if highs.size else mass,
+            mass,
+        )
+        concepts.append(chosen.astype(float))
+        weights.append(p)
+        residual = np.clip(residual - p * chosen, 0.0, None)
+        mass -= p
+    if mass > 1e-10:
+        raise ValueError(f"peeling failed to exhaust the point (leftover mass {mass:.2e})")
+    return concepts, weights
 
 
 class KSubsets(ConceptClass):
@@ -157,9 +199,8 @@ class KSubsets(ConceptClass):
         self.num_components = num_components
         self.subset_size = subset_size
 
-    def hull_residual(self, u: np.ndarray) -> float:
-        u = self._check_dim(u)
-        return max(abs(float(u.sum()) - self.subset_size), _box_residual(u))
+    def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
+        return np.abs(mat.sum(axis=1) - self.subset_size)
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         mat = self._interior_rows(u_tildes)
@@ -182,33 +223,14 @@ class KSubsets(ConceptClass):
             lo = np.where(high, lo, lam)
         return _sigmoid(logits + lam[:, None])
 
-    def decompose(self, u: np.ndarray) -> Decomposition:
-        u = self._check_dim(u)
-        if not self.contains(u):
-            raise ValueError(f"point is outside the hull (residual {self.hull_residual(u):.2e})")
+    def _peel(self, point: np.ndarray) -> tuple[list, list]:
         m, k = self.subset_size, self.num_components
         if m == 0:
-            return Decomposition(np.zeros((1, k)), np.array([1.0]))
-        residual = np.clip(u, 0.0, 1.0).astype(float)
-        mass = 1.0
-        concepts, weights = [], []
-        for _ in range(2 * k + 2):
-            if mass <= 1e-12:
-                break
-            order = np.argsort(-residual, kind="stable")
-            chosen = np.zeros(k, dtype=bool)
-            chosen[order[:m]] = True
-            low = float(residual[chosen].min())
-            slack = float((mass - residual[~chosen]).min()) if m < k else math.inf
-            p = min(low, slack, mass)
-            concepts.append(chosen.astype(float))
-            weights.append(p)
-            residual = np.clip(residual - p * chosen, 0.0, None)
-            mass -= p
-        if mass > 1e-10:
-            raise ValueError(f"peeling failed to exhaust the point (leftover mass {mass:.2e})")
-        w = np.asarray(weights)
-        return Decomposition(np.asarray(concepts), w / w.sum())
+            return [np.zeros(k)], [1.0]
+        return _peel_greedy(
+            point,
+            lambda residual, mass: np.isin(np.arange(k), np.argsort(-residual, kind="stable")[:m]),
+        )
 
     def num_vertices(self) -> int:
         return math.comb(self.num_components, self.subset_size)
@@ -219,6 +241,17 @@ class KSubsets(ConceptClass):
         for i, combo in enumerate(itertools.combinations(range(self.num_components), self.subset_size)):
             rows[i, list(combo)] = 1.0
         return rows
+
+
+def _singular(jac: np.ndarray) -> np.ndarray:
+    """Mask of the matrices in an (n, c, c) stack that ``np.linalg.solve`` rejects."""
+    singular = np.zeros(jac.shape[0], dtype=bool)
+    for i, mat in enumerate(jac):
+        try:
+            np.linalg.solve(mat, np.zeros(mat.shape[0]))
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return singular
 
 
 class DagPaths(ConceptClass):
@@ -241,6 +274,10 @@ class DagPaths(ConceptClass):
         self.num_components = len(edges)
         if self.num_components == 0:
             raise ValueError("need at least one edge")
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError("node names must be distinct")
+        if any(isinstance(e[2], bool) or not isinstance(e[2], (int, np.integer)) for e in edges):
+            raise ValueError("edge indices must be integers")
         indices = sorted(int(e[2]) for e in edges)
         if indices != list(range(1, self.num_components + 1)):
             raise ValueError("edge indices must be exactly 1..K, each once")
@@ -264,6 +301,8 @@ class DagPaths(ConceptClass):
     def from_json(cls, doc) -> "DagPaths":
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
+        if not isinstance(doc, dict):
+            raise ValueError(f"DAG description must be an object, got {doc!r}")
         required = {"nodes", "edges", "source", "sink"}
         unknown = set(doc) - required
         if unknown:
@@ -271,7 +310,12 @@ class DagPaths(ConceptClass):
         missing = required - set(doc)
         if missing:
             raise ValueError(f"DAG description missing keys: {sorted(missing)}")
-        edges = [(e["from"], e["to"], e["index"]) for e in doc["edges"]]
+        edges = doc["edges"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, dict) and {"from", "to", "index"} <= set(e) for e in edges
+        ):
+            raise ValueError("DAG edges must be a list of objects with from, to and index")
+        edges = [(e["from"], e["to"], e["index"]) for e in edges]
         return cls(doc["nodes"], edges, doc["source"], doc["sink"])
 
     def to_json(self) -> dict:
@@ -373,14 +417,7 @@ class DagPaths(ConceptClass):
         terms[slot, np.repeat(np.arange(entries.size), count)] = col
         return entries, terms
 
-    def hull_residual(self, u: np.ndarray) -> float:
-        u = self._check_dim(u)
-        res = _box_residual(u)
-        for plus, minus, rhs in self._constraints:
-            res = max(res, abs(float(u[plus].sum() - u[minus].sum() - rhs)))
-        return res
-
-    def _constraint_residuals(self, mat: np.ndarray) -> np.ndarray:
+    def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
         out = np.zeros(mat.shape[0])
         for plus, minus, rhs in self._constraints:
             val = mat[:, plus].sum(axis=1) - mat[:, minus].sum(axis=1) - rhs
@@ -388,24 +425,32 @@ class DagPaths(ConceptClass):
         return out
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        """Joint dual Newton iteration, cyclic Bregman sweeps as fallback.
+        """Joint dual Newton iteration, cyclic Bregman sweeps as row-wise fallback.
 
         The projection of w onto the intersection of the flow equalities has
         the form u = sigmoid(logit(w) + A^T theta) with A the signed
         incidence of the constraints; theta solves A u(theta) = rhs, a
         smooth monotone system whose Jacobian A diag(u(1-u)) A^T is positive
         definite, so damped Newton converges in a handful of iterations.
-        Rows the Newton iteration fails to converge (near-singular Jacobian
-        from saturated bridge edges, for instance) are finished by cyclic
-        per-constraint projections.
+        Rows the Newton iteration fails to converge (a singular Jacobian
+        from saturated bridge edges, exhausted backtracking or the iteration
+        cap) are projected again, each alone from its input row, by cyclic
+        per-constraint projections; every other row keeps Newton's result.
         """
         mat = self._interior_rows(u_tildes)
-        solved = self._project_newton(mat)
-        if solved is not None:
-            return solved
-        return self._project_cyclic(mat)
+        u, failed = self._project_newton(mat)
+        for i in np.flatnonzero(failed):
+            u[i] = self._project_cyclic(mat[i : i + 1])[0]
+        return u
 
-    def _project_newton(self, mat: np.ndarray) -> np.ndarray | None:
+    def _project_newton(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Newton's rows and the mask of rows it failed to converge.
+
+        A row fails when its Jacobian turns singular, its backtracking runs
+        out or the iteration cap is reached.  A failed row is frozen: it
+        counts as converged and solves I x = 0, a zero step.  Until a row
+        fails, this is the plain damped Newton iteration.
+        """
         inc, rhs = self._inc, self._rhs
         logits = _logit(mat)
         n, c = mat.shape[0], inc.shape[0]
@@ -413,14 +458,23 @@ class DagPaths(ConceptClass):
         u = mat
         diff = u @ inc.T - rhs  # (n, c)
         res = np.abs(diff).max(axis=1)
+        failed = np.zeros(n, dtype=bool)
+        frozen = False  # whether some row has failed
         for _ in range(80):
+            if frozen:
+                res[failed], diff[failed] = 0.0, 0.0
             if np.all(res <= PROJECTION_RESIDUAL):
-                return u
+                return u, failed
             jac = self._jacobian(u * (1.0 - u))  # (n, c, c)
+            if frozen:
+                jac[failed] = np.eye(c)
             try:
                 step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                return None
+                failed |= _singular(jac)
+                frozen = True
+                jac[failed], diff[failed] = np.eye(c), 0.0
+                step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
             # backtracking on the residual norm, vectorized over rows
             alpha = np.ones(n)
             for _ in range(30):
@@ -433,9 +487,10 @@ class DagPaths(ConceptClass):
                     break
                 alpha = np.where(worse, 0.5 * alpha, alpha)
             else:
-                return None
+                failed |= worse
+                frozen = True
             theta, u, diff, res = cand_theta, cand_u, cand_diff, cand_res
-        return None
+        return u, failed | ~(res <= PROJECTION_RESIDUAL)
 
     def _jacobian(self, d: np.ndarray) -> np.ndarray:
         """A diag(d_r) A^T for each row d_r of d (n, K), as an (n, c, c) stack.
@@ -455,14 +510,14 @@ class DagPaths(ConceptClass):
     def _project_cyclic(self, mat: np.ndarray) -> np.ndarray:
         mat = mat.copy()
         for _ in range(MAX_SWEEPS):
-            if np.all(self._constraint_residuals(mat) <= PROJECTION_RESIDUAL):
+            if np.all(self._equality_residuals(mat) <= PROJECTION_RESIDUAL):
                 return mat
             for plus, minus, rhs in self._constraints:
                 lam = self._solve_shift(mat, plus, minus, rhs)
                 mat[:, plus] = _sigmoid(_logit(mat[:, plus]) + lam[:, None])
                 if minus.size:
                     mat[:, minus] = _sigmoid(_logit(mat[:, minus]) - lam[:, None])
-        worst = float(self._constraint_residuals(mat).max())
+        worst = float(self._equality_residuals(mat).max())
         raise ProjectionError(
             f"cyclic projection missed residual {PROJECTION_RESIDUAL} after "
             f"{MAX_SWEEPS} sweeps (worst {worst:.2e})"
@@ -525,11 +580,7 @@ class DagPaths(ConceptClass):
         walk(self.source, [])
         return np.asarray(rows)
 
-    def decompose(self, u: np.ndarray) -> Decomposition:
-        u = self._check_dim(u)
-        if not self.contains(u):
-            raise ValueError(f"point is outside the hull (residual {self.hull_residual(u):.2e})")
-        flow = np.clip(u, 0.0, 1.0).astype(float)
+    def _peel(self, flow: np.ndarray) -> tuple[list, list]:
         concepts, weights = [], []
         for _ in range(2 * self.num_components + 2):
             remaining = float(flow[self._out[self.source]].sum())
@@ -548,8 +599,7 @@ class DagPaths(ConceptClass):
             flow[path] -= bottleneck
         if float(flow[self._out[self.source]].sum()) > 1e-8:
             raise ValueError("path stripping left residual source outflow")
-        w = np.asarray(weights)
-        return Decomposition(np.asarray(concepts), w / w.sum())
+        return concepts, weights
 
     def _widest_path(self, flow: np.ndarray):
         best = {n: 0.0 for n in self.nodes}
@@ -602,13 +652,9 @@ class ExplicitVertices(ConceptClass):
         self._free = np.array([len(vs) == 2 for vs in value_sets])
         self._pinned_value = np.array([vs[0] if len(vs) == 1 else 0.5 for vs in value_sets])
 
-    def hull_residual(self, u: np.ndarray) -> float:
-        u = self._check_dim(u)
-        res = _box_residual(u)
+    def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
         pinned = ~self._free
-        if pinned.any():
-            res = max(res, float(np.max(np.abs(u[pinned] - self._pinned_value[pinned]))))
-        return res
+        return np.abs(mat[:, pinned] - self._pinned_value[pinned]).max(axis=1, initial=0.0)
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         mat = self._interior_rows(u_tildes)
@@ -616,32 +662,8 @@ class ExplicitVertices(ConceptClass):
         mat[:, pinned] = self._pinned_value[pinned]
         return mat
 
-    def decompose(self, u: np.ndarray) -> Decomposition:
-        u = self._check_dim(u)
-        if not self.contains(u):
-            raise ValueError(f"point is outside the hull (residual {self.hull_residual(u):.2e})")
-        residual = np.clip(u, 0.0, 1.0).astype(float)
-        mass = 1.0
-        concepts, weights = [], []
-        for _ in range(2 * self.num_components + 2):
-            if mass <= 1e-12:
-                break
-            chosen = residual >= 0.5 * mass
-            lows = residual[chosen]
-            highs = (mass - residual)[~chosen]
-            p = min(
-                float(lows.min()) if lows.size else mass,
-                float(highs.min()) if highs.size else mass,
-                mass,
-            )
-            concepts.append(chosen.astype(float))
-            weights.append(p)
-            residual = np.clip(residual - p * chosen, 0.0, None)
-            mass -= p
-        if mass > 1e-10:
-            raise ValueError(f"peeling failed to exhaust the point (leftover mass {mass:.2e})")
-        w = np.asarray(weights)
-        return Decomposition(np.asarray(concepts), w / w.sum())
+    def _peel(self, point: np.ndarray) -> tuple[list, list]:
+        return _peel_greedy(point, lambda residual, mass: residual >= 0.5 * mass)
 
     def num_vertices(self) -> int:
         return self._vertices.shape[0]

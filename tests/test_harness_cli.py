@@ -198,6 +198,16 @@ class TestGenerators:
         assert np.all(np.abs(a) <= 1.0)
 
 
+def dag_config(**dag):
+    """A combinatorial config on the one-edge DAG s -> t, with DAG keys overridden."""
+    doc = {"nodes": ["s", "t"], "edges": [{"from": "s", "to": "t", "index": 1}]}
+    doc.update(source="s", sink="t")
+    doc.update(dag)
+    return lambda tmp_path: comb_config(
+        tmp_path, concept_class={"kind": "dag_paths", "dag": doc}, report={}
+    )
+
+
 # configs that must fail at parse time, before any round is played
 MALFORMED = {
     "means_length": lambda tmp_path: experts_config(
@@ -291,6 +301,19 @@ MALFORMED = {
     "vertices_over_cap": lambda tmp_path: comb_config(
         tmp_path, concept_class={"kind": "k_subsets", "num_components": 20, "subset_size": 10}
     ),
+    "dag_not_object": lambda tmp_path: comb_config(
+        tmp_path, concept_class={"kind": "dag_paths", "dag": 5}
+    ),
+    "dag_edges_not_list": dag_config(edges={"from": "s", "to": "t", "index": 1}),
+    "dag_edge_is_list": dag_config(edges=[["s", "t", 1]]),
+    "dag_edge_without_index": dag_config(edges=[{"from": "s", "to": "t"}]),
+    "dag_edge_index_fractional": dag_config(edges=[{"from": "s", "to": "t", "index": 1.5}]),
+    "dag_edge_index_string": dag_config(edges=[{"from": "s", "to": "t", "index": "1"}]),
+    # a repeated source passes the cycle check, so only the duplicate test catches it
+    "dag_duplicate_nodes": dag_config(nodes=["s", "s", "t"]),
+    "comparators_not_list": lambda tmp_path: comb_config(tmp_path, report={"comparators": 5}),
+    "singletons_string": lambda tmp_path: experts_config(tmp_path, report={"singletons": "false"}),
+    "vertices_string": lambda tmp_path: comb_config(tmp_path, report={"vertices": "no"}),
 }
 
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from squint import component_iprod as ci
+from squint import polytopes as pt
 from squint.polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets
 from squint.regret_bounds import binary_relative_entropy
 
@@ -130,6 +132,15 @@ class TestDagValidation:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             DagPaths(["s", "t"], [("s", "t", 2)], "s", "t")
+
+    def test_rejects_duplicate_nodes(self):
+        with pytest.raises(ValueError, match="node names must be distinct"):
+            DagPaths(["s", "a", "a", "t"], [("s", "a", 1), ("a", "t", 2)], "s", "t")
+
+    def test_rejects_non_integer_index(self):
+        for index in (1.5, "1", True):
+            with pytest.raises(ValueError, match="edge indices must be integers"):
+                DagPaths(["s", "t"], [("s", "t", index)], "s", "t")
 
     def test_json_round_trip(self):
         cls = diamond()
@@ -348,6 +359,18 @@ class TestUnconstrainedUpdate:
         np.testing.assert_allclose(d.usage(), u, atol=1e-9)
 
 
+def played_u_tildes(cls, rounds=4):
+    """The unprojected rows of every learner over the first rounds of a game on cls."""
+    game = ci.make_game(cls, t_max=rounds)
+    rng = np.random.default_rng(9)
+    rows = []
+    for _ in range(rounds):
+        rows.append(game.u_tilde.copy())
+        ci.play(game)
+        ci.observe(game, rng.uniform(-1.0, 1.0, cls.num_components))
+    return np.vstack(rows)
+
+
 JACOBIAN_DAGS = {
     "grid6": lambda: grid_dag(6),
     "diamond": diamond,
@@ -380,7 +403,55 @@ class TestNewtonJacobian:
     @pytest.mark.parametrize("name", list(JACOBIAN_DAGS))
     def test_projection_bytes_match_dense_jacobian(self, name, monkeypatch):
         cls = JACOBIAN_DAGS[name]()
-        mat = np.random.default_rng(9).uniform(0.01, 0.99, (9, cls.num_components))
+        mat = played_u_tildes(cls)
+        # Newton converges on every row, so the patched Jacobian is what gets used
+        u, failed = cls._project_newton(cls._interior_rows(mat))
+        assert isinstance(u, np.ndarray) and not failed.any()
         got = cls.project_batch(mat)
         monkeypatch.setattr(cls, "_jacobian", lambda d: newton_jacobian_dense(cls._inc, d))
         assert cls.project_batch(mat).tobytes() == got.tobytes()
+
+
+def criterion_8_points():
+    """The random rows criterion 8 projects, one (1000, K) array per class."""
+    rng = np.random.default_rng(777)
+    return [rng.uniform(0.01, 0.99, size=(1000, k)) for k in (6, 8, 4, 8)]
+
+
+class TestRowwiseFallback:
+    """Only the rows Newton fails to converge are projected cyclically."""
+
+    @pytest.mark.parametrize("make, which", [(diamond, 2), (six_node_dag, 3)])
+    def test_cyclic_sees_only_unconverged_rows(self, make, which, monkeypatch):
+        cls = make()
+        points = criterion_8_points()[which]
+        mat = cls._interior_rows(points)
+        _, failed = cls._project_newton(mat)
+        assert 0 < failed.sum() < 100
+        seen = []
+        cyclic = cls._project_cyclic
+        monkeypatch.setattr(cls, "_project_cyclic", lambda rows: seen.append(rows) or cyclic(rows))
+        proj = cls.project_batch(points)
+        assert np.vstack(seen).tobytes() == mat[failed].tobytes()
+        assert np.max(cls._equality_residuals(proj)) <= 1e-9
+        single = np.array([cls.project(row) for row in points])
+        assert np.max(np.abs(proj - single)) <= 1e-9
+
+    def test_singular_and_stalled_rows_fall_back_alone(self, monkeypatch):
+        # criterion 8's diamond rows 28 (the Jacobian turns exactly singular)
+        # and 191 (its backtracking runs out), next to rows 0 and 1, which converge
+        cls = diamond()
+        mat = criterion_8_points()[2][[0, 28, 1, 191]]
+        flagged, seen, jacobians = [], [], []
+        singular, cyclic, jacobian = pt._singular, cls._project_cyclic, cls._jacobian
+        monkeypatch.setattr(pt, "_singular", lambda j: flagged.append(singular(j)) or flagged[-1])
+        monkeypatch.setattr(cls, "_project_cyclic", lambda rows: seen.append(rows) or cyclic(rows))
+        monkeypatch.setattr(cls, "_jacobian", lambda d: jacobians.append(d) or jacobian(d))
+        proj = cls.project_batch(mat)
+        assert np.logical_or.reduce(flagged).tolist() == [False, True, False, False]
+        # the failed rows count as converged, so Newton stops well before its 80-step cap
+        assert len(jacobians) < 20
+        assert [rows.tobytes() for rows in seen] == [mat[1:2].tobytes(), mat[3:4].tobytes()]
+        assert np.max(cls._equality_residuals(proj)) <= 1e-9
+        for row_in, row_out in zip(mat, proj):
+            np.testing.assert_allclose(cls.project(row_in), row_out, atol=1e-9)
