@@ -30,7 +30,7 @@ exponentiation, so the rules stay finite for horizons up to 1e7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -71,7 +71,7 @@ SIMPLEX_TOL = 1e-12
 
 def _check_simplex(p: np.ndarray, what: str) -> None:
     # written as "not good" so that a nan entry fails both tests
-    if not np.all(p >= 0.0):
+    if not (p >= 0.0).all():
         raise ValueError(f"{what} has negative or nan entries")
     if not abs(float(p.sum()) - 1.0) <= SIMPLEX_TOL:
         raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {p.sum()!r}")
@@ -84,7 +84,9 @@ class ExpertGameState:
     ``regret[k]`` is the sum of instantaneous regrets against expert k,
     ``variance[k]`` the sum of their squares, and ``cum_loss[k]`` expert k's
     own cumulative loss (used by the Hedge baseline and by loss-based subset
-    selection; the squint rules never read it).
+    selection; the squint rules never read it).  Constructing a state checks
+    it; ``update`` checks its own arguments instead and builds the next state
+    without repeating these checks, which follow from them.
     """
 
     prior: np.ndarray
@@ -105,6 +107,13 @@ class ExpertGameState:
             raise ValueError("variance must lie in [0, t]")
         if np.any(np.abs(self.regret) > self.t + slack):
             raise ValueError("cumulative regret must lie in [-t, t]")
+
+    @classmethod
+    def _trusted(cls, prior, regret, variance, cum_loss, t) -> "ExpertGameState":
+        # float arrays that already satisfy __post_init__'s checks
+        state = object.__new__(cls)
+        state.__dict__.update(prior=prior, regret=regret, variance=variance, cum_loss=cum_loss, t=t)
+        return state
 
     @property
     def num_experts(self) -> int:
@@ -143,10 +152,14 @@ class ImproperPrior:
 
 @dataclass(frozen=True)
 class DiscreteGridPrior:
-    """Point masses on a decreasing grid of learning rates in (0, 1/2]."""
+    """Point masses on a decreasing grid of learning rates in (0, 1/2].
+
+    ``log_mass_eta`` is ln(masses * etas), computed once at construction.
+    """
 
     etas: np.ndarray
     masses: np.ndarray
+    log_mass_eta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "etas", np.asarray(self.etas, dtype=float))
@@ -158,6 +171,7 @@ class DiscreteGridPrior:
         if not np.all(np.diff(self.etas) < 0.0):
             raise ValueError("grid points must be strictly decreasing")
         _check_simplex(self.masses, "grid masses")
+        object.__setattr__(self, "log_mass_eta", np.log(self.masses * self.etas))
 
     @classmethod
     def uniform_on(cls, etas) -> "DiscreteGridPrior":
@@ -169,22 +183,24 @@ LearningRatePrior = Union[ConjugatePrior, CVPrior, ImproperPrior, DiscreteGridPr
 
 
 def update(state: ExpertGameState, weights: np.ndarray, losses: np.ndarray) -> ExpertGameState:
-    """Advance the state by one round played with ``weights`` against ``losses``."""
+    """Advance the state by one round played with ``weights`` against ``losses``.
+
+    Checks ``weights`` (on the simplex) and ``losses`` (in [0, 1]), so every
+    instantaneous regret has |r^k| <= 1 up to rounding, and returns the next
+    state without re-running ``ExpertGameState``'s checks.
+    """
     weights = np.asarray(weights, dtype=float)
     losses = np.asarray(losses, dtype=float)
     k = state.num_experts
     if weights.shape != (k,) or losses.shape != (k,):
         raise ValueError(f"expected {k}-vectors, got {weights.shape} and {losses.shape}")
     _check_simplex(weights, "weights")
-    if np.any(losses < 0.0) or np.any(losses > 1.0):
+    # written as "not good" so that a nan entry fails
+    if not ((losses >= 0.0) & (losses <= 1.0)).all():
         raise ValueError("losses must lie in [0, 1]")
     r = float(weights @ losses) - losses
-    return replace(
-        state,
-        regret=state.regret + r,
-        variance=state.variance + r * r,
-        cum_loss=state.cum_loss + losses,
-        t=state.t + 1,
+    return ExpertGameState._trusted(
+        state.prior, state.regret + r, state.variance + r * r, state.cum_loss + losses, state.t + 1
     )
 
 
@@ -283,9 +299,9 @@ def squint_weights_cv(state: ExpertGameState, spec: QuadratureSpec | None = None
 
 def squint_weights_grid(state: ExpertGameState, prior: DiscreteGridPrior) -> np.ndarray:
     """Weights under a discrete learning-rate prior, in log domain."""
-    etas, masses = prior.etas, prior.masses
+    etas = prior.etas
     g = np.outer(state.regret, etas) - np.outer(state.variance, etas * etas)
-    log_terms = g + np.log(masses * etas)[None, :]
+    log_terms = g + prior.log_mass_eta[None, :]
     log_w = np.log(state.prior) + logsumexp(log_terms, axis=1)
     return normalize_log_weights(log_w)
 
@@ -321,7 +337,7 @@ def iprod_weights_grid(
     _check_simplex(prior_pi, "prior")
     if log_products.shape != (prior.etas.shape[0], prior_pi.shape[0]):
         raise ValueError("log_products must be (grid points, experts)")
-    log_terms = log_products + np.log(prior.masses * prior.etas)[:, None]
+    log_terms = log_products + prior.log_mass_eta[:, None]
     log_w = np.log(prior_pi) + logsumexp(log_terms, axis=0)
     return normalize_log_weights(log_w)
 

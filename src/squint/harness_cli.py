@@ -323,7 +323,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"report.comparators must be a list of {k}-vectors, got {vectors!r}")
         for vec in vectors + ([] if cfg.prior_vec is None else [cfg.prior_vec]):
             vec = np.asarray(vec, dtype=float)
-            if vec.shape != (k,) or np.any((vec < 0.0) | (vec > 1.0)):
+            # written as "not good" so that a null or nan entry fails
+            if vec.shape != (k,) or not np.all((vec >= 0.0) & (vec <= 1.0)):
                 raise ConfigError(f"prior_vec and comparators must be {k}-vectors in [0, 1]")
     # the generators' own checks, without drawing (numpy.random is slow to import)
     if env["name"] == "stochastic":

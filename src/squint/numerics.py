@@ -367,13 +367,13 @@ def integrate_adaptive_batch(
 def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """Max-shifted log(sum(exp(values))); tolerates -inf entries."""
     values = np.asarray(values, dtype=float)
-    m = np.max(values, axis=axis, keepdims=True)
+    m = values.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(values - m), axis=axis, keepdims=True)) + m
+        out = np.log(np.exp(values - m).sum(axis=axis, keepdims=True)) + m
     if axis is None:
         return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+    return out.squeeze(axis=axis)
 
 
 def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:

@@ -264,6 +264,8 @@ class DagPaths(ConceptClass):
     """
 
     def __init__(self, nodes, edges, source, sink):
+        if not isinstance(nodes, (list, tuple)):
+            raise ValueError(f"DAG nodes must be a list of names, got {nodes!r}")
         self.nodes = list(nodes)
         self.source = source
         self.sink = sink
@@ -274,7 +276,11 @@ class DagPaths(ConceptClass):
         self.num_components = len(edges)
         if self.num_components == 0:
             raise ValueError("need at least one edge")
-        if len(set(self.nodes)) != len(self.nodes):
+        try:
+            distinct = len(set(self.nodes)) == len(self.nodes)
+        except TypeError:
+            raise ValueError("node names must be hashable, such as strings or numbers") from None
+        if not distinct:
             raise ValueError("node names must be distinct")
         if any(isinstance(e[2], bool) or not isinstance(e[2], (int, np.integer)) for e in edges):
             raise ValueError("edge indices must be integers")
@@ -315,6 +321,9 @@ class DagPaths(ConceptClass):
             isinstance(e, dict) and {"from", "to", "index"} <= set(e) for e in edges
         ):
             raise ValueError("DAG edges must be a list of objects with from, to and index")
+        unknown = {key for e in edges for key in e} - {"from", "to", "index"}
+        if unknown:
+            raise ValueError(f"unknown keys in DAG edges: {sorted(unknown)}")
         edges = [(e["from"], e["to"], e["index"]) for e in edges]
         return cls(doc["nodes"], edges, doc["source"], doc["sink"])
 

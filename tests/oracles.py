@@ -14,8 +14,11 @@ helpers:
   comparator's two ddots for the batched ``comparator_stats``, and
   ``integrate_adaptive_batch_reference``, adaptive Simpson with separate
   integrand calls per edge set and per side (production ``QuadratureSpec``
-  and ``QuadratureError``), and ``newton_jacobian_dense``, the dense
-  product that ``DagPaths._jacobian`` builds from its Laplacian structure;
+  and ``QuadratureError``), ``newton_jacobian_dense``, the dense
+  product that ``DagPaths._jacobian`` builds from its Laplacian structure,
+  and ``update_replace``, the game-state update through
+  ``dataclasses.replace``, which re-runs every ``ExpertGameState`` check
+  (production ``_check_simplex``);
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -29,11 +32,13 @@ helpers:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from squint.component_iprod import comparator_stats
+from squint.experts import _check_simplex
 from squint.numerics import (
     _ERFCX_SERIES_CUTOFF,
     QuadratureError,
@@ -195,6 +200,27 @@ def iprod_weights_history(history: np.ndarray, prior_pi: np.ndarray, prior) -> n
     log_w = np.log(prior_pi) + logsumexp(log_terms, axis=0)
     w = np.exp(log_w - logsumexp(log_w))
     return w / w.sum()
+
+
+def update_replace(state, weights: np.ndarray, losses: np.ndarray):
+    """One round of ``update``, building the next ``ExpertGameState`` with
+    ``dataclasses.replace`` (so its checks run on every round)."""
+    weights = np.asarray(weights, dtype=float)
+    losses = np.asarray(losses, dtype=float)
+    k = state.num_experts
+    if weights.shape != (k,) or losses.shape != (k,):
+        raise ValueError(f"expected {k}-vectors, got {weights.shape} and {losses.shape}")
+    _check_simplex(weights, "weights")
+    if np.any(losses < 0.0) or np.any(losses > 1.0):
+        raise ValueError("losses must lie in [0, 1]")
+    r = float(weights @ losses) - losses
+    return replace(
+        state,
+        regret=state.regret + r,
+        variance=state.variance + r * r,
+        cum_loss=state.cum_loss + losses,
+        t=state.t + 1,
+    )
 
 
 def _check_pi_mass(pi_mass: float) -> None:

@@ -33,6 +33,7 @@ from oracles import (
     iprod_weights_history,
     mp_cv_weight_integral,
     simpson_exp_integral,
+    update_replace,
 )
 
 # Frozen from the 1e6-panel Simpson oracle (eta-weighted, r=+-1, v=1):
@@ -113,6 +114,50 @@ class TestUpdate:
         for w in ([math.nan, 1.0], [math.nan, math.nan]):
             with pytest.raises(ValueError, match="nan"):
                 update(s, np.array(w), np.array([0.5, 0.5]))
+
+    def test_rejects_nan_losses(self):
+        s = update(ExpertGameState.uniform(2), np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        before = [a.copy() for a in (s.regret, s.variance, s.cum_loss)]
+        for losses in ([math.nan, 0.5], [math.nan, math.nan]):
+            with pytest.raises(ValueError, match="losses"):
+                update(s, np.array([0.5, 0.5]), np.array(losses))
+        for a, b in zip((s.regret, s.variance, s.cum_loss), before):
+            assert a.tobytes() == b.tobytes()
+        assert s.t == 1
+
+    # the next state is built without re-running ExpertGameState's checks;
+    # it must equal the replace() reference bit for bit and still pass them
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_matches_replace_reference(self, k):
+        rng = np.random.default_rng(k)
+        rounds = 500
+        grid = DiscreteGridPrior.uniform_on(learning_rate_grid(rounds))
+        log_products = np.zeros((grid.etas.size, k))
+        rules = {
+            "conjugate": squint_weights_conjugate,
+            "improper": squint_weights_improper,
+            "cv": squint_weights_cv,
+            "grid": lambda s: squint_weights_grid(s, grid),
+            "hedge": lambda s: hedge_weights(s, 0.5),
+            "iprod": lambda s: iprod_weights_grid(log_products, s.prior, grid),
+        }
+        for name, rule in rules.items():
+            log_products[:] = 0.0
+            s = ref = ExpertGameState.from_prior(rng.dirichlet(np.ones(k)))
+            losses_seq = rng.random((rounds, k))
+            # half the rounds on {0, 1}: instantaneous regrets reach |r| = 1
+            losses_seq[::2] = np.round(losses_seq[::2])
+            for losses in losses_seq:
+                w = rule(s)
+                s, ref = update(s, w, losses), update_replace(ref, w, losses)
+                for field in ("regret", "variance", "cum_loss"):
+                    assert getattr(s, field).tobytes() == getattr(ref, field).tobytes(), name
+                assert s.t == ref.t and s.prior is ref.prior
+                ExpertGameState(
+                    prior=s.prior, regret=s.regret, variance=s.variance, cum_loss=s.cum_loss, t=s.t
+                )
+                if name == "iprod":
+                    log_products += iprod_log_factors(float(w @ losses) - losses, grid)
 
 
 class TestConjugateWeights:
@@ -310,6 +355,14 @@ class TestGridWeights:
             DiscreteGridPrior(etas=np.array([0.25, 0.5]), masses=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             DiscreteGridPrior(etas=np.array([0.6]), masses=np.array([1.0]))
+
+    def test_log_mass_eta_is_cached_log(self):
+        rng = np.random.default_rng(8)
+        for prior in (
+            DiscreteGridPrior.uniform_on(learning_rate_grid(1100)),
+            DiscreteGridPrior(etas=np.array([0.5, 0.1, 1e-3]), masses=rng.dirichlet(np.ones(3))),
+        ):
+            assert prior.log_mass_eta.tobytes() == np.log(prior.masses * prior.etas).tobytes()
 
     def test_grid_rejects_nan(self):
         with pytest.raises(ValueError):

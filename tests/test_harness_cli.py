@@ -253,6 +253,16 @@ MALFORMED = {
     "comparator_out_of_range": lambda tmp_path: comb_config(
         tmp_path, report={"comparators": [[0.5, 0.5, 0.5, 1.5]]}
     ),
+    # null reads as nan, which passes "< 0" and "> 1" alike
+    "comparator_null_entry": lambda tmp_path: comb_config(
+        tmp_path, report={"comparators": [[None, 0.5, 0.5, 0.5]]}
+    ),
+    "prior_vec_null_entry": lambda tmp_path: comb_config(
+        tmp_path, prior_vec=[None, 0.5, 0.5, 0.5]
+    ),
+    "prior_vec_nan_entry": lambda tmp_path: comb_config(
+        tmp_path, prior_vec=[math.nan, 0.5, 0.5, 0.5]
+    ),
     "horizon_above_t_max": lambda tmp_path: comb_config(
         tmp_path, algorithm={"name": "component_iprod", "t_max": 4}
     ),
@@ -311,6 +321,9 @@ MALFORMED = {
     "dag_edge_index_string": dag_config(edges=[{"from": "s", "to": "t", "index": "1"}]),
     # a repeated source passes the cycle check, so only the duplicate test catches it
     "dag_duplicate_nodes": dag_config(nodes=["s", "s", "t"]),
+    "dag_nodes_not_list": dag_config(nodes=5),
+    "dag_node_name_list": dag_config(nodes=["s", ["x"], "t"]),
+    "dag_edge_unknown_key": dag_config(edges=[{"from": "s", "to": "t", "index": 1, "weight": 3}]),
     "comparators_not_list": lambda tmp_path: comb_config(tmp_path, report={"comparators": 5}),
     "singletons_string": lambda tmp_path: experts_config(tmp_path, report={"singletons": "false"}),
     "vertices_string": lambda tmp_path: comb_config(tmp_path, report={"vertices": "no"}),
@@ -438,6 +451,24 @@ class TestRunExperiment:
         run_experiment(parse_config(doc))
         g = learning_rate_grid(horizon).size
         assert shapes == [(g, 3)] * horizon
+
+    def test_iprod_run_validates_state_a_fixed_number_of_times(self, tmp_path, monkeypatch):
+        # update trusts the state it builds: no ExpertGameState check per round
+        calls = []
+        original = ex.ExpertGameState.__post_init__
+
+        def counting(state):
+            calls.append(state.t)
+            original(state)
+
+        monkeypatch.setattr(ex.ExpertGameState, "__post_init__", counting)
+        counts = []
+        for horizon in (50, 200):
+            calls.clear()
+            doc = experts_config(tmp_path, algorithm={"name": "iprod"}, horizon=horizon)
+            run_experiment(parse_config(doc))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_subset_cells_match_aggregate_subset(self, tmp_path):
         # singleton cells are the repr of aggregate_subset exactly; a
