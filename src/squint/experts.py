@@ -103,9 +103,10 @@ class ExpertGameState:
             raise ValueError("state vectors must share the prior's length")
         _check_simplex(self.prior, "prior")
         slack = 1e-9 * max(1, self.t)
-        if np.any(self.variance < -slack) or np.any(self.variance > self.t + slack):
+        # written as "not good" so that a nan entry fails
+        if not ((self.variance >= -slack) & (self.variance <= self.t + slack)).all():
             raise ValueError("variance must lie in [0, t]")
-        if np.any(np.abs(self.regret) > self.t + slack):
+        if not (np.abs(self.regret) <= self.t + slack).all():
             raise ValueError("cumulative regret must lie in [-t, t]")
 
     @classmethod
@@ -226,6 +227,7 @@ def squint_weights_improper(state: ExpertGameState) -> np.ndarray:
 # integrands vanish at u = 0 with all derivatives (eta = e^{-1/u}), so the
 # quadrature never chases the slowly-decaying 1/ln^2 endpoint.
 _CV_UPPER = 1.0 / math.log(2.0)
+_CV_SPEC = QuadratureSpec(0.0, _CV_UPPER)
 
 
 def _cv_eta_of_u(u: np.ndarray) -> np.ndarray:
@@ -273,10 +275,12 @@ def cv_log_integrals(
 
     def f(u: np.ndarray) -> np.ndarray:
         eta = _cv_eta_of_u(u)
-        g = eta[:, None] * regret - (eta * eta)[:, None] * variance - shift[None, :]
-        return np.exp(g) * eta[:, None]
+        g = eta[:, None] * regret - (eta * eta)[:, None] * variance - shift
+        np.exp(g, out=g)
+        g *= eta[:, None]
+        return g
 
-    u_spec = replace(spec or QuadratureSpec(0.0, 0.5), lower=0.0, upper=_CV_UPPER)
+    u_spec = _CV_SPEC if spec is None else replace(spec, lower=0.0, upper=_CV_UPPER)
     knots = _capped_knots(_cv_peak_knots(regret, variance, peak), _CV_UPPER)
     integrals = integrate_adaptive_batch(f, u_spec, knots=knots)
     return shift + np.log(integrals) + math.log(math.log(2.0))
@@ -375,13 +379,10 @@ def improper_potential_terms(regret, variance) -> np.ndarray:
 
     def f(eta: np.ndarray) -> np.ndarray:
         g = eta[:, None] * regret - (eta * eta)[:, None] * variance
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(
-                eta[:, None] > 0.0,
-                np.expm1(g) / np.where(eta[:, None] > 0.0, eta[:, None], 1.0),
-                regret[None, :],
-            )
-        return vals
+        np.expm1(g, out=g)
+        g /= np.where(eta > 0.0, eta, 1.0)[:, None]
+        g[eta == 0.0] = regret
+        return g
 
     spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-12, rel_tol=1e-10)
     knots = _capped_knots(_interior_peaks(regret, variance), 0.5)
@@ -402,9 +403,8 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
         g = eta[:, None] * regret - (eta * eta)[:, None] * variance
         return np.expm1(g)
 
-    spec = QuadratureSpec(0.0, _CV_UPPER, abs_tol=1e-12, rel_tol=1e-10)
     knots = _cv_peak_knots(regret, variance, _cv_peak(regret, variance))
-    return math.log(2.0) * integrate_adaptive_batch(f, spec, knots=_capped_knots(knots, _CV_UPPER))
+    return math.log(2.0) * integrate_adaptive_batch(f, _CV_SPEC, knots=_capped_knots(knots, _CV_UPPER))
 
 
 def _interior_peaks(regret: np.ndarray, variance: np.ndarray) -> list[float]:

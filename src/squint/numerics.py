@@ -83,9 +83,11 @@ class QuadratureSpec:
             raise ValueError("integration bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
+        # written as "not good" so that a nan tolerance fails
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("max_subdivisions must be a positive integer")
 
 
@@ -298,13 +300,20 @@ def integrate_adaptive_batch(
     subdivision points (e.g. the known location of a sharp bump, which a
     coarse initial grid would otherwise miss entirely).
 
+    A level's n open intervals are held as one block of abscissas
+    ``[a | mid | b]`` (3n,) and one block of values ``[f(a) | f(mid) | f(b)]``
+    (3n, m).  The 2n halves, left halves first, then have their left ends in
+    ``block[:2n]`` and their right ends in ``block[n:]``, and the kept halves
+    are gathered into the next level's blocks with one integer index.
+
     Deterministic: identical inputs produce identical results.  Raises
     ``QuadratureError`` when max_subdivisions is exhausted before every
     interval meets its width-proportional share of the error budget.
     """
     lo, hi = spec.lower, spec.upper
     width = hi - lo
-    edges = list(np.linspace(lo, hi, 9))
+    # np.linspace(lo, hi, 9) bit for bit, without a numpy call
+    edges = [lo + i * (width / 8) for i in range(8)] + [hi]
     if knots is not None:
         edges.extend(k for k in knots if lo < k < hi)
     edges = sorted(set(edges))
@@ -322,46 +331,46 @@ def integrate_adaptive_batch(
     vals = np.asarray(f(np.concatenate((edge_x, mid))), dtype=float)
     if vals.ndim != 2:
         raise ValueError("batch integrand must return a 2-d array (points, components)")
-    fa, fb, fm = vals[:n], vals[1 : n + 1], vals[n + 1 :]
+    fa, fm, fb = vals[:n], vals[n + 1 :], vals[1 : n + 1]
+    xs, fs = np.concatenate((a, mid, b)), np.concatenate((fa, fm, fb))
     span = b - a
     coarse = span[:, None] / 6.0 * (fa + 4.0 * fm + fb)
 
     done = np.zeros(vals.shape[1])
     n_subdiv = n
-    while n:
+    while True:
         # the 2n halves, left halves first: [a, mid] then [mid, b]
-        lo_e = np.concatenate((a, mid))
-        hi_e = np.concatenate((mid, b))
+        lo_e, hi_e = xs[: 2 * n], xs[n:]
+        f_lo, f_hi = fs[: 2 * n], fs[n:]
         x = 0.5 * (lo_e + hi_e)
         fx = np.asarray(f(x), dtype=float)
-        f_lo, f_hi = np.concatenate((fa, fm)), np.concatenate((fm, fb))
         half_w = hi_e - lo_e
         halves = half_w[:, None] / 3.0 * (f_lo + 4.0 * fx + f_hi)
         fine = 0.5 * (halves[:n] + halves[n:])
-        err = np.abs(fine - coarse) / 15.0
+        d = (fine - coarse) / 15.0
+        err = np.abs(d)
 
         total_est = done + fine.sum(axis=0)
         budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_est))
         share = (span / width)[:, None] * budget[None, :]
         ok = (err <= share).all(axis=1)
 
-        if ok.any():
-            done += (fine[ok] + (fine[ok] - coarse[ok]) / 15.0).sum(axis=0)
-        keep = ~ok
-        n_subdiv += int(keep.sum())
-        if n_subdiv > spec.max_subdivisions and keep.any():
+        done += (fine + d)[ok].sum(axis=0)
+        kept = np.flatnonzero(~ok)
+        if not kept.size:
+            return done
+        n_subdiv += kept.size
+        if n_subdiv > spec.max_subdivisions:
             raise QuadratureError(
                 f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions; "
-                f"worst interval error {float(err[keep].max()):.3e}"
+                f"worst interval error {float(err[kept].max()):.3e}"
             )
         # children of the kept intervals, left children first
-        sel = np.concatenate((keep, keep))
-        a, b, mid = lo_e[sel], hi_e[sel], x[sel]
-        fa, fb, fm = f_lo[sel], f_hi[sel], fx[sel]
+        sel = np.concatenate((kept, kept + n))
+        xs = np.concatenate((lo_e[sel], x[sel], hi_e[sel]))
+        fs = np.concatenate((f_lo[sel], fx[sel], f_hi[sel]))
         span, coarse = half_w[sel], halves[sel] * 0.5
-        n = a.size
-
-    return done
+        n = sel.size
 
 
 def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:

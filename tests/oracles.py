@@ -18,7 +18,10 @@ helpers:
   product that ``DagPaths._jacobian`` builds from its Laplacian structure,
   and ``update_replace``, the game-state update through
   ``dataclasses.replace``, which re-runs every ``ExpertGameState`` check
-  (production ``_check_simplex``);
+  (production ``_check_simplex``), and ``cv_weight_integrand_former`` and
+  ``improper_potential_integrand_former``, the out-of-place ``np.where``
+  forms of the two quadrature integrands (production ``_cv_peak`` and
+  ``_cv_eta_of_u``);
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -38,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from squint.component_iprod import comparator_stats
-from squint.experts import _check_simplex
+from squint.experts import _check_simplex, _cv_eta_of_u, _cv_peak
 from squint.numerics import (
     _ERFCX_SERIES_CUTOFF,
     QuadratureError,
@@ -221,6 +224,35 @@ def update_replace(state, weights: np.ndarray, losses: np.ndarray):
         cum_loss=state.cum_loss + losses,
         t=state.t + 1,
     )
+
+
+def cv_weight_integrand_former(regret: np.ndarray, variance: np.ndarray):
+    """The integrand of ``cv_log_integrals``, computed out of place."""
+    peak = _cv_peak(regret, variance)
+    shift = peak * regret - peak * peak * variance
+
+    def f(u: np.ndarray) -> np.ndarray:
+        eta = _cv_eta_of_u(u)
+        g = eta[:, None] * regret - (eta * eta)[:, None] * variance - shift[None, :]
+        return np.exp(g) * eta[:, None]
+
+    return f
+
+
+def improper_potential_integrand_former(regret: np.ndarray, variance: np.ndarray):
+    """The integrand of ``improper_potential_terms``, with two full ``np.where`` passes."""
+
+    def f(eta: np.ndarray) -> np.ndarray:
+        g = eta[:, None] * regret - (eta * eta)[:, None] * variance
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(
+                eta[:, None] > 0.0,
+                np.expm1(g) / np.where(eta[:, None] > 0.0, eta[:, None], 1.0),
+                regret[None, :],
+            )
+        return vals
+
+    return f
 
 
 def _check_pi_mass(pi_mass: float) -> None:

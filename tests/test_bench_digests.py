@@ -3,9 +3,12 @@
 The benchmark counts a run whose CSV and summary digest differs from the
 recorded one as failed.  These tests run each workload once at seed 0, in
 process, through the benchmark's own ``child.one_run``, so that a change to
-output bytes fails the test suite as well as the benchmark.  The bytes depend
-on the platform's float kernels, so they skip on a machine whose Python,
-numpy or BLAS version differs from the one the digests were recorded with.
+output bytes fails the test suite as well as the benchmark.  The two
+workloads that run the adaptive quadrature, ``experts_cv`` and
+``experts_improper``, also run at seeds 1-3, whose subdivision patterns
+differ from seed 0's.  The bytes depend on the platform's float kernels, so
+they skip on a machine whose Python, numpy or BLAS version differs from the
+one the digests were recorded with.
 """
 
 import importlib
@@ -30,13 +33,23 @@ def child(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_seed_0_output_matches_recorded_digest(child, name, tmp_path, monkeypatch):
+def check_digest(child, name, seed, tmp_path, monkeypatch):
     workloads = importlib.import_module("workloads")
-    doc = workloads.config(workloads.load()[name], 0)
+    doc = workloads.config(workloads.load()[name], seed)
     assert doc["output"] == {"csv": "run.csv", "summary": "run.json"}
     (tmp_path / "config.json").write_text(json.dumps(doc, sort_keys=True))
     monkeypatch.chdir(tmp_path)
     run = child.one_run()
     assert run["problems"] == []
-    assert run["digest"] == RECORDED["digests"][name]["0"]
+    assert run["digest"] == RECORDED["digests"][name][str(seed)]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_seed_0_output_matches_recorded_digest(child, name, tmp_path, monkeypatch):
+    check_digest(child, name, 0, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["experts_cv", "experts_improper"])
+def test_quadrature_output_matches_recorded_digest(child, name, seed, tmp_path, monkeypatch):
+    check_digest(child, name, seed, tmp_path, monkeypatch)

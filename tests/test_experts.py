@@ -28,6 +28,8 @@ from squint.component_iprod import learning_rate_grid
 from squint.numerics import QuadratureError, QuadratureSpec
 
 from oracles import (
+    cv_weight_integrand_former,
+    improper_potential_integrand_former,
     integrate_adaptive_batch_reference,
     iprod_log_products_history,
     iprod_weights_history,
@@ -62,6 +64,19 @@ class TestState:
             ExpertGameState.from_prior([0.5, 0.6])
         with pytest.raises(ValueError):
             ExpertGameState.from_prior([-0.5, 1.5])
+
+    def test_rejects_nan_statistics(self):
+        # written as "not good", the range checks fail on nan
+        nan_pair = [math.nan, 0.0]
+        for regret, variance in ((nan_pair, nan_pair), (nan_pair, [0.0, 0.0]), ([0.0, 0.0], nan_pair)):
+            with pytest.raises(ValueError, match="must lie in"):
+                ExpertGameState(
+                    prior=np.array([0.5, 0.5]),
+                    regret=np.array(regret),
+                    variance=np.array(variance),
+                    cum_loss=np.zeros(2),
+                    t=1,
+                )
 
     def test_invariant_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -294,6 +309,30 @@ class TestQuadratureMatchesReference:
         got = terms(regret, variance)
         monkeypatch.setattr(experts, "integrate_adaptive_batch", integrate_adaptive_batch_reference)
         assert np.array_equal(got, terms(regret, variance))
+
+    # the in-place integrands give their former expressions' bits, on draws
+    # that reach the eta = 0 edge and the 48-knot cap
+    @pytest.mark.parametrize("k", [3, 12, 64])
+    @pytest.mark.parametrize(
+        "terms, former",
+        [
+            (cv_log_integrals, cv_weight_integrand_former),
+            (improper_potential_terms, improper_potential_integrand_former),
+        ],
+    )
+    def test_integrand_matches_former_expression(self, monkeypatch, terms, former, k):
+        regret, variance = random_statistics(k, k)
+        same = []
+
+        def both(f, spec, knots=None):
+            got = integrate_adaptive_batch_reference(f, spec, knots=knots)
+            want = integrate_adaptive_batch_reference(former(regret, variance), spec, knots=knots)
+            same.append(np.array_equal(got, want))
+            return got
+
+        monkeypatch.setattr(experts, "integrate_adaptive_batch", both)
+        terms(regret, variance)
+        assert same == [True]
 
     def test_draws_reach_every_knot_path(self):
         for k in (3, 12, 64):

@@ -271,6 +271,29 @@ class TestAdaptiveSimpson:
         with pytest.raises(ValueError):
             QuadratureSpec(0.0, 1.0, max_subdivisions=0)
 
+    # a nan tolerance used to run the whole 20,000-subdivision budget before
+    # raising QuadratureError; an infinite one accepted the first estimate
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_spec_rejects_nan_tolerance(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(0.0, 1.0, **{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_spec_rejects_infinite_tolerance(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(0.0, 1.0, **{field: math.inf})
+
+    def test_spec_rejects_fractional_max_subdivisions(self):
+        with pytest.raises(ValueError, match="max_subdivisions"):
+            QuadratureSpec(0.0, 1.0, max_subdivisions=2.5)
+
+    def test_spec_rejects_bool_max_subdivisions(self):
+        with pytest.raises(ValueError, match="max_subdivisions"):
+            QuadratureSpec(0.0, 1.0, max_subdivisions=True)
+
+    def test_spec_accepts_numpy_integer_max_subdivisions(self):
+        assert QuadratureSpec(0.0, 1.0, max_subdivisions=np.int64(50)).max_subdivisions == 50
+
 
 def random_exp_family(seed: int, k: int):
     """A pointwise (points, k) integrand from the exp, expm1/eta or eta*exp family."""
@@ -310,6 +333,42 @@ class TestBatchedSimpsonMatchesReference:
         spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
         got = integrate_adaptive_batch(f, spec, knots=knots)
         assert np.array_equal(got, integrate_adaptive_batch_reference(f, spec, knots=knots))
+
+    def test_every_first_level_interval_accepted(self):
+        # Simpson is exact on cubics: the first level keeps no interval, so
+        # the quadrature returns after the initial call and one level
+        calls = []
+
+        def cubic(x):
+            calls.append(x.size)
+            return np.column_stack((x**3 - 2.0 * x, 5.0 * x * x + 1.0))
+
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        knots = [0.013, 0.2, 0.31]
+        got = integrate_adaptive_batch(cubic, spec, knots=knots)
+        assert len(calls) == 2
+        assert np.array_equal(got, integrate_adaptive_batch_reference(cubic, spec, knots=knots))
+
+    # the sums give the reference's bits whatever layout f returns: Fortran
+    # order, or views that step over rows or columns of a larger array
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("layout", ["fortran", "row_strided", "col_strided", "fortran_strided"])
+    def test_integrand_layout(self, layout, m):
+        f, knots = random_exp_family(m, m)
+        views = {
+            "fortran": np.asfortranarray,
+            "row_strided": lambda y: np.repeat(y, 2, axis=0)[::2],
+            "col_strided": lambda y: np.repeat(y, 3, axis=1)[:, ::3],
+            "fortran_strided": lambda y: np.asfortranarray(np.repeat(y, 2, axis=0))[::2],
+        }
+        view = views[layout]
+
+        def g(x):
+            return view(f(x))
+
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        got = integrate_adaptive_batch(g, spec, knots=knots)
+        assert np.array_equal(got, integrate_adaptive_batch_reference(g, spec, knots=knots))
 
     @pytest.mark.parametrize("budget", [70, 90, 150, 400])
     def test_budget_exhaustion_message(self, budget):
