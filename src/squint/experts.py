@@ -37,6 +37,8 @@ import numpy as np
 
 from .numerics import (
     QuadratureSpec,
+    _exponent,
+    _exponent_peak,
     integrate_adaptive_batch,
     log_eta_exp_integral,
     log_exp_integral,
@@ -177,6 +179,8 @@ class DiscreteGridPrior:
     @classmethod
     def uniform_on(cls, etas) -> "DiscreteGridPrior":
         etas = np.asarray(etas, dtype=float)
+        if not etas.size:
+            raise ValueError("a grid prior needs at least one learning rate")
         return cls(etas=etas, masses=np.full(etas.shape, 1.0 / etas.size))
 
 
@@ -235,28 +239,30 @@ def _cv_eta_of_u(u: np.ndarray) -> np.ndarray:
     return np.exp(-1.0 / np.maximum(u, 1e-300))
 
 
-def _cv_peak(regret: np.ndarray, variance: np.ndarray) -> np.ndarray:
-    """Per-expert argmax over [0, 1/2] of eta R - eta^2 V."""
-    with np.errstate(divide="ignore"):
-        peak = np.where(variance > 0.0, regret / np.maximum(2.0 * variance, 1e-300), math.inf)
-    return np.clip(np.where(regret >= 0.0, np.minimum(peak, 0.5), 0.0), 0.0, 0.5)
+def _peak_knots(regret, variance, peak, upper: float, in_u: bool) -> list[float]:
+    """Knots at each interior peak and +-1, +-3 bump widths 1/sqrt(2V), at most 48.
 
-
-def _cv_peak_knots(regret: np.ndarray, variance: np.ndarray, peak: np.ndarray) -> list[float]:
+    ``in_u`` places them in u = -1/ln(eta) and adds u = 1/ln|R| where R < -e
+    (the mass sits near eta ~ 1/|R|).  Past 48, as in large stacked batches,
+    a uniform seed of [0, upper] suffices: bump widths stay wide for V <= t.
+    """
     knots = []
-    for r, v, p in zip(regret, variance, peak):
-        if 0.0 < p < 0.5 and v > 0.0:
-            u_star = -1.0 / math.log(p)
-            w_eta = 1.0 / math.sqrt(2.0 * v)
-            w_u = w_eta * u_star * u_star / p
+    for r, v, p in zip(regret.tolist(), variance.tolist(), peak.tolist()):
+        if 0.0 < p < 0.5:
+            center, width = p, 1.0 / math.sqrt(2.0 * v)
+            if in_u:
+                center = -1.0 / math.log(p)
+                width = width * center * center / p
             for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
-                cand = u_star + k * w_u
-                if 0.0 < cand < _CV_UPPER:
+                cand = center + k * width
+                if 0.0 < cand < upper:
                     knots.append(cand)
-        if r < -math.e:
-            # mass concentrates near eta ~ 1/|R|, i.e. u ~ 1/ln|R|
+        if in_u and r < -math.e:
             knots.append(1.0 / math.log(-r))
-    return sorted(set(knots))
+    knots = sorted(set(knots))
+    if len(knots) > 48:
+        return list(np.linspace(0.0, upper, 50)[1:-1])
+    return knots
 
 
 def cv_log_integrals(
@@ -270,29 +276,20 @@ def cv_log_integrals(
     """
     regret = np.asarray(regret, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    peak = _cv_peak(regret, variance)
-    shift = peak * regret - peak * peak * variance
+    peak = _exponent_peak(regret, variance)
+    shift = _exponent(peak, regret, variance)
 
     def f(u: np.ndarray) -> np.ndarray:
-        eta = _cv_eta_of_u(u)
-        g = eta[:, None] * regret - (eta * eta)[:, None] * variance - shift
+        eta = _cv_eta_of_u(u)[:, None]
+        g = _exponent(eta, regret, variance) - shift
         np.exp(g, out=g)
-        g *= eta[:, None]
+        g *= eta
         return g
 
     u_spec = _CV_SPEC if spec is None else replace(spec, lower=0.0, upper=_CV_UPPER)
-    knots = _capped_knots(_cv_peak_knots(regret, variance, peak), _CV_UPPER)
+    knots = _peak_knots(regret, variance, peak, _CV_UPPER, in_u=True)
     integrals = integrate_adaptive_batch(f, u_spec, knots=knots)
     return shift + np.log(integrals) + math.log(math.log(2.0))
-
-
-def _capped_knots(knots: list[float], upper: float) -> list[float]:
-    # per-component peak knots help sharp bumps; for large stacked batches
-    # they would multiply the initial grid, and a uniform seed of [0, upper]
-    # suffices (bump widths stay wide for variance <= t)
-    if len(knots) > 48:
-        return list(np.linspace(0.0, upper, 50)[1:-1])
-    return knots
 
 
 def squint_weights_cv(state: ExpertGameState, spec: QuadratureSpec | None = None) -> np.ndarray:
@@ -301,11 +298,14 @@ def squint_weights_cv(state: ExpertGameState, spec: QuadratureSpec | None = None
     return normalize_log_weights(log_w)
 
 
+def _grid_exponent(state: ExpertGameState, etas: np.ndarray) -> np.ndarray:
+    """(K, G) exponents, C-ordered so logsumexp sums along the grid axis pairwise."""
+    return np.outer(state.regret, etas) - np.outer(state.variance, etas * etas)
+
+
 def squint_weights_grid(state: ExpertGameState, prior: DiscreteGridPrior) -> np.ndarray:
     """Weights under a discrete learning-rate prior, in log domain."""
-    etas = prior.etas
-    g = np.outer(state.regret, etas) - np.outer(state.variance, etas * etas)
-    log_terms = g + prior.log_mass_eta[None, :]
+    log_terms = _grid_exponent(state, prior.etas) + prior.log_mass_eta[None, :]
     log_w = np.log(state.prior) + logsumexp(log_terms, axis=1)
     return normalize_log_weights(log_w)
 
@@ -378,15 +378,14 @@ def improper_potential_terms(regret, variance) -> np.ndarray:
     variance = np.asarray(variance, dtype=float)
 
     def f(eta: np.ndarray) -> np.ndarray:
-        g = eta[:, None] * regret - (eta * eta)[:, None] * variance
+        g = _exponent(eta[:, None], regret, variance)
         np.expm1(g, out=g)
         g /= np.where(eta > 0.0, eta, 1.0)[:, None]
         g[eta == 0.0] = regret
         return g
 
-    spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-12, rel_tol=1e-10)
-    knots = _capped_knots(_interior_peaks(regret, variance), 0.5)
-    return integrate_adaptive_batch(f, spec, knots=knots)
+    knots = _peak_knots(regret, variance, _exponent_peak(regret, variance), 0.5, in_u=False)
+    return integrate_adaptive_batch(f, QuadratureSpec(0.0, 0.5), knots=knots)
 
 
 def cv_potential_terms(regret, variance) -> np.ndarray:
@@ -399,25 +398,10 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
     variance = np.asarray(variance, dtype=float)
 
     def f(u: np.ndarray) -> np.ndarray:
-        eta = _cv_eta_of_u(u)
-        g = eta[:, None] * regret - (eta * eta)[:, None] * variance
-        return np.expm1(g)
+        return np.expm1(_exponent(_cv_eta_of_u(u)[:, None], regret, variance))
 
-    knots = _cv_peak_knots(regret, variance, _cv_peak(regret, variance))
-    return math.log(2.0) * integrate_adaptive_batch(f, _CV_SPEC, knots=_capped_knots(knots, _CV_UPPER))
-
-
-def _interior_peaks(regret: np.ndarray, variance: np.ndarray) -> list[float]:
-    peaks = []
-    for r, v in zip(regret, variance):
-        if v > 0.0 and 0.0 < r / (2.0 * v) < 0.5:
-            center = float(r / (2.0 * v))
-            width = 1.0 / math.sqrt(2.0 * v)
-            for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
-                cand = center + k * width
-                if 0.0 < cand < 0.5:
-                    peaks.append(cand)
-    return sorted(set(peaks))
+    knots = _peak_knots(regret, variance, _exponent_peak(regret, variance), _CV_UPPER, in_u=True)
+    return math.log(2.0) * integrate_adaptive_batch(f, _CV_SPEC, knots=knots)
 
 
 def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
@@ -438,8 +422,8 @@ def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
         log_terms = _log_terms(state.prior, regret, variance, log_exp_integral) - log_z
         return math.expm1(logsumexp(log_terms))
     if isinstance(prior, DiscreteGridPrior):
-        g = np.outer(state.regret, prior.etas) - np.outer(state.variance, prior.etas**2)
-        log_terms = g + np.log(prior.masses)[None, :] + np.log(state.prior)[:, None]
+        log_terms = _grid_exponent(state, prior.etas) + np.log(prior.masses)[None, :]
+        log_terms += np.log(state.prior)[:, None]
         return math.expm1(logsumexp(log_terms))
     if isinstance(prior, ImproperPrior):
         return float(state.prior @ improper_potential_terms(state.regret, state.variance))

@@ -15,16 +15,19 @@ produce byte-identical outputs.
 Subcommands: ``run`` (config -> outputs), ``audit`` (re-verify an existing
 CSV), ``enumerate`` (list a concept class's vertices), ``grid`` (print the
 learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
-a failed invariant or a malformed config.  A nan regret, bound or potential
-is a violation in ``run`` and ``audit`` alike.  ``parse_config`` rejects a
-malformed config before the first round, including wrong vector lengths, a
-``prior_pi`` off the simplex or with a zero entry, non-integer counts, bad
-subsets, seeds, stream parameters, conjugate ``a``/``b`` or near-best fractions,
-a malformed DAG description (non-integer edge indices, duplicate node names),
-non-boolean ``report.singletons`` or ``report.vertices``, ``report.vertices``
-on a class with more than ``DEFAULT_VERTEX_CAP`` vertices, and a
-combinatorial ``algorithm.t_max`` below 1 or below ``horizon`` (Theorem 4
-only covers a grid tuned for the horizon).
+a failed invariant or a malformed config.  A nan regret or potential and a
+nan or infinite bound are violations in ``run`` and ``audit`` alike.
+``parse_config`` rejects a malformed config before the first round,
+including wrong vector lengths, vectors holding objects, output paths that
+are not two distinct non-empty strings, a ``prior_pi`` off the simplex or
+with a zero entry, non-integer counts, bad subsets, seeds, stream
+parameters, near-best fractions or conjugate ``a``/``b`` (also one whose
+normalizer overflows), a malformed DAG description (non-integer edge
+indices, duplicate node names), non-boolean ``report.singletons`` or
+``report.vertices``, ``report.vertices`` on a class with more than
+``DEFAULT_VERTEX_CAP`` vertices, and a combinatorial ``algorithm.t_max``
+below 1 or below ``horizon`` (Theorem 4 only covers a grid tuned for the
+horizon).
 """
 
 from __future__ import annotations
@@ -68,8 +71,15 @@ class ConfigError(ValueError):
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError (not TypeError) where it holds an object."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must hold numbers, got {value!r}") from None
+
 def _check_means(num_experts: int, means) -> np.ndarray:
-    means = np.asarray(means, dtype=float)
+    means = _floats(means, "means")
     if means.shape != (num_experts,):
         raise ValueError(f"means must have length {num_experts}")
     if not np.all((means >= 0.0) & (means <= 1.0)):  # nan fails too
@@ -188,7 +198,7 @@ def _parse_concept_class(doc: dict):
         return DagPaths.from_json(doc["dag"])
     if kind == "explicit":
         _require_keys(doc, {"kind", "vertices"}, set(), "concept_class")
-        return ExplicitVertices(doc["vertices"])
+        return ExplicitVertices(_floats(doc["vertices"], "vertices"))
     raise ConfigError(f"unknown concept class kind {kind!r}")
 
 def _parse_prior(doc: dict) -> ex.LearningRatePrior:
@@ -197,6 +207,10 @@ def _parse_prior(doc: dict) -> ex.LearningRatePrior:
     if kind == "conjugate":
         a = _check_real(doc.get("a", 0.0), "conjugate a")
         b = _check_real(doc.get("b", 0.0), "conjugate b (Theorem 1 needs b >= 0)", 0.0)
+        try:
+            rb.z_conjugate(a, b)  # Theorem 1's normalizer
+        except OverflowError:
+            raise ConfigError(f"conjugate prior normalizer overflows at a={a}, b={b}") from None
         return ex.ConjugatePrior(a=a, b=b)
     if kind == "improper":
         return ex.ImproperPrior()
@@ -205,9 +219,9 @@ def _parse_prior(doc: dict) -> ex.LearningRatePrior:
     if kind == "grid":
         if "etas" not in doc:
             raise ConfigError("grid prior requires etas")
-        etas = np.asarray(doc["etas"], dtype=float)
+        etas = _floats(doc["etas"], "grid etas")
         if "masses" in doc:
-            return ex.DiscreteGridPrior(etas=etas, masses=np.asarray(doc["masses"], dtype=float))
+            return ex.DiscreteGridPrior(etas=etas, masses=_floats(doc["masses"], "grid masses"))
         return ex.DiscreteGridPrior.uniform_on(etas)
     raise ConfigError(f"unknown prior kind {kind!r}")
 
@@ -241,7 +255,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     env = doc["environment"]
     _require_keys(env, {"name", "seed"}, {"means", "segment_length", "noise"}, "environment")
-    if env["name"] not in _ENV_PARAMS:
+    if not isinstance(env["name"], str) or env["name"] not in _ENV_PARAMS:
         raise ConfigError(f"unknown environment {env['name']!r}")
     required, optional = _ENV_PARAMS[env["name"]]
     _require_keys(env, {"name", "seed"} | required, optional, f"environment {env['name']!r}")
@@ -249,6 +263,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     out = doc["output"]
     _require_keys(out, {"csv", "summary"}, set(), "output")
+    paths = [out["csv"], out["summary"]]
+    # open() would take an integer or a bool as a file descriptor
+    if not all(isinstance(path, str) and path for path in paths):
+        raise ConfigError(f"output.csv and output.summary must be non-empty strings, got {paths!r}")
+    if os.path.abspath(paths[0]) == os.path.abspath(paths[1]):
+        raise ConfigError(f"output.csv and output.summary must differ, got {paths!r}")
 
     cfg = ExperimentConfig(
         doc=doc,
@@ -289,7 +309,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if env["name"] == "uniform_signed":
             raise ConfigError("experts mode requires losses in [0, 1]")
         pi = doc.get("prior_pi")
-        cfg.prior_pi = np.full(k, 1.0 / k) if pi is None else np.asarray(pi, dtype=float)
+        cfg.prior_pi = np.full(k, 1.0 / k) if pi is None else _floats(pi, "prior_pi")
         if cfg.prior_pi.shape != (k,):
             raise ConfigError(f"prior_pi must have length {k}")
         if not np.all(cfg.prior_pi > 0.0):
@@ -322,7 +342,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not isinstance(vectors, list):
             raise ConfigError(f"report.comparators must be a list of {k}-vectors, got {vectors!r}")
         for vec in vectors + ([] if cfg.prior_vec is None else [cfg.prior_vec]):
-            vec = np.asarray(vec, dtype=float)
+            vec = _floats(vec, "prior_vec and comparators")
             # written as "not good" so that a null or nan entry fails
             if vec.shape != (k,) or not np.all((vec >= 0.0) & (vec <= 1.0)):
                 raise ConfigError(f"prior_vec and comparators must be {k}-vectors in [0, 1]")
@@ -340,7 +360,8 @@ def _record(entry: dict, regret: float, variance: float, bound: float | None) ->
     """Add an audited item's statistics (and its verdict, if a bound applies)."""
     entry.update(regret=regret, variance=variance)
     if bound is not None:
-        entry.update(bound=bound, violated=not regret <= bound)
+        # a nan or infinite bound checks nothing, so it is a violation too
+        entry.update(bound=bound, violated=not (regret <= bound < math.inf))
     return entry
 
 def _items(stats: tuple) -> list[tuple]:
@@ -498,7 +519,8 @@ def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
         audited = (r, v)
         if bound is not None:
             bound = np.broadcast_to(bound, r.shape)
-            if not np.all(r <= bound):  # a nan regret or bound is a violation
+            # a nan regret and a nan or infinite bound are violations
+            if not np.all((r <= bound) & (bound < math.inf)):
                 any_violation = True
             audited += (bound,)
         stats = (r, v, bound)
@@ -545,10 +567,11 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
     """Re-verify every bound column of an existing run CSV.
 
     Returns (ok, messages): ok is False iff in some row a regret column is
-    not at most its bound column or a sampled potential is not at most
-    1e-9; a nan in either counts as a violation.  Raises ``ValueError`` for a
-    file with no header line or a row whose length differs from the header's
-    (a truncated or otherwise malformed CSV).
+    not at most its bound column, a bound is infinite, or a sampled
+    potential is not at most 1e-9; a nan in any of them counts as a
+    violation.  Raises ``ValueError`` for a file with no header line or a
+    row whose length differs from the header's (a truncated or otherwise
+    malformed CSV).
     """
     problems = []
     with open(csv_path, newline="") as fh:
@@ -571,8 +594,8 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
                     f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
                 )
             for r_idx, b_idx, name in pairs:
-                if not float(row[r_idx]) <= float(row[b_idx]):
-                    problems.append(f"t={row[0]}: R={row[r_idx]} exceeds {name}={row[b_idx]}")
+                if not float(row[r_idx]) <= float(row[b_idx]) < math.inf:
+                    problems.append(f"t={row[0]}: R={row[r_idx]} fails {name}={row[b_idx]}")
             if phi_idx is not None and row[phi_idx] and not float(row[phi_idx]) <= _POTENTIAL_TOL:
                 problems.append(f"t={row[0]}: potential={row[phi_idx]} exceeds {_POTENTIAL_TOL}")
     return (not problems, problems)

@@ -161,14 +161,21 @@ def _log_eta_flat_integral(x: float) -> float:
     return math.log1p(math.exp(0.5 * x) * (0.5 * x - 1.0)) - 2.0 * math.log(-x)
 
 
-def _exponent_peak(r: float, v: float) -> float:
-    """argmax over [0, 1/2] of eta*r - eta^2*v."""
-    if v > 0.0:
-        return min(max(r / (2.0 * v), 0.0), 0.5)
-    if v == 0.0:
-        return 0.5 if r >= 0.0 else 0.0
-    # convex exponent: the max sits at one of the endpoints
-    return 0.5 if 0.5 * r - 0.25 * v >= 0.0 else 0.0
+def _exponent(eta, regret, variance):
+    """eta*R - eta^2*V, broadcast: abscissas eta[:, None] against (K,) statistics give (n, K)."""
+    return eta * regret - eta * eta * variance
+
+
+def _exponent_peak(regret, variance):
+    """Elementwise argmax over [0, 1/2] of eta*R - eta^2*V.
+
+    Concave (V > 0): R/(2V) clipped to the interval.  Otherwise an endpoint:
+    1/2 where the exponent there, R/2 - V/4 (just R when V == 0), is >= 0.
+    """
+    with np.errstate(all="ignore"):
+        inner = np.clip(np.divide(regret, 2.0 * variance), 0.0, 0.5)
+    at_half = np.where(variance < 0.0, 0.5 * regret - 0.25 * variance, regret) >= 0.0
+    return np.where(variance > 0.0, inner, 0.5 * at_half)
 
 
 # Effectively relative-only tolerance: the shifted integrals can be as small
@@ -188,11 +195,11 @@ def _shifted_log_quadrature(r: float, v: float, with_eta: bool) -> float:
     the peak; an exponential boundary layer of width 1e-6 would otherwise
     force millions of panels on the full interval.
     """
-    peak = _exponent_peak(r, v)
-    shift = peak * r - peak * peak * v
+    peak = float(_exponent_peak(r, v))
+    shift = _exponent(peak, r, v)
 
     def f(eta: np.ndarray) -> np.ndarray:
-        g = eta * r - eta * eta * v - shift
+        g = _exponent(eta, r, v) - shift
         out = np.exp(g)
         if with_eta:
             out = eta * out

@@ -327,17 +327,6 @@ class DagPaths(ConceptClass):
         edges = [(e["from"], e["to"], e["index"]) for e in edges]
         return cls(doc["nodes"], edges, doc["source"], doc["sink"])
 
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "edges": [
-                {"from": self._edge_from[e], "to": self._edge_to[e], "index": e + 1}
-                for e in range(self.num_components)
-            ],
-            "source": self.source,
-            "sink": self.sink,
-        }
-
     def _toposort(self):
         indeg = {n: 0 for n in self.nodes}
         for e in range(self.num_components):

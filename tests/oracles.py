@@ -20,8 +20,11 @@ helpers:
   ``dataclasses.replace``, which re-runs every ``ExpertGameState`` check
   (production ``_check_simplex``), and ``cv_weight_integrand_former`` and
   ``improper_potential_integrand_former``, the out-of-place ``np.where``
-  forms of the two quadrature integrands (production ``_cv_peak`` and
-  ``_cv_eta_of_u``);
+  forms of the two quadrature integrands (production ``_cv_eta_of_u``),
+  and the four former peak and knot builders that ``_exponent_peak`` and
+  ``_peak_knots`` replace: ``cv_peak_former``, ``exponent_peak_scalar_former``,
+  ``cv_peak_knots_former`` (production ``_CV_UPPER``) and
+  ``interior_peaks_former`` with ``capped_knots_former``;
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -41,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from squint.component_iprod import comparator_stats
-from squint.experts import _check_simplex, _cv_eta_of_u, _cv_peak
+from squint.experts import _CV_UPPER, _check_simplex, _cv_eta_of_u
 from squint.numerics import (
     _ERFCX_SERIES_CUTOFF,
     QuadratureError,
@@ -228,7 +231,7 @@ def update_replace(state, weights: np.ndarray, losses: np.ndarray):
 
 def cv_weight_integrand_former(regret: np.ndarray, variance: np.ndarray):
     """The integrand of ``cv_log_integrals``, computed out of place."""
-    peak = _cv_peak(regret, variance)
+    peak = cv_peak_former(regret, variance)
     shift = peak * regret - peak * peak * variance
 
     def f(u: np.ndarray) -> np.ndarray:
@@ -253,6 +256,66 @@ def improper_potential_integrand_former(regret: np.ndarray, variance: np.ndarray
         return vals
 
     return f
+
+
+def cv_peak_former(regret: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Per-expert argmax over [0, 1/2] of eta R - eta^2 V, for V >= 0.
+
+    Guards the division with max(2V, 1e-300), so it reads R/1e-300 (not
+    R/(2V)) where 0 < 2V < 1e-300; V < 0 is taken as V == 0.
+    """
+    with np.errstate(divide="ignore"):
+        peak = np.where(variance > 0.0, regret / np.maximum(2.0 * variance, 1e-300), math.inf)
+    return np.clip(np.where(regret >= 0.0, np.minimum(peak, 0.5), 0.0), 0.0, 0.5)
+
+
+def exponent_peak_scalar_former(r: float, v: float) -> float:
+    """argmax over [0, 1/2] of eta*r - eta^2*v, in Python floats."""
+    if v > 0.0:
+        return min(max(r / (2.0 * v), 0.0), 0.5)
+    if v == 0.0:
+        return 0.5 if r >= 0.0 else 0.0
+    # convex exponent: the max sits at one of the endpoints
+    return 0.5 if 0.5 * r - 0.25 * v >= 0.0 else 0.0
+
+
+def cv_peak_knots_former(regret: np.ndarray, variance: np.ndarray, peak: np.ndarray) -> list[float]:
+    """Peak and 1/ln|R| knots of the CV integrals in u = -1/ln(eta), uncapped."""
+    knots = []
+    for r, v, p in zip(regret, variance, peak):
+        if 0.0 < p < 0.5 and v > 0.0:
+            u_star = -1.0 / math.log(p)
+            w_eta = 1.0 / math.sqrt(2.0 * v)
+            w_u = w_eta * u_star * u_star / p
+            for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
+                cand = u_star + k * w_u
+                if 0.0 < cand < _CV_UPPER:
+                    knots.append(cand)
+        if r < -math.e:
+            # mass concentrates near eta ~ 1/|R|, i.e. u ~ 1/ln|R|
+            knots.append(1.0 / math.log(-r))
+    return sorted(set(knots))
+
+
+def interior_peaks_former(regret: np.ndarray, variance: np.ndarray) -> list[float]:
+    """Peak knots of the improper potential in eta, uncapped."""
+    peaks = []
+    for r, v in zip(regret, variance):
+        if v > 0.0 and 0.0 < r / (2.0 * v) < 0.5:
+            center = float(r / (2.0 * v))
+            width = 1.0 / math.sqrt(2.0 * v)
+            for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
+                cand = center + k * width
+                if 0.0 < cand < 0.5:
+                    peaks.append(cand)
+    return sorted(set(peaks))
+
+
+def capped_knots_former(knots: list[float], upper: float) -> list[float]:
+    """More than 48 knots replaced by 48 uniform ones on (0, upper)."""
+    if len(knots) > 48:
+        return list(np.linspace(0.0, upper, 50)[1:-1])
+    return knots
 
 
 def _check_pi_mass(pi_mass: float) -> None:

@@ -25,12 +25,17 @@ from squint.experts import (
     weights_for_prior,
 )
 from squint.component_iprod import learning_rate_grid
-from squint.numerics import QuadratureError, QuadratureSpec
+from squint.numerics import QuadratureError, QuadratureSpec, _exponent, _exponent_peak
 
 from oracles import (
+    capped_knots_former,
+    cv_peak_former,
+    cv_peak_knots_former,
     cv_weight_integrand_former,
+    exponent_peak_scalar_former,
     improper_potential_integrand_former,
     integrate_adaptive_batch_reference,
+    interior_peaks_former,
     iprod_log_products_history,
     iprod_weights_history,
     mp_cv_weight_integral,
@@ -338,9 +343,14 @@ class TestQuadratureMatchesReference:
         for k in (3, 12, 64):
             regret, variance = random_statistics(k, k)
             assert (regret < -math.e).any() and (variance == 0.0).any()
-        peak = experts._cv_peak(regret, variance)
-        assert len(experts._cv_peak_knots(regret, variance, peak)) > 48
-        assert len(experts._interior_peaks(regret, variance)) > 48
+        # on the K = 64 draw the former builders give more than 48 knots ...
+        peak = _exponent_peak(regret, variance)
+        assert len(cv_peak_knots_former(regret, variance, peak)) > 48
+        assert len(interior_peaks_former(regret, variance)) > 48
+        # ... and the shared builder the 48 uniform ones
+        for upper, in_u in [(experts._CV_UPPER, True), (0.5, False)]:
+            uniform = list(np.linspace(0.0, upper, 50)[1:-1])
+            assert experts._peak_knots(regret, variance, peak, upper, in_u) == uniform
 
     @pytest.mark.parametrize("budget", [60, 120, 300])
     def test_budget_exhaustion_message(self, monkeypatch, budget):
@@ -355,7 +365,85 @@ class TestQuadratureMatchesReference:
         assert messages[0] == messages[1]
 
 
+def hand_grid():
+    """(R, V) with V < 0, V == 0, R == +-0.0, R < -e, subnormals, peaks at 0 and 1/2."""
+    r = [-100.0, -10.0, -math.e - 1e-9, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.3, 1.0, 3.0, 50.0]
+    v = [-10.0, -1.0, -0.0, 0.0, 1e-310, 0.1, 1.0, 3.0, 100.0]
+    regret, variance = np.meshgrid(r, v)
+    return regret.ravel(), variance.ravel()
+
+
+STATISTICS = [random_statistics(k, k) for k in (3, 12, 64)] + [hand_grid()]
+
+
+class TestPeakAndKnots:
+    """One peak and one knot builder give the former four builders' values."""
+
+    def test_hand_grid_reaches_every_case(self):
+        regret, variance = hand_grid()
+        peak = _exponent_peak(regret, variance)
+        assert (variance < 0.0).any() and (regret < -math.e).any()
+        assert (peak == 0.0).any() and (peak == 0.5).any() and ((0.0 < peak) & (peak < 0.5)).any()
+        with np.errstate(all="ignore"):
+            assert len(cv_peak_knots_former(regret, variance, peak)) <= 48
+            assert len(interior_peaks_former(regret, variance)) <= 48
+
+    @pytest.mark.parametrize("stats", STATISTICS)
+    def test_peak_matches_former_scalar_peak(self, stats):
+        regret, variance = stats
+        pairs = list(zip(regret.tolist(), variance.tolist()))
+        want = np.array([exponent_peak_scalar_former(r, v) for r, v in pairs])
+        got = _exponent_peak(regret, variance)
+        scalar = np.array([float(_exponent_peak(r, v)) for r, v in pairs])
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(scalar, want) and np.array_equal(np.signbit(scalar), np.signbit(want))
+
+    @pytest.mark.parametrize("stats", STATISTICS)
+    def test_peak_matches_former_cv_peak(self, stats):
+        # the former CV peak divided by max(2V, 1e-300) and took V < 0 as V == 0;
+        # the shared peak follows the scalar one, the exact argmax, there (and
+        # keeps its -0.0 where R/(2V) underflows from a negative R, which the
+        # shift's value does not see)
+        regret, variance = stats
+        got, want = _exponent_peak(regret, variance), cv_peak_former(regret, variance)
+        same = (variance == 0.0) | (2.0 * variance >= 1e-300)
+        assert np.array_equal(got[same], want[same])
+        assert (got[~same] != want[~same]).any() == (~same).any()
+
+    @pytest.mark.parametrize("stats", STATISTICS)
+    def test_knots_match_former_builders(self, stats):
+        regret, variance = stats
+        peak = _exponent_peak(regret, variance)
+        with np.errstate(all="ignore"):
+            cv_knots = capped_knots_former(
+                cv_peak_knots_former(regret, variance, peak), experts._CV_UPPER
+            )
+            eta_knots = capped_knots_former(interior_peaks_former(regret, variance), 0.5)
+        assert experts._peak_knots(regret, variance, peak, experts._CV_UPPER, True) == cv_knots
+        assert experts._peak_knots(regret, variance, peak, 0.5, False) == eta_knots
+
+    def test_shift_matches_former_expression(self):
+        for regret, variance in STATISTICS:
+            peak = _exponent_peak(regret, variance)
+            want = peak * regret - peak * peak * variance
+            assert np.array_equal(_exponent(peak, regret, variance), want)
+
+    @pytest.mark.parametrize("num_etas", [3, 8, 33])
+    def test_grid_exponent_matches_former_expressions(self, num_etas):
+        regret, variance = random_statistics(num_etas, 12)
+        s = ExpertGameState._trusted(np.full(12, 1.0 / 12), regret, variance, np.zeros(12), 100)
+        etas = 2.0 ** -np.arange(1, num_etas + 1)
+        got = experts._grid_exponent(s, etas)
+        assert np.array_equal(got, np.outer(regret, etas) - np.outer(variance, etas**2))
+        assert got.flags.c_contiguous and got.shape == (12, num_etas)
+
+
 class TestGridWeights:
+    def test_uniform_on_empty_grid_raises(self):
+        for etas in ([], np.zeros((1, 0))):
+            with pytest.raises(ValueError, match="at least one learning rate"):
+                DiscreteGridPrior.uniform_on(etas)
+
     def test_fresh_state_returns_prior(self):
         s = ExpertGameState.from_prior([0.25, 0.75])
         grid = DiscreteGridPrior.uniform_on([0.5, 0.25, 0.125])

@@ -327,6 +327,42 @@ MALFORMED = {
     "comparators_not_list": lambda tmp_path: comb_config(tmp_path, report={"comparators": 5}),
     "singletons_string": lambda tmp_path: experts_config(tmp_path, report={"singletons": "false"}),
     "vertices_string": lambda tmp_path: comb_config(tmp_path, report={"vertices": "no"}),
+    # a JSON object where a vector belongs made np.asarray raise TypeError
+    "means_object": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "stochastic", "means": {"a": 0.5}, "seed": 11}
+    ),
+    "prior_pi_object": lambda tmp_path: experts_config(tmp_path, prior_pi={"a": 1.0}),
+    "grid_etas_object": prior_config("grid", etas={"a": 0.5}),
+    "grid_masses_object": prior_config("grid", etas=[0.5, 0.25], masses={"a": 1.0}),
+    "comparator_object": lambda tmp_path: comb_config(
+        tmp_path, report={"comparators": [{"a": 0.5}]}
+    ),
+    "prior_vec_object": lambda tmp_path: comb_config(tmp_path, prior_vec={"a": 0.5}),
+    "explicit_vertices_object": lambda tmp_path: comb_config(
+        tmp_path, concept_class={"kind": "explicit", "vertices": {"a": [0, 1]}}, report={}
+    ),
+    # an unhashable name made the environment lookup raise TypeError
+    "environment_name_list": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": ["stochastic"], "seed": 11}
+    ),
+    "environment_name_object": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": {"stochastic": 1}, "seed": 11}
+    ),
+    # uniform_on divided by the zero grid size
+    "grid_etas_empty": prior_config("grid", etas=[]),
+    # open() takes an integer or a bool as a file descriptor
+    **{
+        f"output_csv_{label}": lambda tmp_path, path=path: experts_config(
+            tmp_path, output={"csv": path, "summary": str(tmp_path / "run.json")}
+        )
+        for label, path in [("integer", 1), ("true", True), ("empty", "")]
+    },
+    # the summary would overwrite the CSV
+    "output_same_path": lambda tmp_path: experts_config(
+        tmp_path, output={"csv": str(tmp_path / "run.out"), "summary": str(tmp_path / "run.out")}
+    ),
+    # Theorem 1's normalizer e^{a/2}/a overflows a float
+    "conjugate_a_overflow": prior_config("conjugate", a=1500.0, b=0.0),
 }
 
 
@@ -696,6 +732,49 @@ class TestAudit:
         assert summary["near_best"]["violated"] is False
         assert main(["audit", doc["output"]["csv"]]) == 2
 
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # (1 + 2 ln(T+1)) / pi overflows in Theorem 3's tail
+            dict(
+                num_experts=2,
+                prior_pi=[1e-310, 1.0 - 1e-310],
+                environment={"name": "stochastic", "means": [0.2, 0.8], "seed": 11},
+            ),
+            # Theorem 1's Z sqrt(2(V+b)) / pi overflows
+            dict(algorithm={"name": "squint", "prior": {"kind": "conjugate", "a": 1430.0}}),
+        ],
+        ids=["tiny_prior_mass", "conjugate_a_1430"],
+    )
+    def test_infinite_bound_is_a_violation(self, tmp_path, overrides):
+        doc = experts_config(tmp_path, **overrides)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_path)]) == 2
+        with open(doc["output"]["summary"]) as fh:
+            audits = json.load(fh)["audits"]
+        assert audits[0]["bound"] == math.inf
+        assert [a["violated"] for a in audits] == [not a["bound"] < math.inf for a in audits]
+        assert main(["audit", doc["output"]["csv"]]) == 2
+
+    def test_infinite_bound_fails_audit(self, tmp_path):
+        doc = experts_config(tmp_path)
+        run_experiment(parse_config(doc))
+        path = doc["output"]["csv"]
+        assert main(["audit", path]) == 0
+        with open(path) as fh:
+            lines = fh.readlines()
+        col = lines[0].strip().split(",").index("bound_S0")
+        parts = lines[-1].strip().split(",")
+        parts[col] = "inf"
+        lines[-1] = ",".join(parts) + "\n"
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        ok, problems = audit_csv(path)
+        assert not ok and problems == [f"t=40: R={parts[col - 2]} fails bound_S0=inf"]
+        assert main(["audit", path]) == 2
 
     def test_truncated_row_is_an_audit_error(self, tmp_path, capsys):
         doc = experts_config(tmp_path)
