@@ -43,8 +43,11 @@ __all__ = [
 
 
 def learning_rate_grid(t_max: int) -> np.ndarray:
-    """{2^-i : i = 1..ceil(1 + log2 T)}, decreasing."""
-    return 2.0 ** -np.arange(1, ceil_one_plus_log2(t_max) + 1, dtype=float)
+    """{2^-i : i = 1..ceil(1 + log2 T)}, decreasing; ValueError where 2^-i is subnormal."""
+    count = ceil_one_plus_log2(t_max)
+    if count > 1022:  # 2^-1022 is the least normal float
+        raise ValueError(f"t_max above 2^1021: its {count} learning rates leave the normal floats")
+    return 2.0 ** -np.arange(1, count + 1, dtype=float)
 
 
 @dataclass

@@ -71,12 +71,20 @@ class ConfigError(ValueError):
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
+def _no_text_or_bool(value) -> bool:
+    """Whether value holds no string and no bool at any depth (numpy would convert both)."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_no_text_or_bool, value))
+    return not isinstance(value, (str, bool))
+
 def _floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array; ValueError (not TypeError) where it holds an object."""
-    try:
-        return np.asarray(value, dtype=float)
-    except TypeError:
-        raise ValueError(f"{name} must hold numbers, got {value!r}") from None
+    """``value`` as a float array; ValueError where it holds an object, a string or a bool."""
+    if _no_text_or_bool(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must hold numbers, got {value!r}")
 
 def _check_means(num_experts: int, means) -> np.ndarray:
     means = _floats(means, "means")
@@ -297,7 +305,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if not _check_real(algo.get("eta"), "hedge eta", 0.0) > 0.0:
                 raise ConfigError("hedge requires a positive eta")
         elif algo["name"] == "iprod":
-            _check_int(algo.get("grid_t_max", 1), "iprod grid_t_max", 1)
+            ci.learning_rate_grid(_check_int(algo.get("grid_t_max", 1), "iprod grid_t_max", 1))
         else:
             raise ConfigError(f"unknown experts algorithm {algo['name']!r}")
         _require_keys(
@@ -328,6 +336,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if algo["name"] != "component_iprod":
             raise ConfigError(f"unknown combinatorial algorithm {algo['name']!r}")
         cfg.t_max = _check_int(algo.get("t_max", max(horizon, 1)), "algorithm.t_max", 1)
+        ci.learning_rate_grid(cfg.t_max)
         if horizon > cfg.t_max:
             # Theorem 4 holds for the grid tuned to t_max, at horizons up to t_max
             raise ConfigError(f"horizon {horizon} exceeds algorithm.t_max {cfg.t_max}")

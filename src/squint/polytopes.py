@@ -97,10 +97,12 @@ class ConceptClass(ABC):
     """Interface shared by all concept classes."""
 
     num_components: int
+    _inc: np.ndarray  # (c, K), entries in {-1, 0, 1}: the hull's equalities are _inc @ u = _rhs
+    _rhs: np.ndarray  # (c,)
 
-    @abstractmethod
     def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
         """Per row of mat, the max violation of the hull's equalities."""
+        return np.abs(mat @ self._inc.T - self._rhs).max(axis=1, initial=0.0)
 
     @abstractmethod
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
@@ -198,9 +200,8 @@ class KSubsets(ConceptClass):
             raise ValueError(f"subset size must lie in [0, {num_components}]")
         self.num_components = num_components
         self.subset_size = subset_size
-
-    def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
-        return np.abs(mat.sum(axis=1) - self.subset_size)
+        self._inc = np.ones((1, num_components))
+        self._rhs = np.array([float(subset_size)])
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         mat = self._interior_rows(u_tildes)
@@ -241,17 +242,6 @@ class KSubsets(ConceptClass):
         for i, combo in enumerate(itertools.combinations(range(self.num_components), self.subset_size)):
             rows[i, list(combo)] = 1.0
         return rows
-
-
-def _singular(jac: np.ndarray) -> np.ndarray:
-    """Mask of the matrices in an (n, c, c) stack that ``np.linalg.solve`` rejects."""
-    singular = np.zeros(jac.shape[0], dtype=bool)
-    for i, mat in enumerate(jac):
-        try:
-            np.linalg.solve(mat, np.zeros(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return singular
 
 
 class DagPaths(ConceptClass):
@@ -301,7 +291,7 @@ class DagPaths(ConceptClass):
             self._in[self._edge_to[e]].append(e)
         self._topo = self._toposort()
         self._check_edges_usable()
-        self._constraints = self._build_constraints()
+        self._build_constraints()
 
     @classmethod
     def from_json(cls, doc) -> "DagPaths":
@@ -345,48 +335,42 @@ class DagPaths(ConceptClass):
             raise ValueError("graph contains a cycle")
         return order
 
+    @staticmethod
+    def _path_counts(start, order, edges_of, other_end) -> dict:
+        """Per node, its number of paths to or from start; order puts edges' other ends first."""
+        count = {}
+        for n in order:
+            count[n] = 1 if n == start else sum(count[other_end[e]] for e in edges_of[n])
+        return count
+
     def _check_edges_usable(self):
-        fwd = {n: False for n in self.nodes}
-        fwd[self.source] = True
-        for n in self._topo:
-            if fwd[n]:
-                for e in self._out[n]:
-                    fwd[self._edge_to[e]] = True
-        bwd = {n: False for n in self.nodes}
-        bwd[self.sink] = True
-        for n in reversed(self._topo):
-            if bwd[n]:
-                for e in self._in[n]:
-                    bwd[self._edge_from[e]] = True
+        fwd = self._path_counts(self.source, self._topo, self._in, self._edge_from)
+        bwd = self._path_counts(self.sink, self._topo[::-1], self._out, self._edge_to)
         dead = [
             e + 1
             for e in range(self.num_components)
-            if not (fwd[self._edge_from[e]] and bwd[self._edge_to[e]])
+            if not (fwd[self._edge_from[e]] > 0 and bwd[self._edge_to[e]] > 0)
         ]
         if dead:
             raise ValueError(f"edges {dead} lie on no source-sink path")
 
     def _build_constraints(self):
-        cons = [(np.array(self._out[self.source], dtype=int), np.array([], dtype=int), 1.0)]
-        for n in self._topo:
-            if n in (self.source, self.sink):
-                continue
-            out_e, in_e = self._out[n], self._in[n]
-            if out_e or in_e:
-                cons.append((np.array(out_e, dtype=int), np.array(in_e, dtype=int), 0.0))
-        # dense signed incidence of the same constraints, for the Newton solver
-        c, k = len(cons), self.num_components
+        """Rows: outflow 1 at the source, then conservation at each inner node with edges."""
+        ends = (self.source, self.sink)
+        rows = [self.source] + [
+            n for n in self._topo if n not in ends and (self._out[n] or self._in[n])
+        ]
+        c, k = len(rows), self.num_components
         self._inc = np.zeros((c, k))
         self._rhs = np.zeros(c)
+        self._rhs[0] = 1.0
         # each edge leaves at most one constrained node and enters at most one
         frm, to = np.full(k, -1), np.full(k, -1)
-        for i, (plus, minus, rhs) in enumerate(cons):
-            self._inc[i, plus] = 1.0
-            self._inc[i, minus] = -1.0
-            self._rhs[i] = rhs
-            frm[plus], to[minus] = i, i
+        for i, n in enumerate(rows):
+            self._inc[i, self._out[n]] = 1.0
+            self._inc[i, self._in[n]] = -1.0
+            frm[self._out[n]], to[self._in[n]] = i, i
         self._jac_entries, self._jac_terms = self._laplacian_terms(frm, to, c)
-        return cons
 
     @staticmethod
     def _laplacian_terms(frm, to, c):
@@ -415,13 +399,6 @@ class DagPaths(ConceptClass):
         terms[slot, np.repeat(np.arange(entries.size), count)] = col
         return entries, terms
 
-    def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros(mat.shape[0])
-        for plus, minus, rhs in self._constraints:
-            val = mat[:, plus].sum(axis=1) - mat[:, minus].sum(axis=1) - rhs
-            out = np.maximum(out, np.abs(val))
-        return out
-
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         """Joint dual Newton iteration, cyclic Bregman sweeps as row-wise fallback.
 
@@ -447,7 +424,8 @@ class DagPaths(ConceptClass):
         A row fails when its Jacobian turns singular, its backtracking runs
         out or the iteration cap is reached.  A failed row is frozen: it
         counts as converged and solves I x = 0, a zero step.  Until a row
-        fails, this is the plain damped Newton iteration.
+        fails, this is the plain damped Newton iteration.  When the batched
+        solve raises, each row is solved alone (same bits); a row that raises fails.
         """
         inc, rhs = self._inc, self._rhs
         logits = _logit(mat)
@@ -469,10 +447,12 @@ class DagPaths(ConceptClass):
             try:
                 step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                failed |= _singular(jac)
-                frozen = True
-                jac[failed], diff[failed] = np.eye(c), 0.0
-                step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
+                step = np.zeros((n, c))
+                for i in range(n):
+                    try:
+                        step[i] = np.linalg.solve(jac[i], diff[i])
+                    except np.linalg.LinAlgError:
+                        failed[i] = frozen = True
             # backtracking on the residual norm, vectorized over rows
             alpha = np.ones(n)
             for _ in range(30):
@@ -507,14 +487,17 @@ class DagPaths(ConceptClass):
 
     def _project_cyclic(self, mat: np.ndarray) -> np.ndarray:
         mat = mat.copy()
-        for _ in range(MAX_SWEEPS):
-            if np.all(self._equality_residuals(mat) <= PROJECTION_RESIDUAL):
-                return mat
-            for plus, minus, rhs in self._constraints:
-                lam = self._solve_shift(mat, plus, minus, rhs)
-                mat[:, plus] = _sigmoid(_logit(mat[:, plus]) + lam[:, None])
-                if minus.size:
-                    mat[:, minus] = _sigmoid(_logit(mat[:, minus]) - lam[:, None])
+        signs = [(np.flatnonzero(a > 0.0), np.flatnonzero(a < 0.0)) for a in self._inc]
+        # a coordinate the sweeps saturate to 0 or 1 has logit -inf or +inf, as the shifts need
+        with np.errstate(divide="ignore"):
+            for _ in range(MAX_SWEEPS):
+                if np.all(self._equality_residuals(mat) <= PROJECTION_RESIDUAL):
+                    return mat
+                for (plus, minus), rhs in zip(signs, self._rhs):
+                    lam = self._solve_shift(mat, plus, minus, rhs)
+                    mat[:, plus] = _sigmoid(_logit(mat[:, plus]) + lam[:, None])
+                    if minus.size:
+                        mat[:, minus] = _sigmoid(_logit(mat[:, minus]) - lam[:, None])
         worst = float(self._equality_residuals(mat).max())
         raise ProjectionError(
             f"cyclic projection missed residual {PROJECTION_RESIDUAL} after "
@@ -555,12 +538,7 @@ class DagPaths(ConceptClass):
         return lam
 
     def num_vertices(self) -> int:
-        count = {n: 0 for n in self.nodes}
-        count[self.sink] = 1
-        for n in reversed(self._topo):
-            if n != self.sink:
-                count[n] = sum(count[self._edge_to[e]] for e in self._out[n])
-        return count[self.source]
+        return self._path_counts(self.sink, self._topo[::-1], self._out, self._edge_to)[self.source]
 
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
         self._check_vertex_cap(cap)
@@ -647,17 +625,13 @@ class ExplicitVertices(ConceptClass):
             raise ValueError(
                 "vertex list is not a product set; use a structured concept class instead"
             )
-        self._free = np.array([len(vs) == 2 for vs in value_sets])
-        self._pinned_value = np.array([vs[0] if len(vs) == 1 else 0.5 for vs in value_sets])
-
-    def _equality_residuals(self, mat: np.ndarray) -> np.ndarray:
-        pinned = ~self._free
-        return np.abs(mat[:, pinned] - self._pinned_value[pinned]).max(axis=1, initial=0.0)
+        self._pinned = np.array([len(vs) == 1 for vs in value_sets])
+        self._inc = np.eye(self.num_components)[self._pinned]
+        self._rhs = np.array([vs[0] for vs in value_sets if len(vs) == 1])
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         mat = self._interior_rows(u_tildes)
-        pinned = ~self._free
-        mat[:, pinned] = self._pinned_value[pinned]
+        mat[:, self._pinned] = self._rhs
         return mat
 
     def _peel(self, point: np.ndarray) -> tuple[list, list]:

@@ -24,7 +24,13 @@ helpers:
   and the four former peak and knot builders that ``_exponent_peak`` and
   ``_peak_knots`` replace: ``cv_peak_former``, ``exponent_peak_scalar_former``,
   ``cv_peak_knots_former`` (production ``_CV_UPPER``) and
-  ``interior_peaks_former`` with ``capped_knots_former``;
+  ``interior_peaks_former`` with ``capped_knots_former``, and the former
+  ``polytopes`` bodies that one equality matrix per class replaced:
+  ``dag_constraints_former``, ``equality_residuals_former``,
+  ``dead_edges_former``, ``num_vertices_former``, ``singular_former`` and
+  ``project_newton_former``, ``project_cyclic_former`` and
+  ``project_batch_former`` (production ``_laplacian_terms``, ``_jacobian``,
+  ``_solve_shift``, logit and sigmoid);
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -53,7 +59,17 @@ from squint.numerics import (
     ceil_one_plus_log2,
     logsumexp,
 )
-from squint.polytopes import _logit, _sigmoid, clamp_interior
+from squint.polytopes import (
+    MAX_SWEEPS,
+    PROJECTION_RESIDUAL,
+    DagPaths,
+    ExplicitVertices,
+    KSubsets,
+    ProjectionError,
+    _logit,
+    _sigmoid,
+    clamp_interior,
+)
 from squint.regret_bounds import binary_relative_entropy, ln_plus, z_conjugate
 
 
@@ -468,6 +484,167 @@ def lemma4_check(state, eta: float, v: np.ndarray) -> tuple[float, float]:
 def newton_jacobian_dense(inc: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The dual Newton Jacobians A diag(d_r) A^T, one per row d_r of d, as one dense product."""
     return (inc[None, :, :] * d[:, None, :]) @ inc.T
+
+
+def dag_constraints_former(cls) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A ``DagPaths``' equalities as the former constraint list, and the tables built from it.
+
+    Returns ``(cons, inc, rhs, jac_entries, jac_terms)``: ``cons`` holds one
+    ``(plus, minus, rhs)`` triple of edge-index arrays per equality, the rest
+    are the dense signed incidence, its right-hand sides and the Newton
+    Jacobian's Laplacian tables (production ``_laplacian_terms``).
+    """
+    cons = [(np.array(cls._out[cls.source], dtype=int), np.array([], dtype=int), 1.0)]
+    for n in cls._topo:
+        if n in (cls.source, cls.sink):
+            continue
+        out_e, in_e = cls._out[n], cls._in[n]
+        if out_e or in_e:
+            cons.append((np.array(out_e, dtype=int), np.array(in_e, dtype=int), 0.0))
+    c, k = len(cons), cls.num_components
+    inc = np.zeros((c, k))
+    rhs = np.zeros(c)
+    frm, to = np.full(k, -1), np.full(k, -1)
+    for i, (plus, minus, b) in enumerate(cons):
+        inc[i, plus] = 1.0
+        inc[i, minus] = -1.0
+        rhs[i] = b
+        frm[plus], to[minus] = i, i
+    entries, terms = DagPaths._laplacian_terms(frm, to, c)
+    return cons, inc, rhs, entries, terms
+
+
+def _dag_residuals_former(cons: list, mat: np.ndarray) -> np.ndarray:
+    out = np.zeros(mat.shape[0])
+    for plus, minus, rhs in cons:
+        val = mat[:, plus].sum(axis=1) - mat[:, minus].sum(axis=1) - rhs
+        out = np.maximum(out, np.abs(val))
+    return out
+
+
+def equality_residuals_former(cls, mat: np.ndarray) -> np.ndarray:
+    """The three former per-class ``_equality_residuals`` bodies, picked by class."""
+    if isinstance(cls, KSubsets):
+        return np.abs(mat.sum(axis=1) - cls.subset_size)
+    if isinstance(cls, ExplicitVertices):
+        verts = cls.vertices()
+        pinned = np.array([np.unique(col).size == 1 for col in verts.T])
+        return np.abs(mat[:, pinned] - verts[0, pinned]).max(axis=1, initial=0.0)
+    return _dag_residuals_former(dag_constraints_former(cls)[0], mat)
+
+
+def dead_edges_former(cls) -> list[int]:
+    """The 1-based edges that the former reachability sweeps find on no source-sink path."""
+    fwd = {n: False for n in cls.nodes}
+    fwd[cls.source] = True
+    for n in cls._topo:
+        if fwd[n]:
+            for e in cls._out[n]:
+                fwd[cls._edge_to[e]] = True
+    bwd = {n: False for n in cls.nodes}
+    bwd[cls.sink] = True
+    for n in reversed(cls._topo):
+        if bwd[n]:
+            for e in cls._in[n]:
+                bwd[cls._edge_from[e]] = True
+    return [
+        e + 1
+        for e in range(cls.num_components)
+        if not (fwd[cls._edge_from[e]] and bwd[cls._edge_to[e]])
+    ]
+
+
+def num_vertices_former(cls) -> int:
+    """The number of source-sink paths of a ``DagPaths``, by the former backward count."""
+    count = {n: 0 for n in cls.nodes}
+    count[cls.sink] = 1
+    for n in reversed(cls._topo):
+        if n != cls.sink:
+            count[n] = sum(count[cls._edge_to[e]] for e in cls._out[n])
+    return count[cls.source]
+
+
+def singular_former(jac: np.ndarray) -> np.ndarray:
+    """Mask of the matrices in an (n, c, c) stack that ``np.linalg.solve`` rejects."""
+    singular = np.zeros(jac.shape[0], dtype=bool)
+    for i, mat in enumerate(jac):
+        try:
+            np.linalg.solve(mat, np.zeros(mat.shape[0]))
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return singular
+
+
+def project_newton_former(cls, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former ``DagPaths._project_newton`` (production ``_inc``, ``_rhs`` and ``_jacobian``).
+
+    When the batched solve raises, ``singular_former`` probes every matrix
+    and the stack is solved again with the singular rows frozen.
+    """
+    inc, rhs = cls._inc, cls._rhs
+    logits = _logit(mat)
+    n, c = mat.shape[0], inc.shape[0]
+    theta = np.zeros((n, c))
+    u = mat
+    diff = u @ inc.T - rhs
+    res = np.abs(diff).max(axis=1)
+    failed = np.zeros(n, dtype=bool)
+    frozen = False
+    for _ in range(80):
+        if frozen:
+            res[failed], diff[failed] = 0.0, 0.0
+        if np.all(res <= PROJECTION_RESIDUAL):
+            return u, failed
+        jac = cls._jacobian(u * (1.0 - u))
+        if frozen:
+            jac[failed] = np.eye(c)
+        try:
+            step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            failed |= singular_former(jac)
+            frozen = True
+            jac[failed], diff[failed] = np.eye(c), 0.0
+            step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
+        alpha = np.ones(n)
+        for _ in range(30):
+            cand_theta = theta - alpha[:, None] * step
+            cand_u = _sigmoid(logits + cand_theta @ inc)
+            cand_diff = cand_u @ inc.T - rhs
+            cand_res = np.abs(cand_diff).max(axis=1)
+            worse = (cand_res > res) & (res > PROJECTION_RESIDUAL)
+            if not worse.any():
+                break
+            alpha = np.where(worse, 0.5 * alpha, alpha)
+        else:
+            failed |= worse
+            frozen = True
+        theta, u, diff, res = cand_theta, cand_u, cand_diff, cand_res
+    return u, failed | ~(res <= PROJECTION_RESIDUAL)
+
+
+def project_cyclic_former(cls, mat: np.ndarray) -> np.ndarray:
+    """The former cyclic sweeps over the former constraint list (production ``_solve_shift``)."""
+    cons = dag_constraints_former(cls)[0]
+    mat = mat.copy()
+    for _ in range(MAX_SWEEPS):
+        if np.all(_dag_residuals_former(cons, mat) <= PROJECTION_RESIDUAL):
+            return mat
+        for plus, minus, rhs in cons:
+            lam = cls._solve_shift(mat, plus, minus, rhs)
+            mat[:, plus] = _sigmoid(_logit(mat[:, plus]) + lam[:, None])
+            if minus.size:
+                mat[:, minus] = _sigmoid(_logit(mat[:, minus]) - lam[:, None])
+    raise ProjectionError("former cyclic projection missed its residual")
+
+
+def project_batch_former(cls, u_tildes: np.ndarray) -> np.ndarray:
+    """The former ``DagPaths.project_batch``: Newton, then cyclic sweeps for each failed row."""
+    mat = cls._interior_rows(u_tildes)
+    with np.errstate(divide="ignore"):  # the former sweeps warned at saturated coordinates
+        u, failed = project_newton_former(cls, mat)
+        for i in np.flatnonzero(failed):
+            u[i] = project_cyclic_former(cls, mat[i : i + 1])[0]
+    return u
 
 
 def integrate_adaptive_batch_reference(

@@ -38,6 +38,13 @@ class TestGrid:
             want = 1 if t == 1 else math.ceil(1.0 + math.log2(t))
             assert learning_rate_grid(t).size == want
 
+    def test_rates_stay_normal_floats(self):
+        etas = learning_rate_grid(2**1021)
+        assert etas.size == 1022 and etas[-1] == 2.0**-1022
+        for t in (2**1021 + 1, 2**1060, 2**1100):
+            with pytest.raises(ValueError, match="learning rates"):
+                learning_rate_grid(t)
+
     def test_initialization(self):
         game = make_game(KSubsets(3, 1), t_max=8)
         assert len(game.u_tilde) == 4

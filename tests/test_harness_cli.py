@@ -363,6 +363,37 @@ MALFORMED = {
     ),
     # Theorem 1's normalizer e^{a/2}/a overflows a float
     "conjugate_a_overflow": prior_config("conjugate", a=1500.0, b=0.0),
+    # numpy parses numeric strings and reads true and false as 1.0 and 0.0
+    "means_strings": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "stochastic", "means": ["0.2", "0.5", "0.8"], "seed": 11}
+    ),
+    "means_bools": lambda tmp_path: experts_config(
+        tmp_path, environment={"name": "stochastic", "means": [True, False, 0.5], "seed": 11}
+    ),
+    "prior_pi_strings": lambda tmp_path: experts_config(tmp_path, prior_pi=["0.2", "0.3", "0.5"]),
+    "grid_etas_strings": prior_config("grid", etas=["0.5", "0.25"]),
+    "grid_masses_bools": prior_config("grid", etas=[0.5, 0.25], masses=[True, False]),
+    "prior_vec_strings": lambda tmp_path: comb_config(tmp_path, prior_vec=["0.5"] * 4),
+    "comparator_bools": lambda tmp_path: comb_config(
+        tmp_path, report={"comparators": [[True, False, True, False]]}
+    ),
+    "explicit_vertices_strings": lambda tmp_path: comb_config(
+        tmp_path,
+        concept_class={"kind": "explicit", "vertices": [["0", "1"], ["1", "1"]]},
+        report={},
+    ),
+    "explicit_vertices_bools": lambda tmp_path: comb_config(
+        tmp_path,
+        concept_class={"kind": "explicit", "vertices": [[False, True], [True, True]]},
+        report={},
+    ),
+    # grids past 2^1021 reach subnormal rates: a traceback (iProd) or a false violation
+    "iprod_grid_t_max_subnormal": lambda tmp_path: experts_config(
+        tmp_path, algorithm={"name": "iprod", "grid_t_max": 2**1100}
+    ),
+    "t_max_subnormal": lambda tmp_path: comb_config(
+        tmp_path, algorithm={"name": "component_iprod", "t_max": 2**1060}
+    ),
 }
 
 
@@ -832,6 +863,25 @@ class TestCli:
         assert main(["grid", "8"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert [float(x) for x in out] == [0.5, 0.25, 0.125, 0.0625]
+
+    def test_grid_stops_at_the_least_normal_float(self, capsys):
+        assert main(["grid", str(2**1021)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1022 and float(out[-1]) == 2.0**-1022
+        assert main(["grid", str(2**1021 + 1)]) == 2
+        assert main(["grid", str(2**1100)]) == 2
+        assert "learning rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
+    def test_largest_normal_grid_runs(self, tmp_path, mode):
+        if mode == "experts":
+            doc = experts_config(tmp_path, algorithm={"name": "iprod", "grid_t_max": 2**1021})
+        else:
+            algorithm = {"name": "component_iprod", "t_max": 2**1021}
+            doc = comb_config(tmp_path, horizon=12, potential_every=1, algorithm=algorithm)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 0
 
     def test_grid_rejects_bad_horizon(self, capsys):
         assert main(["grid", "0"]) == 2

@@ -1,17 +1,24 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from squint import component_iprod as ci
-from squint import polytopes as pt
 from squint.polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets
 from squint.regret_bounds import binary_relative_entropy
 
 from oracles import (
+    dag_constraints_former,
+    dead_edges_former,
     dual_sweep_subset_projection,
+    equality_residuals_former,
     newton_jacobian_dense,
+    num_vertices_former,
+    project_batch_former,
+    project_newton_former,
+    singular_former,
     slsqp_entropy_projection,
     unconstrained_update,
 )
@@ -71,6 +78,19 @@ def direct_edge_dag():
     """A diamond plus an edge straight from the source to the sink."""
     edges = [("s", "a", 1), ("s", "t", 2), ("s", "b", 3), ("a", "t", 4), ("b", "t", 5)]
     return DagPaths(["s", "a", "b", "t"], edges, "s", "t")
+
+
+def bridge_dag():
+    """A diamond behind the edge s -> m, which lies on every path."""
+    edges = [("s", "m", 1), ("m", "a", 2), ("m", "b", 3), ("a", "t", 4), ("b", "t", 5)]
+    return DagPaths(["s", "m", "a", "b", "t"], edges, "s", "t")
+
+
+def unordered_dag():
+    """Sink listed first, an isolated node ahead of the source in topological order,
+    edge indices out of node order."""
+    edges = [("a", "t", 1), ("s", "b", 2), ("b", "t", 3), ("s", "a", 4), ("a", "b", 5)]
+    return DagPaths(["t", "iso", "b", "a", "s"], edges, "s", "t")
 
 
 def random_hull_point(cls, rng):
@@ -226,15 +246,7 @@ class TestProjection:
             assert np.all(np.diff(u[order]) >= -1e-12)
 
     def test_bridge_edge_forced_to_one(self):
-        # s -> m -> t with a diamond in the middle; edge (s,m) is on all paths
-        edges = [
-            ("s", "m", 1),
-            ("m", "a", 2),
-            ("m", "b", 3),
-            ("a", "t", 4),
-            ("b", "t", 5),
-        ]
-        cls = DagPaths(["s", "m", "a", "b", "t"], edges, "s", "t")
+        cls = bridge_dag()
         u = cls.project(np.array([0.3, 0.5, 0.5, 0.5, 0.5]))
         assert abs(u[0] - 1.0) <= 1e-8
         assert abs(u[1] + u[2] - 1.0) <= 1e-8
@@ -437,16 +449,151 @@ class TestRowwiseFallback:
         # and 191 (its backtracking runs out), next to rows 0 and 1, which converge
         cls = diamond()
         mat = criterion_8_points()[2][[0, 28, 1, 191]]
-        flagged, seen, jacobians = [], [], []
-        singular, cyclic, jacobian = pt._singular, cls._project_cyclic, cls._jacobian
-        monkeypatch.setattr(pt, "_singular", lambda j: flagged.append(singular(j)) or flagged[-1])
+        solves, seen, jacobians = [], [], []
+        solve, cyclic, jacobian = np.linalg.solve, cls._project_cyclic, cls._jacobian
+
+        def recorded_solve(a, b):
+            solves.append((a.copy(), True))
+            out = solve(a, b)
+            solves[-1] = (solves[-1][0], False)
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         monkeypatch.setattr(cls, "_project_cyclic", lambda rows: seen.append(rows) or cyclic(rows))
         monkeypatch.setattr(cls, "_jacobian", lambda d: jacobians.append(d) or jacobian(d))
         proj = cls.project_batch(mat)
-        assert np.logical_or.reduce(flagged).tolist() == [False, True, False, False]
+        monkeypatch.undo()
+        # one batched solve raised, on a stack where only row 28's Jacobian is singular and
+        # row 191 is already frozen (I): it failed before, through exhausted backtracking
+        raised = [a for a, r in solves if a.ndim == 3 and r]
+        assert len(raised) == 1
+        assert singular_former(raised[0]).tolist() == [False, True, False, False]
+        assert np.array_equal(raised[0][3], np.eye(3))
+        # the rows were then solved alone, and only row 28's own solve raised
+        assert [r for a, r in solves if a.ndim == 2] == [False, True, False, False]
+        _, failed = cls._project_newton(cls._interior_rows(mat))
+        assert failed.tolist() == [False, True, False, True]
         # the failed rows count as converged, so Newton stops well before its 80-step cap
         assert len(jacobians) < 20
         assert [rows.tobytes() for rows in seen] == [mat[1:2].tobytes(), mat[3:4].tobytes()]
         assert np.max(cls._equality_residuals(proj)) <= 1e-9
         for row_in, row_out in zip(mat, proj):
             np.testing.assert_allclose(cls.project(row_in), row_out, atol=1e-9)
+
+    def test_rowwise_solves_give_the_batched_bits(self):
+        rng = np.random.default_rng(11)
+        for cls in (grid_dag(6), diamond(), six_node_dag()):
+            for n in (1, 7, 40):
+                u = rng.uniform(0.0, 1.0, (n, cls.num_components))
+                jac = cls._jacobian(u * (1.0 - u))
+                diff = rng.uniform(-1.0, 1.0, (n, jac.shape[1]))
+                batched = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
+                rowwise = np.array([np.linalg.solve(j, b) for j, b in zip(jac, diff)])
+                assert rowwise.tobytes() == batched.tobytes()
+
+    def test_saturated_sweeps_raise_no_warning(self):
+        # on the bridge DAG the sweeps drive edge s -> m to exactly 1, whose logit is +inf
+        cls = bridge_dag()
+        points = np.random.default_rng(3).uniform(0.01, 0.99, (200, cls.num_components))
+        _, failed = cls._project_newton(cls._interior_rows(points))
+        assert failed.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cls.project_batch(points)
+        assert got.tobytes() == project_batch_former(cls, points).tobytes()
+
+
+EQUALITY_DAGS = dict(
+    JACOBIAN_DAGS,
+    six_node=six_node_dag,
+    bridge=bridge_dag,
+    unordered=unordered_dag,
+    single_edge=lambda: DagPaths(["s", "t"], [("s", "t", 1)], "s", "t"),
+)
+
+EQUALITY_CLASSES = dict(
+    EQUALITY_DAGS,
+    subsets_6_3=lambda: KSubsets(6, 3),
+    subsets_4_0=lambda: KSubsets(4, 0),
+    subsets_4_4=lambda: KSubsets(4, 4),
+    explicit_pinned=lambda: ExplicitVertices([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]),
+    explicit_free=lambda: ExplicitVertices([[0, 0], [0, 1], [1, 0], [1, 1]]),
+    explicit_point=lambda: ExplicitVertices([[0, 1, 1]]),
+)
+
+
+class TestOneEqualityMatrix:
+    """Each class's ``_inc`` and ``_rhs`` say what the former per-class code said."""
+
+    @pytest.mark.parametrize("name", list(EQUALITY_DAGS))
+    def test_dag_tables_match_former_bytes(self, name):
+        cls = EQUALITY_DAGS[name]()
+        _, *want_tables = dag_constraints_former(cls)
+        tables = (cls._inc, cls._rhs, cls._jac_entries, cls._jac_terms)
+        for got, want in zip(tables, want_tables):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert cls.num_vertices() == num_vertices_former(cls) == cls.vertices().shape[0]
+
+    @pytest.mark.parametrize("name", list(EQUALITY_CLASSES))
+    def test_residuals_match_former(self, name):
+        cls = EQUALITY_CLASSES[name]()
+        assert set(np.unique(cls._inc)) <= {-1.0, 0.0, 1.0}
+        assert cls._inc.shape == (cls._rhs.size, cls.num_components)
+        verts = cls.vertices()
+        assert not cls._equality_residuals(verts).any()
+        rng = np.random.default_rng(12)
+        inside = rng.dirichlet(np.ones(verts.shape[0]), 300) @ verts
+        for mat in (inside, rng.uniform(0.0, 1.0, (300, cls.num_components))):
+            got, want = cls._equality_residuals(mat), equality_residuals_former(cls, mat)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        for u in inside[:20]:
+            want = float(equality_residuals_former(cls, u[None])[0])
+            assert abs(cls.hull_residual(u) - want) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            (["s", "t", "x"], [("s", "t", 1), ("s", "x", 2)]),
+            (["x", "s", "t"], [("x", "s", 1), ("s", "t", 2)]),
+            (["s", "t", "y"], [("s", "t", 1), ("t", "y", 2)]),
+            (
+                ["s", "a", "t", "x", "y"],
+                [("x", "y", 3), ("s", "a", 1), ("a", "t", 2), ("a", "x", 4)],
+            ),
+            (["s", "a", "b", "t"], [("s", "a", 1), ("b", "t", 2), ("s", "t", 3)]),
+        ],
+    )
+    def test_dead_edge_messages_unchanged(self, nodes, edges, monkeypatch):
+        with pytest.raises(ValueError) as exc:
+            DagPaths(nodes, edges, "s", "t")
+        monkeypatch.setattr(DagPaths, "_check_edges_usable", lambda self: None)
+        cls = DagPaths(nodes, edges, "s", "t")
+        monkeypatch.undo()
+        assert str(exc.value) == f"edges {dead_edges_former(cls)} lie on no source-sink path"
+
+
+class TestFormerProjectionBytes:
+    """``project_batch`` gives the bytes of the former constraint list and second solve."""
+
+    @pytest.mark.parametrize("make, which", [(diamond, 2), (six_node_dag, 3)])
+    def test_criterion_8_points(self, make, which):
+        cls = make()
+        points = criterion_8_points()[which]
+        newton, failed = cls._project_newton(cls._interior_rows(points))
+        want_newton, want_failed = project_newton_former(cls, cls._interior_rows(points))
+        assert failed.any()
+        assert failed.tobytes() == want_failed.tobytes()
+        assert newton.tobytes() == want_newton.tobytes()
+        assert cls.project_batch(points).tobytes() == project_batch_former(cls, points).tobytes()
+
+    def test_edge_on_every_path(self):
+        cls = bridge_dag()
+        points = np.random.default_rng(13).uniform(0.01, 0.99, (200, cls.num_components))
+        assert cls.project_batch(points).tobytes() == project_batch_former(cls, points).tobytes()
+
+    def test_played_grid_rows(self):
+        cls = grid_dag(6)
+        mat = played_u_tildes(cls, rounds=43)
+        assert mat.shape == (301, 60)
+        assert cls.project_batch(mat).tobytes() == project_batch_former(cls, mat).tobytes()
