@@ -87,8 +87,11 @@ class ExpertGameState:
     ``variance[k]`` the sum of their squares, and ``cum_loss[k]`` expert k's
     own cumulative loss (used by the Hedge baseline and by loss-based subset
     selection; the squint rules never read it).  Constructing a state checks
-    it; ``update`` checks its own arguments instead and builds the next state
-    without repeating these checks, which follow from them.
+    it: the prior on the simplex, ``variance`` and ``cum_loss`` in [0, t] and
+    ``regret`` in [-t, t], each up to a slack of 1e-9 max(1, t), with nan
+    failing every check.  ``update`` checks its own arguments instead and
+    builds the next state without repeating these checks, which follow from
+    them.
     """
 
     prior: np.ndarray
@@ -110,12 +113,16 @@ class ExpertGameState:
             raise ValueError("variance must lie in [0, t]")
         if not (np.abs(self.regret) <= self.t + slack).all():
             raise ValueError("cumulative regret must lie in [-t, t]")
+        if not ((self.cum_loss >= -slack) & (self.cum_loss <= self.t + slack)).all():
+            raise ValueError("cumulative loss must lie in [0, t]")
 
     @classmethod
-    def _trusted(cls, prior, regret, variance, cum_loss, t) -> "ExpertGameState":
-        # float arrays that already satisfy __post_init__'s checks
+    def _trusted(cls, prior, regret, variance, cum_loss, t, round_regret=None) -> "ExpertGameState":
+        # float arrays that already satisfy __post_init__'s checks; round_regret,
+        # not a field, is the regret vector of the round that led to the state
         state = object.__new__(cls)
         state.__dict__.update(prior=prior, regret=regret, variance=variance, cum_loss=cum_loss, t=t)
+        state.__dict__["_round_regret"] = round_regret
         return state
 
     @property
@@ -192,7 +199,8 @@ def update(state: ExpertGameState, weights: np.ndarray, losses: np.ndarray) -> E
 
     Checks ``weights`` (on the simplex) and ``losses`` (in [0, 1]), so every
     instantaneous regret has |r^k| <= 1 up to rounding, and returns the next
-    state without re-running ``ExpertGameState``'s checks.
+    state without re-running ``ExpertGameState``'s checks.  The round's
+    regret vector r stays on it as ``_round_regret``, for iProd's log-factors.
     """
     weights = np.asarray(weights, dtype=float)
     losses = np.asarray(losses, dtype=float)
@@ -204,14 +212,15 @@ def update(state: ExpertGameState, weights: np.ndarray, losses: np.ndarray) -> E
     if not ((losses >= 0.0) & (losses <= 1.0)).all():
         raise ValueError("losses must lie in [0, 1]")
     r = float(weights @ losses) - losses
-    return ExpertGameState._trusted(
-        state.prior, state.regret + r, state.variance + r * r, state.cum_loss + losses, state.t + 1
-    )
+    regret, variance, cum_loss = state.regret + r, state.variance + r * r, state.cum_loss + losses
+    return ExpertGameState._trusted(state.prior, regret, variance, cum_loss, state.t + 1, r)
 
 
 def _log_terms(prior: np.ndarray, regret: np.ndarray, variance: np.ndarray, kernel) -> np.ndarray:
     """Per-expert ln pi(k) + kernel(R^k, V^k), one scalar closed form per expert."""
-    return np.array([math.log(p) + kernel(r, v) for p, r, v in zip(prior, regret, variance)])
+    # Python floats give the same bits as numpy scalars, about twice as fast
+    pairs = zip(prior.tolist(), regret.tolist(), variance.tolist())
+    return np.array([math.log(p) + kernel(r, v) for p, r, v in pairs])
 
 
 def squint_weights_conjugate(state: ExpertGameState, a: float = 0.0, b: float = 0.0) -> np.ndarray:

@@ -18,7 +18,9 @@ learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
 a failed invariant or a malformed config.  A nan regret or potential and a
 nan or infinite bound are violations in ``run`` and ``audit`` alike.
 ``parse_config`` rejects a malformed config before the first round,
-including wrong vector lengths, vectors holding objects, output paths that
+including keys of the other mode (``num_experts`` or ``prior_pi`` in
+combinatorial mode, ``concept_class`` or ``prior_vec`` in experts mode),
+wrong vector lengths, vectors holding objects, output paths that
 are not two distinct non-empty strings, a ``prior_pi`` off the simplex or
 with a zero entry, non-integer counts, bad subsets, seeds, stream
 parameters, near-best fractions or conjugate ``a``/``b`` (also one whose
@@ -242,6 +244,11 @@ def _report_subsets(report: dict, k: int) -> list[list[int]]:
         subsets += [[i] for i in range(k)]
     return subsets
 
+_OTHER_MODE_KEYS = {  # mode -> the top-level keys only the other mode takes
+    "experts": {"concept_class", "prior_vec"},
+    "combinatorial": {"num_experts", "prior_pi"},
+}
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; unknown keys anywhere are rejected.
 
@@ -259,6 +266,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     mode = doc["mode"]
     if mode not in ("experts", "combinatorial"):
         raise ConfigError(f"unknown mode {mode!r}")
+    foreign = sorted(set(doc) & _OTHER_MODE_KEYS[mode])
+    if foreign:
+        raise ConfigError(f"{mode} mode does not take {foreign}")
     horizon = _check_int(doc["horizon"], "horizon", 0)
 
     env = doc["environment"]
@@ -427,7 +437,7 @@ class _Experts:
         w = self._weights()
         self.state = ex.update(self.state, w, loss)
         if self.grid is not None:
-            self.log_products += ex.iprod_log_factors(float(w @ loss) - loss, self.grid)
+            self.log_products += ex.iprod_log_factors(self.state._round_regret, self.grid)
         return self.state.t, w
 
     def audit(self) -> tuple:

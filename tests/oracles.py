@@ -30,7 +30,9 @@ helpers:
   ``dead_edges_former``, ``num_vertices_former``, ``singular_former`` and
   ``project_newton_former``, ``project_cyclic_former`` and
   ``project_batch_former`` (production ``_laplacian_terms``, ``_jacobian``,
-  ``_solve_shift``, logit and sigmoid);
+  ``_solve_shift``, logit and sigmoid), and ``log_terms_former``, the
+  per-expert closed-form loop on numpy scalars that ``_log_terms`` runs on
+  Python floats (production kernels);
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -243,6 +245,13 @@ def update_replace(state, weights: np.ndarray, losses: np.ndarray):
         cum_loss=state.cum_loss + losses,
         t=state.t + 1,
     )
+
+
+def log_terms_former(
+    prior: np.ndarray, regret: np.ndarray, variance: np.ndarray, kernel
+) -> np.ndarray:
+    """ln pi(k) + kernel(R^k, V^k) per expert, zipping the arrays (numpy scalars)."""
+    return np.array([math.log(p) + kernel(r, v) for p, r, v in zip(prior, regret, variance)])
 
 
 def cv_weight_integrand_former(regret: np.ndarray, variance: np.ndarray):

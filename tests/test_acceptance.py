@@ -83,15 +83,15 @@ class LockstepRuns:
             lw = logsumexp(g + np.log(masses * etas), axis=2)
         else:
             fn = log_exp_integral if self.kind == "improper" else log_eta_exp_integral
-            lw = np.array([fn(ri, vi) for ri, vi in zip(r.ravel(), v.ravel())]).reshape(r.shape)
+            pairs = zip(r.ravel().tolist(), v.ravel().tolist())
+            lw = np.array([fn(ri, vi) for ri, vi in pairs]).reshape(r.shape)
         return _softmax_rows(lw)
 
     def _potential(self) -> np.ndarray:
         r, v = self.regret, self.variance
         if self.kind == "conjugate":
-            log_terms = np.array(
-                [log_exp_integral(ri, vi) for ri, vi in zip(r.ravel(), v.ravel())]
-            ).reshape(r.shape)
+            pairs = zip(r.ravel().tolist(), v.ravel().tolist())
+            log_terms = np.array([log_exp_integral(ri, vi) for ri, vi in pairs]).reshape(r.shape)
             return np.expm1(logsumexp(log_terms - math.log(self.k), axis=1) - math.log(0.5))
         if self.kind == "improper":
             terms = ex.improper_potential_terms(r.ravel(), v.ravel()).reshape(r.shape)

@@ -25,7 +25,18 @@ from squint.experts import (
     weights_for_prior,
 )
 from squint.component_iprod import learning_rate_grid
-from squint.numerics import QuadratureError, QuadratureSpec, _exponent, _exponent_peak
+from squint.numerics import (
+    QuadratureError,
+    QuadratureSpec,
+    _ERFCX_SERIES_CUTOFF,
+    _SERIES_MAX_R,
+    _SERIES_MAX_V,
+    _exponent,
+    _exponent_peak,
+    _log_eta_closed,
+    log_eta_exp_integral,
+    log_exp_integral,
+)
 
 from oracles import (
     capped_knots_former,
@@ -38,6 +49,7 @@ from oracles import (
     interior_peaks_former,
     iprod_log_products_history,
     iprod_weights_history,
+    log_terms_former,
     mp_cv_weight_integral,
     simpson_exp_integral,
     update_replace,
@@ -82,6 +94,15 @@ class TestState:
                     cum_loss=np.zeros(2),
                     t=1,
                 )
+
+    def test_rejects_cum_loss_outside_zero_t(self):
+        zeros = dict(prior=[0.5, 0.5], regret=[0.0, 0.0], variance=[0.0, 0.0])
+        bad = [([math.nan, -3.0], 0), ([math.nan, 0.0], 1), ([-0.5, 0.0], 1), ([0.0, 2.5], 2)]
+        for cum_loss, t in bad:
+            with pytest.raises(ValueError, match="cumulative loss must lie in"):
+                ExpertGameState(**zeros, cum_loss=cum_loss, t=t)
+        # the same slack as the other checks
+        ExpertGameState(**zeros, cum_loss=[-1e-10, 2 + 1e-9], t=2)
 
     def test_invariant_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -176,8 +197,10 @@ class TestUpdate:
                 ExpertGameState(
                     prior=s.prior, regret=s.regret, variance=s.variance, cum_loss=s.cum_loss, t=s.t
                 )
+                r = float(w @ losses) - losses
+                assert s._round_regret.tobytes() == r.tobytes()
                 if name == "iprod":
-                    log_products += iprod_log_factors(float(w @ losses) - losses, grid)
+                    log_products += iprod_log_factors(r, grid)
 
 
 class TestConjugateWeights:
@@ -436,6 +459,58 @@ class TestPeakAndKnots:
         got = experts._grid_exponent(s, etas)
         assert np.array_equal(got, np.outer(regret, etas) - np.outer(variance, etas**2))
         assert got.flags.c_contiguous and got.shape == (12, num_etas)
+
+
+def kernel_grid():
+    """(R, V) reaching every path of both closed-form kernels."""
+    pairs = [
+        (3.0, 1.0),  # log_xi with b >= 0
+        (-1.0, 1.0),  # a <= 0
+        (0.5, 3.0),  # b < 0 < a
+        (80.0, 2.0),  # erfcx arguments above 25, b >= 0
+        (-80.0, 2.0),  # ... and a <= 0
+        (1e-3, 1e-6),  # log_xi's series; the eta-weighted closed form cancels
+        (-1.1102230246251565e-16, 1.232595164407831e-32),
+        (0.0, 0.0),  # v == 0 with r = +-0.0, and the flat forms off r = 0
+        (-0.0, 0.0),
+        (2.0, 0.0),
+        (-2.0, 0.0),
+        (1.0, -3.0),  # v < 0: quadrature
+        (-0.5, -0.2),
+        (1e6, 1.0),  # the eta-weighted closed form cancels: quadrature
+        (-1e6, 1.0),
+    ]
+    return tuple(np.array(c) for c in zip(*pairs))
+
+
+class TestLogTermsMatchFormer:
+    """``_log_terms`` on Python floats gives the numpy-scalar loop's bits."""
+
+    def test_grid_reaches_every_path(self):
+        regret, variance = kernel_grid()
+        closed = [(r, v) for r, v in zip(regret.tolist(), variance.tolist()) if v > 0.0]
+        series = [(r, v) for r, v in closed if abs(r) <= _SERIES_MAX_R and v <= _SERIES_MAX_V]
+        erf = [(r, v) for r, v in closed if (r, v) not in series]
+        ab = [(r / (2 * math.sqrt(v)), (r - v) / (2 * math.sqrt(v))) for r, v in erf]
+        assert any(b >= 0.0 for a, b in ab) and any(a <= 0.0 for a, b in ab)
+        assert any(b < 0.0 < a for a, b in ab)
+        assert any(b > _ERFCX_SERIES_CUTOFF for a, b in ab)
+        assert any(-a > _ERFCX_SERIES_CUTOFF for a, b in ab)
+        assert series and any(_log_eta_closed(r, v) is None for r, v in closed)
+        zero = (regret == 0.0) & (variance == 0.0)
+        assert np.signbit(regret[zero]).any() and not np.signbit(regret[zero]).all()
+        assert (variance < 0.0).any()
+
+    @pytest.mark.parametrize("kernel", [log_exp_integral, log_eta_exp_integral])
+    @pytest.mark.parametrize(
+        "stats", [random_statistics(k, k) for k in (3, 12, 64)] + [kernel_grid()]
+    )
+    def test_bytes_match_former_loop(self, kernel, stats):
+        regret, variance = stats
+        prior = np.random.default_rng(regret.size).dirichlet(np.ones(regret.size))
+        got = experts._log_terms(prior, regret, variance, kernel)
+        want = log_terms_former(prior, regret, variance, kernel)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGridWeights:

@@ -394,6 +394,13 @@ MALFORMED = {
     "t_max_subnormal": lambda tmp_path: comb_config(
         tmp_path, algorithm={"name": "component_iprod", "t_max": 2**1060}
     ),
+    # keys of the other mode used to be ignored, whatever their values
+    "experts_with_concept_class": lambda tmp_path: experts_config(
+        tmp_path, concept_class={"kind": "k_subsets", "num_components": 3, "subset_size": 1}
+    ),
+    "experts_with_prior_vec": lambda tmp_path: experts_config(tmp_path, prior_vec=[0.5] * 3),
+    "combinatorial_with_num_experts": lambda tmp_path: comb_config(tmp_path, num_experts=7),
+    "combinatorial_with_prior_pi": lambda tmp_path: comb_config(tmp_path, prior_pi=[1, 0]),
 }
 
 
@@ -428,6 +435,12 @@ class TestConfigValidation:
         assert main(["run", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_other_mode_keys_are_named(self, tmp_path):
+        doc = comb_config(tmp_path, num_experts=7, prior_pi=[1, 0])
+        taken = r"combinatorial mode does not take \['num_experts', 'prior_pi'\]"
+        with pytest.raises(ConfigError, match=taken):
+            parse_config(doc)
+
     def test_signed_losses_rejected_for_experts(self, tmp_path):
         doc = experts_config(tmp_path)
         doc["environment"] = {"name": "uniform_signed", "seed": 1}
@@ -442,6 +455,23 @@ class TestRunExperiment:
         assert summary["max_potential"] <= 1e-9
         assert summary["near_best"]["violated"] is False
         assert all(not a.get("violated", False) for a in summary["audits"])
+
+    # round 1's uniform weights sum to 1 - 1.1e-16, so every expert starts
+    # at R = -1.1e-16, V = 1.2e-32, where ln xi used to take ln(0)
+    @pytest.mark.parametrize("k", [6, 10])
+    @pytest.mark.parametrize("mean", [1.0, 0.99, 0.9])
+    @pytest.mark.parametrize("prior", [{"kind": "improper"}, {"kind": "conjugate"}])
+    def test_near_equal_losses_run(self, tmp_path, capsys, k, mean, prior):
+        doc = experts_config(
+            tmp_path,
+            num_experts=k,
+            horizon=10,
+            algorithm={"name": "squint", "prior": prior},
+            environment={"name": "stochastic", "means": [mean] * k, "seed": 0},
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 0
 
     def test_zero_horizon(self, tmp_path):
         doc = experts_config(tmp_path, horizon=0)

@@ -149,6 +149,37 @@ class TestXiStable:
             log_xi(math.nan, 1.0)
 
 
+class TestTinyVariance:
+    """Where |r| and v are both small the erfc difference cancels; a series serves."""
+
+    @pytest.mark.parametrize("v", [1e-32, 1e-24, 1e-16, 1e-12, 1e-8, 1e-6, 1e-4])
+    def test_grid_against_oracle(self, v):
+        for r in (0.0, 1e-16, -1e-16, 1e-8, -1e-8, 1e-3, -1e-3, 0.04, -0.04):
+            want = mp_log_exp_integral(r, v)
+            assert abs(log_exp_integral(r, v) - want) <= 1e-13 * max(1.0, abs(want)), r
+
+    def test_first_round_of_equal_losses(self):
+        # K = 6 uniform weights sum to 1 - 1.1e-16; ln xi used to take ln(0)
+        w = np.full(6, 1.0 / 6.0)
+        r = float(w @ np.ones(6)) - 1.0
+        assert r == -1.1102230246251565e-16
+        assert log_xi(r, r * r) == pytest.approx(math.log(0.5), abs=1e-15)
+
+    def test_series_meets_closed_form_at_the_cut(self):
+        for v in (1e-12, 1e-8, 1e-4, 1e-3):
+            for r in (1.0, -1.0):
+                outside = log_xi(math.nextafter(r, 2.0 * r), v)
+                assert abs(log_xi(r, v) - outside) <= 2e-13
+        for r in np.linspace(-1.0, 1.0, 9):
+            outside = log_xi(r, math.nextafter(1e-2, 1.0))
+            assert abs(log_xi(r, 1e-2) - outside) <= 2e-13
+
+    @pytest.mark.parametrize("x", [1e-300, -1e-300])
+    def test_eta_integral_at_tiny_arguments(self, x):
+        want = mp_log_exp_integral(x, 1e-300, with_eta=True)
+        assert abs(log_eta_exp_integral(x, 1e-300) - want) <= 1e-8 * max(1.0, abs(want))
+
+
 class TestEtaExpIntegral:
     def test_simpson_oracle_values(self):
         got_pos = math.exp(log_eta_exp_integral(1.0, 1.0))
@@ -184,6 +215,11 @@ class TestExpIntegral:
         # v < 0 makes the exponent convex; quadrature branch
         want = mp_log_exp_integral(1.0, -3.0)
         assert log_exp_integral(1.0, -3.0) == pytest.approx(want, abs=1e-9)
+
+    def test_negative_curvature_limit(self):
+        # the documented limit of the v < 0 path: the quadrature budget runs out
+        with pytest.raises(QuadratureError):
+            log_exp_integral(1e6, -0.5)
 
     def test_flat_limit(self):
         assert log_exp_integral(0.0, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
