@@ -149,6 +149,10 @@ class ConjugatePrior:
     a: float = 0.0
     b: float = 0.0
 
+    def __post_init__(self):
+        if not self.b >= 0.0:  # also rejects nan
+            raise ValueError(f"conjugate prior needs b >= 0, got b={self.b}")
+
 
 @dataclass(frozen=True)
 class CVPrior:

@@ -15,11 +15,10 @@ density in the integrand.  This module provides:
 
 All potentially huge quantities are handled in log domain: the integrals grow
 like exp(r/2 - v/4) or exp(r^2/(4v)) and overflow float64 long before the
-algorithms upstream stop being well defined.  The ``log_*`` functions
-return a finite value for any finite r and any finite v >= 0.  For v < 0
-they integrate numerically, and at extreme arguments such as
-``log_exp_integral(1e6, -0.5)`` that quadrature exhausts its budget and
-raises ``QuadratureError``.
+algorithms upstream stop being well defined.  The curvature v is a
+cumulative variance, so the domain is v >= 0: the ``log_*`` functions
+return a finite value for any finite r and any finite v >= 0, and raise
+``ValueError`` for v < 0.
 
 Naive evaluation of the erf-based closed form loses all precision when both
 erf arguments are large with the same sign (the difference of two values that
@@ -211,13 +210,12 @@ def _exponent(eta, regret, variance):
 def _exponent_peak(regret, variance):
     """Elementwise argmax over [0, 1/2] of eta*R - eta^2*V.
 
-    Concave (V > 0): R/(2V) clipped to the interval.  Otherwise an endpoint:
-    1/2 where the exponent there, R/2 - V/4 (just R when V == 0), is >= 0.
+    Concave (V > 0): R/(2V) clipped to the interval.  Linear (V == 0): 1/2
+    where R >= 0, else 0.
     """
     with np.errstate(all="ignore"):
         inner = np.clip(np.divide(regret, 2.0 * variance), 0.0, 0.5)
-    at_half = np.where(variance < 0.0, 0.5 * regret - 0.25 * variance, regret) >= 0.0
-    return np.where(variance > 0.0, inner, 0.5 * at_half)
+    return np.where(variance > 0.0, inner, 0.5 * (regret >= 0.0))
 
 
 # Effectively relative-only tolerance: the shifted integrals can be as small
@@ -229,43 +227,31 @@ _REL_ONLY_ABS_TOL = 1e-280
 _DECAY_BUDGET = 45.0
 
 
-def _shifted_log_quadrature(r: float, v: float, with_eta: bool) -> float:
-    """ln int_0^{1/2} [eta] e^{eta r - eta^2 v} deta by max-shifted Simpson.
+def _shifted_log_quadrature(r: float, v: float) -> float:
+    """ln int_0^{1/2} eta e^{eta r - eta^2 v} deta by max-shifted Simpson.
 
-    The integrand is shifted by its peak exponent and, for concave exponents,
-    the domain is clipped to the region where the exponent is within 45 of
-    the peak; an exponential boundary layer of width 1e-6 would otherwise
-    force millions of panels on the full interval.
+    The integrand is shifted by its peak exponent and the domain is clipped
+    to the region where the exponent (concave or linear, v >= 0) is within
+    45 of the peak; an exponential boundary layer of width 1e-6 would
+    otherwise force millions of panels on the full interval.
     """
     peak = float(_exponent_peak(r, v))
     shift = _exponent(peak, r, v)
 
     def f(eta: np.ndarray) -> np.ndarray:
-        g = _exponent(eta, r, v) - shift
-        out = np.exp(g)
-        if with_eta:
-            out = eta * out
-        return out[:, None]
+        return (eta * np.exp(_exponent(eta, r, v) - shift))[:, None]
 
-    if v >= 0.0:
-        # distance from the peak at which the exponent has dropped by 45
-        rate = abs(r - 2.0 * peak * v)
-        d = math.inf
-        if rate > 0.0:
-            d = _DECAY_BUDGET / rate
-        if v > 0.0:
-            d = min(d, math.sqrt(_DECAY_BUDGET / v))
-        d = min(d, 0.5)
-        lo = max(0.0, peak - d)
-        hi = min(0.5, peak + d)
-        knots = [peak + s * k * d for s in (-1.0, 1.0) for k in (0.02, 0.07, 0.25)]
-    else:
-        # convex exponent: possible layers at both endpoints, keep the full
-        # interval and seed subdivision near both ends
-        lo, hi = 0.0, 0.5
-        s0 = 1.0 / max(abs(r), abs(v), 2.0)
-        knots = [k * s0 for k in (1.0, 3.0, 10.0, 45.0)]
-        knots += [0.5 - k for k in knots]
+    # distance from the peak at which the exponent has dropped by 45
+    rate = abs(r - 2.0 * peak * v)
+    d = math.inf
+    if rate > 0.0:
+        d = _DECAY_BUDGET / rate
+    if v > 0.0:
+        d = min(d, math.sqrt(_DECAY_BUDGET / v))
+    d = min(d, 0.5)
+    lo = max(0.0, peak - d)
+    hi = min(0.5, peak + d)
+    knots = [peak + s * k * d for s in (-1.0, 1.0) for k in (0.02, 0.07, 0.25)]
 
     spec = QuadratureSpec(
         lo, hi, abs_tol=_REL_ONLY_ABS_TOL, rel_tol=1e-10, max_subdivisions=200_000
@@ -275,19 +261,17 @@ def _shifted_log_quadrature(r: float, v: float, with_eta: bool) -> float:
 
 
 def log_exp_integral(r: float, v: float) -> float:
-    """ln of int_0^{1/2} exp(eta*r - eta^2*v) deta for any finite (r, v).
+    """ln of int_0^{1/2} exp(eta*r - eta^2*v) deta for finite r and v >= 0.
 
-    v > 0 uses the closed erf form, v == 0 the analytic value, v < 0
-    (convex exponent, still finite on the interval) shifted quadrature, which
-    raises ``QuadratureError`` at extreme arguments such as (1e6, -0.5).
+    v > 0 uses the closed erf form, v == 0 the analytic value.
     """
     if not (math.isfinite(r) and math.isfinite(v)):
         raise ValueError(f"log_exp_integral requires finite inputs, got r={r}, v={v}")
+    if v < 0.0:
+        raise ValueError(f"log_exp_integral requires v >= 0, got v={v}")
     if v > 0.0:
         return log_xi(r, v)
-    if v == 0.0:
-        return _log_flat_integral(r)
-    return _shifted_log_quadrature(r, v, with_eta=False)
+    return _log_flat_integral(r)
 
 
 # Closed-form cancellation guard: fall back to quadrature when fewer than
@@ -316,7 +300,7 @@ def _log_eta_closed(x: float, y: float) -> float | None:
 
 
 def log_eta_exp_integral(x: float, y: float) -> float:
-    """ln of J(x, y) = int_0^{1/2} eta exp(eta*x - eta^2*y) deta.
+    """ln of J(x, y) = int_0^{1/2} eta exp(eta*x - eta^2*y) deta, for y >= 0.
 
     For y > 0 uses the closed form J = (x xi(x,y) + 1 - e^{x/2 - y/4})/(2y)
     combined in log domain, falling back to max-shifted adaptive quadrature
@@ -325,13 +309,14 @@ def log_eta_exp_integral(x: float, y: float) -> float:
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"log_eta_exp_integral requires finite inputs, got x={x}, y={y}")
+    if y < 0.0:
+        raise ValueError(f"log_eta_exp_integral requires y >= 0, got y={y}")
     if y == 0.0:
         return _log_eta_flat_integral(x)
-    if y > 0.0:
-        val = _log_eta_closed(x, y)
-        if val is not None:
-            return val
-    return _shifted_log_quadrature(x, y, with_eta=True)
+    val = _log_eta_closed(x, y)
+    if val is not None:
+        return val
+    return _shifted_log_quadrature(x, y)
 
 
 def integrate_adaptive_batch(

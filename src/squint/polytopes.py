@@ -14,11 +14,9 @@ coefficients: the projection onto a single such equality moves all incident
 coordinates by a common shift in logit space, u_e -> sigmoid(logit(u_e) +/-
 lambda), with the shift found by monotone root-finding.  The subset class
 needs exactly one such shift.  The flow polytope of a DAG solves for all its
-conservation equalities' shifts at once by damped Newton on the dual; rows
-Newton fails to converge are finished by cycling Bregman projections through
-the equalities until the residual is met (for affine equalities the cyclic
-method converges to the projection onto the intersection without correction
-terms).
+conservation equalities' shifts at once by damped Newton on the smooth convex
+dual, which converges from any start once the edges that lie on every path
+are pinned to 1 when the class is built; there is no second solver.
 
 Coordinates are clamped to [1e-12, 1 - 1e-12] before any projection: the
 entropy geometry is undefined at the boundary and multiplicative updates
@@ -48,12 +46,13 @@ __all__ = [
 INTERIOR_EPS = 1e-12
 PROJECTION_RESIDUAL = 1e-9
 DECOMPOSITION_RESIDUAL = 1e-8
-MAX_SWEEPS = 10**4
+MAX_NEWTON_STEPS = 80
+ARMIJO = 0.25
 DEFAULT_VERTEX_CAP = 10**5
 
 
 class ProjectionError(RuntimeError):
-    """Cyclic projection failed to reach the residual tolerance."""
+    """The DAG projection's Newton iteration failed to reach the residual tolerance."""
 
 
 def clamp_interior(u: np.ndarray) -> np.ndarray:
@@ -71,6 +70,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def _dual(z: np.ndarray, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The dual per row: sum_e softplus(z_e) - rhs . theta, where z = logit(w) + A^T theta."""
+    return np.logaddexp(0.0, z).sum(axis=1) - theta @ rhs
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,14 @@ class DagPaths(ConceptClass):
             self._out[self._edge_from[e]].append(e)
             self._in[self._edge_to[e]].append(e)
         self._topo = self._toposort()
-        self._check_edges_usable()
+        fwd = self._path_counts(self.source, self._topo, self._in, self._edge_from)
+        bwd = self._path_counts(self.sink, self._topo[::-1], self._out, self._edge_to)
+        self._num_paths = bwd[self.source]
+        through = [fwd[frm] * bwd[to] for frm, to in zip(self._edge_from, self._edge_to)]
+        dead = [e + 1 for e, paths in enumerate(through) if paths == 0]
+        if dead:
+            raise ValueError(f"edges {dead} lie on no source-sink path")
+        self._forced = np.array([paths == self._num_paths for paths in through])
         self._build_constraints()
 
     @classmethod
@@ -343,34 +354,39 @@ class DagPaths(ConceptClass):
             count[n] = 1 if n == start else sum(count[other_end[e]] for e in edges_of[n])
         return count
 
-    def _check_edges_usable(self):
-        fwd = self._path_counts(self.source, self._topo, self._in, self._edge_from)
-        bwd = self._path_counts(self.sink, self._topo[::-1], self._out, self._edge_to)
-        dead = [
-            e + 1
-            for e in range(self.num_components)
-            if not (fwd[self._edge_from[e]] > 0 and bwd[self._edge_to[e]] > 0)
-        ]
-        if dead:
-            raise ValueError(f"edges {dead} lie on no source-sink path")
-
     def _build_constraints(self):
-        """Rows: outflow 1 at the source, then conservation at each inner node with edges."""
-        ends = (self.source, self.sink)
-        rows = [self.source] + [
-            n for n in self._topo if n not in ends and (self._out[n] or self._in[n])
+        """Unit-flow rows over the free edges, then a pin row per forced edge.
+
+        Flow rows: outflow 1 at the source, then conservation at each inner
+        node with edges.  An edge on every path is its tail's only way out
+        and its head's only way in; its two ends share one row, the sum of
+        their own, in which its column cancels, and the sink's group has no
+        row.  The pins u_e = 1 follow as identity rows.
+        """
+        group = {}  # node -> first node of its chain of forced edges
+        for n in self._topo:
+            ins = self._in[n]
+            forced_in = len(ins) == 1 and self._forced[ins[0]]
+            group[n] = group[self._edge_from[ins[0]]] if forced_in else n
+        members = [self.source] + [
+            n for n in self._topo if n != self.source and (self._out[n] or self._in[n])
         ]
+        members = [n for n in members if group[n] != group[self.sink]]
+        rows = {g: i for i, g in enumerate(dict.fromkeys(group[n] for n in members))}
         c, k = len(rows), self.num_components
-        self._inc = np.zeros((c, k))
-        self._rhs = np.zeros(c)
-        self._rhs[0] = 1.0
-        # each edge leaves at most one constrained node and enters at most one
-        frm, to = np.full(k, -1), np.full(k, -1)
-        for i, n in enumerate(rows):
-            self._inc[i, self._out[n]] = 1.0
-            self._inc[i, self._in[n]] = -1.0
-            frm[self._out[n]], to[self._in[n]] = i, i
-        self._jac_entries, self._jac_terms = self._laplacian_terms(frm, to, c)
+        flow = np.zeros((c, k))
+        for n in members:
+            flow[rows[group[n]], self._out[n]] += 1.0
+            flow[rows[group[n]], self._in[n]] -= 1.0
+        self._flows = c
+        self._inc = np.vstack((flow, np.eye(k)[self._forced]))
+        self._rhs = np.concatenate((np.zeros(c), np.ones(int(self._forced.sum()))))
+        if c:
+            self._rhs[0] = 1.0  # the source's row; with no row the source is in the sink's group
+            # each free edge leaves at most one row and enters at most one
+            frm = np.where((flow > 0.0).any(axis=0), (flow > 0.0).argmax(axis=0), -1)
+            to = np.where((flow < 0.0).any(axis=0), (flow < 0.0).argmax(axis=0), -1)
+            self._jac_entries, self._jac_terms = self._laplacian_terms(frm, to, c)
 
     @staticmethod
     def _laplacian_terms(frm, to, c):
@@ -400,75 +416,68 @@ class DagPaths(ConceptClass):
         return entries, terms
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        """Joint dual Newton iteration, cyclic Bregman sweeps as row-wise fallback.
+        """Damped Newton on the projection's convex dual, all rows at once.
 
-        The projection of w onto the intersection of the flow equalities has
-        the form u = sigmoid(logit(w) + A^T theta) with A the signed
-        incidence of the constraints; theta solves A u(theta) = rhs, a
-        smooth monotone system whose Jacobian A diag(u(1-u)) A^T is positive
-        definite, so damped Newton converges in a handful of iterations.
-        Rows the Newton iteration fails to converge (a singular Jacobian
-        from saturated bridge edges, exhausted backtracking or the iteration
-        cap) are projected again, each alone from its input row, by cyclic
-        per-constraint projections; every other row keeps Newton's result.
+        The projection of w onto the flow equalities A u = rhs is
+        u = sigmoid(logit(w) + A^T theta), where theta minimizes the dual
+        F(theta) = sum_e softplus(logit(w_e) + (A^T theta)_e) - rhs . theta.
+        F is smooth and convex, with gradient A u - rhs and Hessian
+        A diag(u(1-u)) A^T.  It attains its minimum, and damped Newton
+        converges to it from any start, because A leaves out the forced
+        edges: they are 1 on the whole hull and are pinned afterwards.
+        Newton steps are halved until F drops by a quarter of the predicted
+        decrease (Armijo).  A row is tested only while its Newton decrement
+        exceeds 1e-6 and its residual the tolerance, so that F's rounding
+        cannot mask a real decrease.  Converged rows keep stepping until
+        every row has converged.  Raises ``ProjectionError`` when the
+        Jacobian is singular to working precision or the step cap is hit.
         """
         mat = self._interior_rows(u_tildes)
-        u, failed = self._project_newton(mat)
-        for i in np.flatnonzero(failed):
-            u[i] = self._project_cyclic(mat[i : i + 1])[0]
-        return u
-
-    def _project_newton(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Newton's rows and the mask of rows it failed to converge.
-
-        A row fails when its Jacobian turns singular, its backtracking runs
-        out or the iteration cap is reached.  A failed row is frozen: it
-        counts as converged and solves I x = 0, a zero step.  Until a row
-        fails, this is the plain damped Newton iteration.  When the batched
-        solve raises, each row is solved alone (same bits); a row that raises fails.
-        """
-        inc, rhs = self._inc, self._rhs
+        if not self._flows:
+            return np.ones_like(mat)
+        inc, rhs = self._inc[: self._flows], self._rhs[: self._flows]
         logits = _logit(mat)
-        n, c = mat.shape[0], inc.shape[0]
-        theta = np.zeros((n, c))
-        u = mat
-        diff = u @ inc.T - rhs  # (n, c)
+        n = mat.shape[0]
+        theta = np.zeros((n, self._flows))
+        z, u = logits, mat  # z = logits + theta @ inc
+        diff = u @ inc.T - rhs  # (n, c), the dual gradient
         res = np.abs(diff).max(axis=1)
-        failed = np.zeros(n, dtype=bool)
-        frozen = False  # whether some row has failed
-        for _ in range(80):
-            if frozen:
-                res[failed], diff[failed] = 0.0, 0.0
+        value = None  # F at theta, once a line search has needed it
+        for _ in range(MAX_NEWTON_STEPS):
             if np.all(res <= PROJECTION_RESIDUAL):
-                return u, failed
+                u[:, self._forced] = 1.0
+                return u
             jac = self._jacobian(u * (1.0 - u))  # (n, c, c)
-            if frozen:
-                jac[failed] = np.eye(c)
             try:
                 step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                step = np.zeros((n, c))
-                for i in range(n):
-                    try:
-                        step[i] = np.linalg.solve(jac[i], diff[i])
-                    except np.linalg.LinAlgError:
-                        failed[i] = frozen = True
-            # backtracking on the residual norm, vectorized over rows
+                raise ProjectionError("singular Newton Jacobian in the DAG projection") from None
+            decrement = (diff * step).sum(axis=1)
+            search = (decrement > 1e-6) & (res > PROJECTION_RESIDUAL)
+            searching = search.any()
+            if searching and value is None:
+                value = _dual(z, theta, rhs)
+            drop = ARMIJO * decrement
             alpha = np.ones(n)
-            for _ in range(30):
+            cand_value = None
+            for _ in range(60):
                 cand_theta = theta - alpha[:, None] * step
-                cand_u = _sigmoid(logits + cand_theta @ inc)
-                cand_diff = cand_u @ inc.T - rhs
-                cand_res = np.abs(cand_diff).max(axis=1)
-                worse = (cand_res > res) & (res > PROJECTION_RESIDUAL)
+                cand_z = logits + cand_theta @ inc
+                cand_u = _sigmoid(cand_z)
+                if not searching:
+                    break
+                cand_value = _dual(cand_z, cand_theta, rhs)
+                worse = search & ~(cand_value <= value - alpha * drop)
                 if not worse.any():
                     break
                 alpha = np.where(worse, 0.5 * alpha, alpha)
-            else:
-                failed |= worse
-                frozen = True
-            theta, u, diff, res = cand_theta, cand_u, cand_diff, cand_res
-        return u, failed | ~(res <= PROJECTION_RESIDUAL)
+            theta, z, u, value = cand_theta, cand_z, cand_u, cand_value
+            diff = u @ inc.T - rhs
+            res = np.abs(diff).max(axis=1)
+        raise ProjectionError(
+            f"DAG projection missed residual {PROJECTION_RESIDUAL} after "
+            f"{MAX_NEWTON_STEPS} Newton steps (worst {float(res.max()):.2e})"
+        )
 
     def _jacobian(self, d: np.ndarray) -> np.ndarray:
         """A diag(d_r) A^T for each row d_r of d (n, K), as an (n, c, c) stack.
@@ -476,7 +485,7 @@ class DagPaths(ConceptClass):
         Each entry is summed from +0.0 in increasing edge order, which gives
         the bits of the dense product ``(A * d_r) @ A^T``.
         """
-        n, c = d.shape[0], self._inc.shape[0]
+        n, c = d.shape[0], self._flows
         signed = np.concatenate((d, -d, np.zeros((n, 1))), axis=1)
         vals = np.zeros((n, self._jac_entries.size))
         for cols in self._jac_terms:
@@ -485,60 +494,8 @@ class DagPaths(ConceptClass):
         jac[:, self._jac_entries] = vals
         return jac.reshape(n, c, c)
 
-    def _project_cyclic(self, mat: np.ndarray) -> np.ndarray:
-        mat = mat.copy()
-        signs = [(np.flatnonzero(a > 0.0), np.flatnonzero(a < 0.0)) for a in self._inc]
-        # a coordinate the sweeps saturate to 0 or 1 has logit -inf or +inf, as the shifts need
-        with np.errstate(divide="ignore"):
-            for _ in range(MAX_SWEEPS):
-                if np.all(self._equality_residuals(mat) <= PROJECTION_RESIDUAL):
-                    return mat
-                for (plus, minus), rhs in zip(signs, self._rhs):
-                    lam = self._solve_shift(mat, plus, minus, rhs)
-                    mat[:, plus] = _sigmoid(_logit(mat[:, plus]) + lam[:, None])
-                    if minus.size:
-                        mat[:, minus] = _sigmoid(_logit(mat[:, minus]) - lam[:, None])
-        worst = float(self._equality_residuals(mat).max())
-        raise ProjectionError(
-            f"cyclic projection missed residual {PROJECTION_RESIDUAL} after "
-            f"{MAX_SWEEPS} sweeps (worst {worst:.2e})"
-        )
-
-    @staticmethod
-    def _solve_shift(mat, plus, minus, rhs) -> np.ndarray:
-        """Vector of logit shifts making sum(plus) - sum(minus) = rhs per row."""
-        lp = _logit(mat[:, plus])
-        lm = _logit(mat[:, minus]) if minus.size else None
-        n = mat.shape[0]
-        lo = np.full(n, -800.0)
-        hi = np.full(n, 800.0)
-        lam = np.zeros(n)
-
-        def g_and_slope(lam):
-            sp = _sigmoid(lp + lam[:, None])
-            g = sp.sum(axis=1) - rhs
-            slope = (sp * (1.0 - sp)).sum(axis=1)
-            if lm is not None:
-                sm = _sigmoid(lm - lam[:, None])
-                g -= sm.sum(axis=1)
-                slope += (sm * (1.0 - sm)).sum(axis=1)
-            return g, slope
-
-        for _ in range(100):
-            g, slope = g_and_slope(lam)
-            if np.all(np.abs(g) <= 1e-13):
-                break
-            high = g > 0.0
-            hi = np.where(high, lam, hi)
-            lo = np.where(high, lo, lam)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = lam - g / slope
-            bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
-            lam = np.where(bad, 0.5 * (lo + hi), newton)
-        return lam
-
     def num_vertices(self) -> int:
-        return self._path_counts(self.sink, self._topo[::-1], self._out, self._edge_to)[self.source]
+        return self._num_paths
 
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
         self._check_vertex_cap(cap)

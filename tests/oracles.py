@@ -25,12 +25,14 @@ helpers:
   ``_peak_knots`` replace: ``cv_peak_former``, ``exponent_peak_scalar_former``,
   ``cv_peak_knots_former`` (production ``_CV_UPPER``) and
   ``interior_peaks_former`` with ``capped_knots_former``, and the former
-  ``polytopes`` bodies that one equality matrix per class replaced:
-  ``dag_constraints_former``, ``equality_residuals_former``,
-  ``dead_edges_former``, ``num_vertices_former``, ``singular_former`` and
-  ``project_newton_former``, ``project_cyclic_former`` and
-  ``project_batch_former`` (production ``_laplacian_terms``, ``_jacobian``,
-  ``_solve_shift``, logit and sigmoid), and ``log_terms_former``, the
+  ``polytopes`` bodies that one equality matrix per class and the damped
+  Newton projection replaced: ``dag_constraints_former``,
+  ``equality_residuals_former``, ``dead_edges_former`` (on the raw edge
+  list), ``num_vertices_former``, ``singular_former``, and the former
+  projection, ``project_newton_former`` (dense Jacobians),
+  ``project_cyclic_former`` with its own shift solver and sweep cap, and
+  ``project_batch_former`` (production ``_laplacian_terms``,
+  ``_interior_rows``, logit and sigmoid), and ``log_terms_former``, the
   per-expert closed-form loop on numpy scalars that ``_log_terms`` runs on
   Python floats (production kernels);
 - the single-rate learner that Component iProd aggregates:
@@ -62,7 +64,6 @@ from squint.numerics import (
     logsumexp,
 )
 from squint.polytopes import (
-    MAX_SWEEPS,
     PROJECTION_RESIDUAL,
     DagPaths,
     ExplicitVertices,
@@ -542,25 +543,16 @@ def equality_residuals_former(cls, mat: np.ndarray) -> np.ndarray:
     return _dag_residuals_former(dag_constraints_former(cls)[0], mat)
 
 
-def dead_edges_former(cls) -> list[int]:
-    """The 1-based edges that the former reachability sweeps find on no source-sink path."""
-    fwd = {n: False for n in cls.nodes}
-    fwd[cls.source] = True
-    for n in cls._topo:
-        if fwd[n]:
-            for e in cls._out[n]:
-                fwd[cls._edge_to[e]] = True
-    bwd = {n: False for n in cls.nodes}
-    bwd[cls.sink] = True
-    for n in reversed(cls._topo):
-        if bwd[n]:
-            for e in cls._in[n]:
-                bwd[cls._edge_from[e]] = True
-    return [
-        e + 1
-        for e in range(cls.num_components)
-        if not (fwd[cls._edge_from[e]] and bwd[cls._edge_to[e]])
-    ]
+def dead_edges_former(edges, source, sink) -> list[int]:
+    """The indices of the edges ``(from, to, index)`` on no source-sink path, by reachability."""
+    fwd, bwd = {source}, {sink}
+    for _ in edges:
+        for frm, to, _ in edges:
+            if frm in fwd:
+                fwd.add(to)
+            if to in bwd:
+                bwd.add(frm)
+    return sorted(idx for frm, to, idx in edges if not (frm in fwd and to in bwd))
 
 
 def num_vertices_former(cls) -> int:
@@ -585,12 +577,15 @@ def singular_former(jac: np.ndarray) -> np.ndarray:
 
 
 def project_newton_former(cls, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The former ``DagPaths._project_newton`` (production ``_inc``, ``_rhs`` and ``_jacobian``).
+    """The former ``DagPaths._project_newton`` on the former constraint list.
 
-    When the batched solve raises, ``singular_former`` probes every matrix
-    and the stack is solved again with the singular rows frozen.
+    Returns Newton's rows and the mask of rows it failed to converge.  The
+    Jacobians are the dense products, which have the bits of production's
+    ``_jacobian``.  When the batched solve raises, ``singular_former``
+    probes every matrix and the stack is solved again with the singular
+    rows frozen.
     """
-    inc, rhs = cls._inc, cls._rhs
+    _, inc, rhs, _, _ = dag_constraints_former(cls)
     logits = _logit(mat)
     n, c = mat.shape[0], inc.shape[0]
     theta = np.zeros((n, c))
@@ -604,7 +599,7 @@ def project_newton_former(cls, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             res[failed], diff[failed] = 0.0, 0.0
         if np.all(res <= PROJECTION_RESIDUAL):
             return u, failed
-        jac = cls._jacobian(u * (1.0 - u))
+        jac = newton_jacobian_dense(inc, u * (1.0 - u))
         if frozen:
             jac[failed] = np.eye(c)
         try:
@@ -631,15 +626,51 @@ def project_newton_former(cls, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return u, failed | ~(res <= PROJECTION_RESIDUAL)
 
 
+MAX_SWEEPS_FORMER = 10**4
+
+
+def _solve_shift_former(mat, plus, minus, rhs) -> np.ndarray:
+    """Vector of logit shifts making sum(plus) - sum(minus) = rhs per row."""
+    lp = _logit(mat[:, plus])
+    lm = _logit(mat[:, minus]) if minus.size else None
+    n = mat.shape[0]
+    lo = np.full(n, -800.0)
+    hi = np.full(n, 800.0)
+    lam = np.zeros(n)
+
+    def g_and_slope(lam):
+        sp = _sigmoid(lp + lam[:, None])
+        g = sp.sum(axis=1) - rhs
+        slope = (sp * (1.0 - sp)).sum(axis=1)
+        if lm is not None:
+            sm = _sigmoid(lm - lam[:, None])
+            g -= sm.sum(axis=1)
+            slope += (sm * (1.0 - sm)).sum(axis=1)
+        return g, slope
+
+    for _ in range(100):
+        g, slope = g_and_slope(lam)
+        if np.all(np.abs(g) <= 1e-13):
+            break
+        high = g > 0.0
+        hi = np.where(high, lam, hi)
+        lo = np.where(high, lo, lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = lam - g / slope
+        bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
+        lam = np.where(bad, 0.5 * (lo + hi), newton)
+    return lam
+
+
 def project_cyclic_former(cls, mat: np.ndarray) -> np.ndarray:
-    """The former cyclic sweeps over the former constraint list (production ``_solve_shift``)."""
+    """The former cyclic sweeps over the former constraint list, one logit shift per equality."""
     cons = dag_constraints_former(cls)[0]
     mat = mat.copy()
-    for _ in range(MAX_SWEEPS):
+    for _ in range(MAX_SWEEPS_FORMER):
         if np.all(_dag_residuals_former(cons, mat) <= PROJECTION_RESIDUAL):
             return mat
         for plus, minus, rhs in cons:
-            lam = cls._solve_shift(mat, plus, minus, rhs)
+            lam = _solve_shift_former(mat, plus, minus, rhs)
             mat[:, plus] = _sigmoid(_logit(mat[:, plus]) + lam[:, None])
             if minus.size:
                 mat[:, minus] = _sigmoid(_logit(mat[:, minus]) - lam[:, None])

@@ -225,6 +225,13 @@ class TestConjugateWeights:
             want = simpson_exp_integral(r, 1.0, with_eta=True)
             assert math.exp(log_eta_exp_integral(r, 1.0)) == pytest.approx(want, rel=1e-8)
 
+    def test_prior_rejects_negative_curvature(self):
+        # Theorem 1 needs b >= 0, and the kernels take only curvature >= 0
+        for b in (-1.0, -5e-324, math.nan):
+            with pytest.raises(ValueError, match="b >= 0"):
+                ConjugatePrior(a=0.0, b=b)
+        assert ConjugatePrior(a=-1.0, b=-0.0).b == 0.0
+
     def test_simplex_output(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -389,9 +396,9 @@ class TestQuadratureMatchesReference:
 
 
 def hand_grid():
-    """(R, V) with V < 0, V == 0, R == +-0.0, R < -e, subnormals, peaks at 0 and 1/2."""
+    """(R, V) with V == +-0.0, R == +-0.0, R < -e, subnormals, peaks at 0 and 1/2."""
     r = [-100.0, -10.0, -math.e - 1e-9, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.3, 1.0, 3.0, 50.0]
-    v = [-10.0, -1.0, -0.0, 0.0, 1e-310, 0.1, 1.0, 3.0, 100.0]
+    v = [-0.0, 0.0, 1e-310, 0.1, 1.0, 3.0, 100.0]
     regret, variance = np.meshgrid(r, v)
     return regret.ravel(), variance.ravel()
 
@@ -405,7 +412,7 @@ class TestPeakAndKnots:
     def test_hand_grid_reaches_every_case(self):
         regret, variance = hand_grid()
         peak = _exponent_peak(regret, variance)
-        assert (variance < 0.0).any() and (regret < -math.e).any()
+        assert (variance == 0.0).any() and (regret < -math.e).any()
         assert (peak == 0.0).any() and (peak == 0.5).any() and ((0.0 < peak) & (peak < 0.5)).any()
         with np.errstate(all="ignore"):
             assert len(cv_peak_knots_former(regret, variance, peak)) <= 48
@@ -475,8 +482,6 @@ def kernel_grid():
         (-0.0, 0.0),
         (2.0, 0.0),
         (-2.0, 0.0),
-        (1.0, -3.0),  # v < 0: quadrature
-        (-0.5, -0.2),
         (1e6, 1.0),  # the eta-weighted closed form cancels: quadrature
         (-1e6, 1.0),
     ]
@@ -499,7 +504,6 @@ class TestLogTermsMatchFormer:
         assert series and any(_log_eta_closed(r, v) is None for r, v in closed)
         zero = (regret == 0.0) & (variance == 0.0)
         assert np.signbit(regret[zero]).any() and not np.signbit(regret[zero]).all()
-        assert (variance < 0.0).any()
 
     @pytest.mark.parametrize("kernel", [log_exp_integral, log_eta_exp_integral])
     @pytest.mark.parametrize(

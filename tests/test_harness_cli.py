@@ -100,6 +100,21 @@ def multi_subsets_config(tmp_path, **overrides):
 # the middle coordinate pinned to 1, the other two free: a product set
 PRODUCT_VERTICES = [[0, 1, 0], [0, 1, 1], [1, 1, 0], [1, 1, 1]]
 
+# s -> m and n -> t lie on every path, so the projection pins them to 1
+BRIDGED_DAG = {
+    "nodes": ["s", "m", "a", "b", "n", "t"],
+    "edges": [
+        {"from": "s", "to": "m", "index": 1},
+        {"from": "m", "to": "a", "index": 2},
+        {"from": "m", "to": "b", "index": 3},
+        {"from": "a", "to": "n", "index": 4},
+        {"from": "b", "to": "n", "index": 5},
+        {"from": "n", "to": "t", "index": 6},
+    ],
+    "source": "s",
+    "sink": "t",
+}
+
 # run shape -> (config factory, expected CSV header, expected keys of every summary audit)
 RUN_SHAPES = {
     "improper": (
@@ -134,6 +149,13 @@ RUN_SHAPES = {
             horizon=20,
         ),
         expected_columns("u", 3, ["C0", "C1", "C2", "C3"], True),
+        COMPARATOR_KEYS | VERDICT_KEYS,
+    ),
+    "dag_bridges": (
+        lambda tmp_path: comb_config(
+            tmp_path, concept_class={"kind": "dag_paths", "dag": BRIDGED_DAG}, horizon=20
+        ),
+        expected_columns("u", 6, ["C0", "C1"], True),
         COMPARATOR_KEYS | VERDICT_KEYS,
     ),
     "combinatorial_zero_horizon": (
@@ -730,6 +752,14 @@ class TestAudit:
         run_experiment(parse_config(doc))
         ok, problems = audit_csv(doc["output"]["csv"])
         assert ok, problems
+
+    @pytest.mark.parametrize("shape", list(RUN_SHAPES))
+    def test_every_run_shape_passes_cli_audit(self, tmp_path, shape):
+        doc = RUN_SHAPES[shape][0](tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 0
+        assert main(["audit", doc["output"]["csv"]]) == 0
 
     def test_tampered_run_fails_audit(self, tmp_path):
         doc = experts_config(tmp_path)

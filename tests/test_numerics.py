@@ -212,14 +212,19 @@ class TestEtaExpIntegral:
 
 class TestExpIntegral:
     def test_negative_curvature(self):
-        # v < 0 makes the exponent convex; quadrature branch
-        want = mp_log_exp_integral(1.0, -3.0)
-        assert log_exp_integral(1.0, -3.0) == pytest.approx(want, abs=1e-9)
+        # v is a cumulative variance: v < 0 lies outside the kernels' domain
+        for kernel in (log_exp_integral, log_eta_exp_integral):
+            with pytest.raises(ValueError, match="v >= 0|y >= 0"):
+                kernel(1.0, -3.0)
+            with pytest.raises(ValueError):
+                kernel(1.0, -5e-324)
 
     def test_negative_curvature_limit(self):
-        # the documented limit of the v < 0 path: the quadrature budget runs out
-        with pytest.raises(QuadratureError):
+        # the former quadrature limit is rejected up front; -0.0 is still v == 0
+        with pytest.raises(ValueError):
             log_exp_integral(1e6, -0.5)
+        for kernel in (log_exp_integral, log_eta_exp_integral):
+            assert kernel(2.0, -0.0) == kernel(2.0, 0.0)
 
     def test_flat_limit(self):
         assert log_exp_integral(0.0, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
@@ -482,12 +487,21 @@ class TestBatchedSimpsonMatchesReference:
         use_reference(monkeypatch)
         assert np.array_equal(got, [log_eta_exp_integral(x, y) for x, y in cases])
 
-    def test_convex_exponent(self, monkeypatch):
+    def test_convex_exponent(self):
+        # exp(eta r - eta^2 v) with v < 0, shifted by its larger endpoint exponent:
+        # boundary layers at both ends, seeded with knots near each
         rng = np.random.default_rng(8)
-        cases = list(zip(rng.uniform(-300.0, 300.0, 150), -(10.0 ** rng.uniform(-6.0, 3.0, 150))))
-        got = [log_exp_integral(r, v) for r, v in cases]
-        use_reference(monkeypatch)
-        assert np.array_equal(got, [log_exp_integral(r, v) for r, v in cases])
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-280, rel_tol=1e-10, max_subdivisions=200_000)
+        for r, v in zip(rng.uniform(-300.0, 300.0, 150), -(10.0 ** rng.uniform(-6.0, 3.0, 150))):
+            shift = max(0.0, 0.5 * r - 0.25 * v)
+
+            def f(eta, r=r, v=v, shift=shift):
+                return np.exp(eta * r - eta * eta * v - shift)[:, None]
+
+            near = [k / max(abs(r), abs(v), 2.0) for k in (1.0, 3.0, 10.0, 45.0)]
+            knots = near + [0.5 - k for k in near]
+            got = integrate_adaptive_batch(f, spec, knots=knots)
+            assert np.array_equal(got, integrate_adaptive_batch_reference(f, spec, knots=knots))
 
 
 class TestHelpers:

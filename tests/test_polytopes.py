@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from squint import component_iprod as ci
-from squint.polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets
+from squint.polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets, ProjectionError
 from squint.regret_bounds import binary_relative_entropy
 
 from oracles import (
@@ -18,7 +18,6 @@ from oracles import (
     num_vertices_former,
     project_batch_former,
     project_newton_former,
-    singular_former,
     slsqp_entropy_projection,
     unconstrained_update,
 )
@@ -84,6 +83,20 @@ def bridge_dag():
     """A diamond behind the edge s -> m, which lies on every path."""
     edges = [("s", "m", 1), ("m", "a", 2), ("m", "b", 3), ("a", "t", 4), ("b", "t", 5)]
     return DagPaths(["s", "m", "a", "b", "t"], edges, "s", "t")
+
+
+def late_bridge_dag():
+    """A diamond ahead of the edge m -> t, which lies on every path."""
+    edges = [("s", "a", 1), ("s", "b", 2), ("a", "m", 3), ("b", "m", 4), ("m", "t", 5)]
+    return DagPaths(["s", "a", "b", "m", "t"], edges, "s", "t")
+
+
+def single_edge_dag():
+    return DagPaths(["s", "t"], [("s", "t", 1)], "s", "t")
+
+
+def two_edge_path_dag():
+    return DagPaths(["s", "m", "t"], [("s", "m", 1), ("m", "t", 2)], "s", "t")
 
 
 def unordered_dag():
@@ -411,9 +424,6 @@ class TestNewtonJacobian:
     def test_projection_bytes_match_dense_jacobian(self, name, monkeypatch):
         cls = JACOBIAN_DAGS[name]()
         mat = played_u_tildes(cls)
-        # Newton converges on every row, so the patched Jacobian is what gets used
-        u, failed = cls._project_newton(cls._interior_rows(mat))
-        assert isinstance(u, np.ndarray) and not failed.any()
         got = cls.project_batch(mat)
         monkeypatch.setattr(cls, "_jacobian", lambda d: newton_jacobian_dense(cls._inc, d))
         assert cls.project_batch(mat).tobytes() == got.tobytes()
@@ -425,82 +435,94 @@ def criterion_8_points():
     return [rng.uniform(0.01, 0.99, size=(1000, k)) for k in (6, 8, 4, 8)]
 
 
-class TestRowwiseFallback:
-    """Only the rows Newton fails to converge are projected cyclically."""
+def former_newton_rows(cls, points):
+    """The former Newton iteration's rows and the mask of the rows it converged."""
+    u, failed = project_newton_former(cls, cls._interior_rows(points))
+    return u, ~failed
+
+
+class TestDampedNewton:
+    """One damped Newton iteration projects every row, the rows the former
+    Newton iteration left to its cyclic fallback included."""
 
     @pytest.mark.parametrize("make, which", [(diamond, 2), (six_node_dag, 3)])
-    def test_cyclic_sees_only_unconverged_rows(self, make, which, monkeypatch):
+    def test_former_fallback_rows_converge_in_batch(self, make, which):
         cls = make()
         points = criterion_8_points()[which]
-        mat = cls._interior_rows(points)
-        _, failed = cls._project_newton(mat)
-        assert 0 < failed.sum() < 100
-        seen = []
-        cyclic = cls._project_cyclic
-        monkeypatch.setattr(cls, "_project_cyclic", lambda rows: seen.append(rows) or cyclic(rows))
+        _, converged = former_newton_rows(cls, points)
+        assert 0 < (~converged).sum() < 100
         proj = cls.project_batch(points)
-        assert np.vstack(seen).tobytes() == mat[failed].tobytes()
         assert np.max(cls._equality_residuals(proj)) <= 1e-9
+        # a lone row stops at residual 1e-9, about 1e-9 from the projection; in the
+        # batch it keeps stepping until every row has converged
         single = np.array([cls.project(row) for row in points])
-        assert np.max(np.abs(proj - single)) <= 1e-9
+        assert np.max(np.abs(proj - single)) <= 1e-8
 
-    def test_singular_and_stalled_rows_fall_back_alone(self, monkeypatch):
-        # criterion 8's diamond rows 28 (the Jacobian turns exactly singular)
-        # and 191 (its backtracking runs out), next to rows 0 and 1, which converge
+    def test_singular_and_stalled_rows_converge(self):
+        # criterion 8's diamond rows 28 (the former Jacobian turned exactly singular)
+        # and 191 (its residual backtracking ran out), next to rows 0 and 1
         cls = diamond()
         mat = criterion_8_points()[2][[0, 28, 1, 191]]
-        solves, seen, jacobians = [], [], []
-        solve, cyclic, jacobian = np.linalg.solve, cls._project_cyclic, cls._jacobian
-
-        def recorded_solve(a, b):
-            solves.append((a.copy(), True))
-            out = solve(a, b)
-            solves[-1] = (solves[-1][0], False)
-            return out
-
-        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-        monkeypatch.setattr(cls, "_project_cyclic", lambda rows: seen.append(rows) or cyclic(rows))
-        monkeypatch.setattr(cls, "_jacobian", lambda d: jacobians.append(d) or jacobian(d))
+        _, converged = former_newton_rows(cls, mat)
+        assert converged.tolist() == [True, False, True, False]
         proj = cls.project_batch(mat)
-        monkeypatch.undo()
-        # one batched solve raised, on a stack where only row 28's Jacobian is singular and
-        # row 191 is already frozen (I): it failed before, through exhausted backtracking
-        raised = [a for a, r in solves if a.ndim == 3 and r]
-        assert len(raised) == 1
-        assert singular_former(raised[0]).tolist() == [False, True, False, False]
-        assert np.array_equal(raised[0][3], np.eye(3))
-        # the rows were then solved alone, and only row 28's own solve raised
-        assert [r for a, r in solves if a.ndim == 2] == [False, True, False, False]
-        _, failed = cls._project_newton(cls._interior_rows(mat))
-        assert failed.tolist() == [False, True, False, True]
-        # the failed rows count as converged, so Newton stops well before its 80-step cap
-        assert len(jacobians) < 20
-        assert [rows.tobytes() for rows in seen] == [mat[1:2].tobytes(), mat[3:4].tobytes()]
         assert np.max(cls._equality_residuals(proj)) <= 1e-9
         for row_in, row_out in zip(mat, proj):
-            np.testing.assert_allclose(cls.project(row_in), row_out, atol=1e-9)
+            np.testing.assert_allclose(cls.project(row_in), row_out, atol=1e-8)
+        assert np.max(np.abs(proj - project_batch_former(cls, mat))) <= 1e-8
 
-    def test_rowwise_solves_give_the_batched_bits(self):
-        rng = np.random.default_rng(11)
-        for cls in (grid_dag(6), diamond(), six_node_dag()):
-            for n in (1, 7, 40):
-                u = rng.uniform(0.0, 1.0, (n, cls.num_components))
-                jac = cls._jacobian(u * (1.0 - u))
-                diff = rng.uniform(-1.0, 1.0, (n, jac.shape[1]))
-                batched = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
-                rowwise = np.array([np.linalg.solve(j, b) for j, b in zip(jac, diff)])
-                assert rowwise.tobytes() == batched.tobytes()
-
-    def test_saturated_sweeps_raise_no_warning(self):
-        # on the bridge DAG the sweeps drive edge s -> m to exactly 1, whose logit is +inf
+    def test_bridge_rows_raise_no_warning(self):
+        # the edge s -> m is pinned to exactly 1, whose logit is +inf
         cls = bridge_dag()
         points = np.random.default_rng(3).uniform(0.01, 0.99, (200, cls.num_components))
-        _, failed = cls._project_newton(cls._interior_rows(points))
-        assert failed.any()
+        _, converged = former_newton_rows(cls, points)
+        assert not converged.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = cls.project_batch(points)
-        assert got.tobytes() == project_batch_former(cls, points).tobytes()
+        assert np.all(got[:, 0] == 1.0)
+        assert np.max(np.abs(got - project_batch_former(cls, points))) <= 1e-8
+
+
+class TestFormerFailures:
+    """Rows the former projection raised on or took seconds per row for."""
+
+    @pytest.mark.parametrize(
+        "make, points",
+        [
+            (late_bridge_dag, np.random.default_rng(3).uniform(0.01, 0.99, (200, 5))),
+            (lambda: grid_dag(6), np.random.default_rng(0).uniform(0.01, 0.99, (300, 60))),
+        ],
+        ids=["late_bridge", "grid6"],
+    )
+    def test_rows_project(self, make, points):
+        cls = make()
+        proj = cls.project_batch(points)
+        assert np.max(cls._equality_residuals(proj)) <= 1e-9
+        assert np.max(np.abs(cls.project_batch(proj) - proj)) <= 1e-9
+        want, converged = former_newton_rows(cls, points)
+        assert 0 < (~converged).sum() < 10
+        assert np.max(np.abs(proj[converged] - want[converged])) <= 1e-8
+
+    def test_saturated_grid_rows_converge(self):
+        cls = grid_dag(6)
+        edge = np.arange(cls.num_components)
+        rows = [np.full(edge.size, 1.0 - 1e-12)]
+        rows += [np.where(edge % step == 0, 1.0 - 1e-12, 0.5) for step in (2, 3)]
+        for row in rows:
+            assert cls.hull_residual(cls.project(row)) <= 1e-9
+
+    def test_ill_conditioned_row_raises_projection_error(self):
+        # the projection's u(1-u) spans over 40 orders of magnitude: a float64 limit
+        row = np.random.default_rng(1).choice([0.5, 1.0 - 1e-12], 60)
+        with pytest.raises(ProjectionError):
+            grid_dag(6).project(row)
+
+    @pytest.mark.parametrize("make", [single_edge_dag, two_edge_path_dag])
+    def test_single_path_projects_to_ones(self, make):
+        cls = make()
+        points = np.random.default_rng(14).uniform(0.01, 0.99, (5, cls.num_components))
+        assert np.array_equal(cls.project_batch(points), np.ones_like(points))
 
 
 EQUALITY_DAGS = dict(
@@ -508,8 +530,13 @@ EQUALITY_DAGS = dict(
     six_node=six_node_dag,
     bridge=bridge_dag,
     unordered=unordered_dag,
-    single_edge=lambda: DagPaths(["s", "t"], [("s", "t", 1)], "s", "t"),
+    single_edge=single_edge_dag,
+    late_bridge=late_bridge_dag,
+    two_edge_path=two_edge_path_dag,
 )
+
+# the DAGs with an edge on every path, whose rows are contracted and pinned by design
+PINNED_DAGS = {"bridge", "single_edge", "late_bridge", "two_edge_path"}
 
 EQUALITY_CLASSES = dict(
     EQUALITY_DAGS,
@@ -522,18 +549,44 @@ EQUALITY_CLASSES = dict(
 )
 
 
+def row_change(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """The matrix M with to = M @ frm, for two row sets spanning the same space."""
+    change = np.linalg.lstsq(frm.T, to.T, rcond=None)[0].T
+    np.testing.assert_allclose(change @ frm, to, rtol=0.0, atol=1e-12)
+    return change
+
+
 class TestOneEqualityMatrix:
-    """Each class's ``_inc`` and ``_rhs`` say what the former per-class code said."""
+    """Each class's ``_inc`` and ``_rhs`` say what the former per-class code said.
+
+    A DAG with an edge on every path says it in other rows: its flow rows
+    contract the forced edges and identity rows pin them to 1.  Those rows
+    and the former ones then express each other.
+    """
 
     @pytest.mark.parametrize("name", list(EQUALITY_DAGS))
     def test_dag_tables_match_former_bytes(self, name):
         cls = EQUALITY_DAGS[name]()
         _, *want_tables = dag_constraints_former(cls)
-        tables = (cls._inc, cls._rhs, cls._jac_entries, cls._jac_terms)
-        for got, want in zip(tables, want_tables):
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
         assert cls.num_vertices() == num_vertices_former(cls) == cls.vertices().shape[0]
+        forced = cls.vertices().min(axis=0) == 1.0
+        assert np.array_equal(cls._forced, forced) and forced.any() == (name in PINNED_DAGS)
+        if name not in PINNED_DAGS:
+            tables = (cls._inc, cls._rhs, cls._jac_entries, cls._jac_terms)
+            for got, want in zip(tables, want_tables):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            return
+        flows, pins = cls._inc[: cls._flows], cls._inc[cls._flows :]
+        assert np.array_equal(pins, np.eye(cls.num_components)[forced])
+        assert np.all(cls._rhs[cls._flows :] == 1.0) and not flows[:, forced].any()
+        new = np.column_stack((cls._inc, cls._rhs))
+        former = np.column_stack(want_tables[:2])
+        assert np.linalg.matrix_rank(new) == np.linalg.matrix_rank(former) == new.shape[0]
+        row_change(former, new)
+        if cls._flows:
+            d = np.random.default_rng(15).uniform(0.0, 0.25, (9, cls.num_components))
+            assert cls._jacobian(d).tobytes() == newton_jacobian_dense(flows, d).tobytes()
 
     @pytest.mark.parametrize("name", list(EQUALITY_CLASSES))
     def test_residuals_match_former(self, name):
@@ -546,7 +599,15 @@ class TestOneEqualityMatrix:
         inside = rng.dirichlet(np.ones(verts.shape[0]), 300) @ verts
         for mat in (inside, rng.uniform(0.0, 1.0, (300, cls.num_components))):
             got, want = cls._equality_residuals(mat), equality_residuals_former(cls, mat)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+            if name in PINNED_DAGS:
+                # each residual bounds the other through the rows that express one set by the other
+                new = np.column_stack((cls._inc, cls._rhs))
+                former = np.column_stack(dag_constraints_former(cls)[1:3])
+                to_new, to_former = row_change(former, new), row_change(new, former)
+                assert np.all(got <= np.abs(to_new).sum(axis=1).max() * want + 1e-14)
+                assert np.all(want <= np.abs(to_former).sum(axis=1).max() * got + 1e-14)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
         for u in inside[:20]:
             want = float(equality_residuals_former(cls, u[None])[0])
             assert abs(cls.hull_residual(u) - want) <= 1e-15
@@ -564,33 +625,31 @@ class TestOneEqualityMatrix:
             (["s", "a", "b", "t"], [("s", "a", 1), ("b", "t", 2), ("s", "t", 3)]),
         ],
     )
-    def test_dead_edge_messages_unchanged(self, nodes, edges, monkeypatch):
+    def test_dead_edge_messages_unchanged(self, nodes, edges):
         with pytest.raises(ValueError) as exc:
             DagPaths(nodes, edges, "s", "t")
-        monkeypatch.setattr(DagPaths, "_check_edges_usable", lambda self: None)
-        cls = DagPaths(nodes, edges, "s", "t")
-        monkeypatch.undo()
-        assert str(exc.value) == f"edges {dead_edges_former(cls)} lie on no source-sink path"
+        dead = dead_edges_former(edges, "s", "t")
+        assert str(exc.value) == f"edges {dead} lie on no source-sink path"
 
 
 class TestFormerProjectionBytes:
-    """``project_batch`` gives the bytes of the former constraint list and second solve."""
+    """``project_batch`` gives the former projection: its bytes on played rows, and
+    within 1e-8 on rows where the former needed its cyclic fallback."""
 
     @pytest.mark.parametrize("make, which", [(diamond, 2), (six_node_dag, 3)])
     def test_criterion_8_points(self, make, which):
         cls = make()
         points = criterion_8_points()[which]
-        newton, failed = cls._project_newton(cls._interior_rows(points))
-        want_newton, want_failed = project_newton_former(cls, cls._interior_rows(points))
-        assert failed.any()
-        assert failed.tobytes() == want_failed.tobytes()
-        assert newton.tobytes() == want_newton.tobytes()
-        assert cls.project_batch(points).tobytes() == project_batch_former(cls, points).tobytes()
+        _, converged = former_newton_rows(cls, points)
+        assert not converged.all()
+        got, want = cls.project_batch(points), project_batch_former(cls, points)
+        assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_edge_on_every_path(self):
         cls = bridge_dag()
         points = np.random.default_rng(13).uniform(0.01, 0.99, (200, cls.num_components))
-        assert cls.project_batch(points).tobytes() == project_batch_former(cls, points).tobytes()
+        got, want = cls.project_batch(points), project_batch_former(cls, points)
+        assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_played_grid_rows(self):
         cls = grid_dag(6)
