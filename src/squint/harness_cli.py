@@ -190,7 +190,7 @@ class ExperimentConfig:
     prior: ex.LearningRatePrior | None = None
     concept_class: Any = None
     prior_vec: list | None = None
-    t_max: int | None = None
+    t_max: int | None = None  # the learning-rate grid's horizon (component_iprod, iprod)
 
 def _parse_concept_class(doc: dict):
     _require_keys(
@@ -315,7 +315,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if not _check_real(algo.get("eta"), "hedge eta", 0.0) > 0.0:
                 raise ConfigError("hedge requires a positive eta")
         elif algo["name"] == "iprod":
-            ci.learning_rate_grid(_check_int(algo.get("grid_t_max", 1), "iprod grid_t_max", 1))
+            cfg.t_max = _check_int(algo.get("grid_t_max", max(horizon, 1)), "iprod grid_t_max", 1)
+            ci.learning_rate_grid(cfg.t_max)
         else:
             raise ConfigError(f"unknown experts algorithm {algo['name']!r}")
         _require_keys(
@@ -426,9 +427,7 @@ class _Experts:
             eta = float(algo["eta"])
             self._weights = lambda: ex.hedge_weights(self.state, eta)
         else:
-            grid = self.grid = ex.DiscreteGridPrior.uniform_on(
-                ci.learning_rate_grid(int(algo.get("grid_t_max", max(cfg.horizon, 1))))
-            )
+            grid = self.grid = ex.DiscreteGridPrior.uniform_on(ci.learning_rate_grid(cfg.t_max))
             # iProd's sufficient statistic: running sums of ln(1 + eta r_t)
             log_products = self.log_products = np.zeros((grid.etas.size, k))
             self._weights = lambda: ex.iprod_weights_grid(log_products, self.state.prior, grid)

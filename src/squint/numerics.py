@@ -58,9 +58,9 @@ __all__ = [
 
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
 
-# erfc(x) stays a normal float64 up to x ~ 26.6; beyond 25 the asymptotic
-# series for the scaled function erfcx(x) = e^{x^2} erfc(x) is accurate to
-# ~3e-13 already, so 25 is a safe switch point.
+# erfc(x) stays a normal float64 up to x ~ 26.6; beyond 25 the six-term
+# asymptotic series for the scaled function erfcx(x) = e^{x^2} erfc(x) is
+# accurate to ~3e-15 already, so 25 is a safe switch point.
 _ERFCX_SERIES_CUTOFF = 25.0
 
 # log_xi's series about eta = 1/4 serves |r| <= 1 and v <= 1e-2.  Against
@@ -111,8 +111,8 @@ def _log_erfcx(x: float) -> float:
     if x <= _ERFCX_SERIES_CUTOFF:
         return math.log(math.erfc(x)) + x * x
     z = 1.0 / (x * x)
-    # erfcx(x) ~ (1 - 1/(2x^2) + 3/(4x^4) - 15/(8x^6) + 105/(16x^8)) / (x sqrt(pi))
-    s = 1.0 + z * (-0.5 + z * (0.75 + z * (-1.875 + z * 6.5625)))
+    # erfcx(x) ~ (1 - 1/(2x^2) + 3/(4x^4) - 15/(8x^6) + 105/(16x^8) - 945/(32x^10)) / (x sqrt(pi))
+    s = 1.0 + z * (-0.5 + z * (0.75 + z * (-1.875 + z * (6.5625 - z * 29.53125))))
     return -math.log(x) - _LN_SQRT_PI + math.log(s)
 
 

@@ -9,14 +9,11 @@ convex hull U = conv(C).  This module provides, per class:
 - decomposition of a hull point into a convex combination of concepts,
 - exhaustive vertex enumeration for small-instance oracles.
 
-Projections exploit that every hull constraint here is linear with +-1
-coefficients: the projection onto a single such equality moves all incident
-coordinates by a common shift in logit space, u_e -> sigmoid(logit(u_e) +/-
-lambda), with the shift found by monotone root-finding.  The subset class
-needs exactly one such shift.  The flow polytope of a DAG solves for all its
-conservation equalities' shifts at once by damped Newton on the smooth convex
-dual, which converges from any start once the edges that lie on every path
-are pinned to 1 when the class is built; there is no second solver.
+Every class projects the same way: damped Newton on the projection's smooth
+convex dual, for all rows at once.  A class names the equalities Newton
+solves (the subset sum, a DAG's flow rows, none for a product set) and pins
+the coordinates that are constant on its hull, such as a DAG's edges on
+every path, when it is built; Newton then converges from any start.
 
 Coordinates are clamped to [1e-12, 1 - 1e-12] before any projection: the
 entropy geometry is undefined at the boundary and multiplicative updates
@@ -52,7 +49,7 @@ DEFAULT_VERTEX_CAP = 10**5
 
 
 class ProjectionError(RuntimeError):
-    """The DAG projection's Newton iteration failed to reach the residual tolerance."""
+    """The entropy projection's Newton iteration failed to reach the residual tolerance."""
 
 
 def clamp_interior(u: np.ndarray) -> np.ndarray:
@@ -108,9 +105,126 @@ class ConceptClass(ABC):
         """Per row of mat, the max violation of the hull's equalities."""
         return np.abs(mat @ self._inc.T - self._rhs).max(axis=1, initial=0.0)
 
-    @abstractmethod
+    def _set_projection(self, flows: int, pinned: np.ndarray, pin_values) -> None:
+        """Newton solves _inc's first flows rows; the pinned coordinates, in none, take pin_values."""
+        self._flows, self._pinned, self._pin_values = flows, pinned, np.asarray(pin_values, float)
+        if flows:
+            flow = self._inc[:flows]  # each column leaves at most one row and enters at most one
+            frm = np.where((flow > 0.0).any(axis=0), (flow > 0.0).argmax(axis=0), -1)
+            to = np.where((flow < 0.0).any(axis=0), (flow < 0.0).argmax(axis=0), -1)
+            self._jac_entries, self._jac_terms = self._laplacian_terms(frm, to, flows)
+
+    @staticmethod
+    def _laplacian_terms(frm, to, c):
+        """Sparsity of the Newton Jacobian A diag(d) A^T, a grounded graph Laplacian.
+
+        Entry (i, i) sums d_e over the edges incident to row i; entry (i, j)
+        sums -d_e over the edges joining rows i and j.  Returns the flat
+        positions of the nonzero entries (nnz,) and a (slots, nnz) table of
+        columns into [d, -d, 0]: slot s holds each entry's s-th term in
+        increasing edge order, padded with the zero column.
+        """
+        k = frm.size
+        edges = np.arange(k)
+        has_f, has_t = frm >= 0, to >= 0
+        both = has_f & has_t
+        f, t, e = frm[both], to[both], edges[both]
+        # one term per (entry, edge): two diagonal terms and two off-diagonal ones per edge
+        pos = np.concatenate((frm[has_f] * (c + 1), to[has_t] * (c + 1), f * c + t, t * c + f))
+        edge = np.concatenate((edges[has_f], edges[has_t], e, e))
+        col = np.concatenate((edges[has_f], edges[has_t], k + e, k + e))
+        order = np.lexsort((edge, pos))
+        pos, col = pos[order], col[order]
+        entries, first, count = np.unique(pos, return_index=True, return_counts=True)
+        slot = np.arange(pos.size) - np.repeat(first, count)
+        terms = np.full((count.max(), entries.size), 2 * k)
+        terms[slot, np.repeat(np.arange(entries.size), count)] = col
+        return entries, terms
+
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        """Row-wise entropy projection of interior points onto the hull."""
+        """Row-wise entropy projection of interior points onto the hull.
+
+        The projection of w onto the flow rows A u = rhs is
+        u = sigmoid(logit(w) + A^T theta), where theta minimizes the dual
+        F(theta) = sum_e softplus(logit(w_e) + (A^T theta)_e) - rhs . theta,
+        smooth and convex with gradient A u - rhs and Hessian
+        A diag(u(1-u)) A^T.  Damped Newton reaches its minimum from any
+        start, since A leaves out the pinned coordinates.  Each row's step
+        is halved until F drops by a quarter of the predicted decrease
+        (Armijo; tested while the Newton decrement exceeds 1e-6 and the
+        residual the tolerance, so that F's rounding cannot mask a real
+        decrease) and no flow row has all its coordinates at exactly 0 or 1,
+        which would make the next Jacobian singular.  Converged rows keep
+        stepping until all have.  Raises ``ProjectionError`` on a Jacobian
+        singular to working precision, a vanished step or the step cap.
+        """
+        mat = self._interior_rows(u_tildes)
+        if not self._flows:
+            mat[:, self._pinned] = self._pin_values
+            return mat
+        inc, rhs = self._inc[: self._flows], self._rhs[: self._flows]
+        support = np.abs(inc.T)  # d @ support is the diagonal of A diag(d) A^T
+        logits = _logit(mat)
+        n = mat.shape[0]
+        theta = np.zeros((n, self._flows))
+        z, u, d = logits, mat, mat * (1.0 - mat)  # z = logits + theta @ inc, d = u(1-u)
+        diff = u @ inc.T - rhs  # (n, c), the dual gradient
+        res = np.abs(diff).max(axis=1)
+        value = None  # F at theta, once a line search has needed it
+        for _ in range(MAX_NEWTON_STEPS):
+            if np.all(res <= PROJECTION_RESIDUAL):
+                u[:, self._pinned] = self._pin_values
+                return u
+            try:
+                step = np.linalg.solve(self._jacobian(d), diff[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                raise ProjectionError("singular Newton Jacobian in the entropy projection") from None
+            decrement = (diff * step).sum(axis=1)
+            search = (decrement > 1e-6) & (res > PROJECTION_RESIDUAL)
+            searching = search.any()
+            if searching and value is None:
+                value = _dual(z, theta, rhs)
+            drop = ARMIJO * decrement
+            alpha = np.ones(n)
+            cand_value = None
+            while True:
+                cand_theta = theta - alpha[:, None] * step
+                cand_z = logits + cand_theta @ inc
+                cand_u = _sigmoid(cand_z)
+                cand_d = cand_u * (1.0 - cand_u)
+                worse = ~cand_d.all(axis=1)
+                if worse.any():  # some u is exactly 0 or 1: check the Jacobian diagonal
+                    worse = (cand_d @ support == 0.0).any(axis=1)
+                if searching:
+                    cand_value = _dual(cand_z, cand_theta, rhs)
+                    worse |= search & ~(cand_value <= value - alpha * drop)
+                if not worse.any():
+                    break
+                alpha = np.where(worse, 0.5 * alpha, alpha)
+                if np.any(worse & (theta - alpha[:, None] * step == theta).all(axis=1)):
+                    raise ProjectionError("the entropy projection's line search step vanished")
+            theta, z, u, d, value = cand_theta, cand_z, cand_u, cand_d, cand_value
+            diff = u @ inc.T - rhs
+            res = np.abs(diff).max(axis=1)
+        raise ProjectionError(
+            f"entropy projection missed residual {PROJECTION_RESIDUAL} after "
+            f"{MAX_NEWTON_STEPS} Newton steps (worst {float(res.max()):.2e})"
+        )
+
+    def _jacobian(self, d: np.ndarray) -> np.ndarray:
+        """A diag(d_r) A^T for each row d_r of d (n, K), as an (n, c, c) stack.
+
+        Each entry is summed from +0.0 in increasing edge order, which gives
+        the bits of the dense product ``(A * d_r) @ A^T``.
+        """
+        n, c = d.shape[0], self._flows
+        signed = np.concatenate((d, -d, np.zeros((n, 1))), axis=1)
+        vals = np.zeros((n, self._jac_entries.size))
+        for cols in self._jac_terms:
+            vals += np.take(signed, cols, axis=1)
+        jac = np.zeros((n, c * c))
+        jac[:, self._jac_entries] = vals
+        return jac.reshape(n, c, c)
 
     @abstractmethod
     def _peel(self, point: np.ndarray) -> tuple[list, list]:
@@ -206,27 +320,9 @@ class KSubsets(ConceptClass):
         self.subset_size = subset_size
         self._inc = np.ones((1, num_components))
         self._rhs = np.array([float(subset_size)])
-
-    def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        mat = self._interior_rows(u_tildes)
-        m = self.subset_size
-        if m == 0:
-            return np.zeros_like(mat)
-        if m == self.num_components:
-            return np.ones_like(mat)
-        logits = _logit(mat)
-        lo = np.full(mat.shape[0], -800.0)
-        hi = np.full(mat.shape[0], 800.0)
-        lam = np.zeros(mat.shape[0])
-        for _ in range(80):
-            lam = 0.5 * (lo + hi)
-            g = _sigmoid(logits + lam[:, None]).sum(axis=1) - m
-            if np.all(np.abs(g) <= 1e-12):
-                break
-            high = g > 0.0
-            hi = np.where(high, lam, hi)
-            lo = np.where(high, lo, lam)
-        return _sigmoid(logits + lam[:, None])
+        single = subset_size in (0, num_components)  # one concept pins every coordinate
+        pinned = np.full(num_components, single)
+        self._set_projection(int(not single), pinned, np.full(pinned.sum(), float(subset_size > 0)))
 
     def _peel(self, point: np.ndarray) -> tuple[list, list]:
         m, k = self.subset_size, self.num_components
@@ -301,8 +397,7 @@ class DagPaths(ConceptClass):
         dead = [e + 1 for e, paths in enumerate(through) if paths == 0]
         if dead:
             raise ValueError(f"edges {dead} lie on no source-sink path")
-        self._forced = np.array([paths == self._num_paths for paths in through])
-        self._build_constraints()
+        self._build_constraints(np.array([paths == self._num_paths for paths in through]))
 
     @classmethod
     def from_json(cls, doc) -> "DagPaths":
@@ -354,7 +449,7 @@ class DagPaths(ConceptClass):
             count[n] = 1 if n == start else sum(count[other_end[e]] for e in edges_of[n])
         return count
 
-    def _build_constraints(self):
+    def _build_constraints(self, forced: np.ndarray):
         """Unit-flow rows over the free edges, then a pin row per forced edge.
 
         Flow rows: outflow 1 at the source, then conservation at each inner
@@ -366,7 +461,7 @@ class DagPaths(ConceptClass):
         group = {}  # node -> first node of its chain of forced edges
         for n in self._topo:
             ins = self._in[n]
-            forced_in = len(ins) == 1 and self._forced[ins[0]]
+            forced_in = len(ins) == 1 and forced[ins[0]]
             group[n] = group[self._edge_from[ins[0]]] if forced_in else n
         members = [self.source] + [
             n for n in self._topo if n != self.source and (self._out[n] or self._in[n])
@@ -378,121 +473,14 @@ class DagPaths(ConceptClass):
         for n in members:
             flow[rows[group[n]], self._out[n]] += 1.0
             flow[rows[group[n]], self._in[n]] -= 1.0
-        self._flows = c
-        self._inc = np.vstack((flow, np.eye(k)[self._forced]))
-        self._rhs = np.concatenate((np.zeros(c), np.ones(int(self._forced.sum()))))
+        self._inc = np.vstack((flow, np.eye(k)[forced]))
+        self._rhs = np.concatenate((np.zeros(c), np.ones(int(forced.sum()))))
         if c:
             self._rhs[0] = 1.0  # the source's row; with no row the source is in the sink's group
-            # each free edge leaves at most one row and enters at most one
-            frm = np.where((flow > 0.0).any(axis=0), (flow > 0.0).argmax(axis=0), -1)
-            to = np.where((flow < 0.0).any(axis=0), (flow < 0.0).argmax(axis=0), -1)
-            self._jac_entries, self._jac_terms = self._laplacian_terms(frm, to, c)
+        self._set_projection(c, forced, self._rhs[c:])
 
-    @staticmethod
-    def _laplacian_terms(frm, to, c):
-        """Sparsity of the Newton Jacobian A diag(d) A^T, a grounded graph Laplacian.
-
-        Entry (i, i) sums d_e over the edges incident to row i; entry (i, j)
-        sums -d_e over the edges joining rows i and j.  Returns the flat
-        positions of the nonzero entries (nnz,) and a (slots, nnz) table of
-        columns into [d, -d, 0]: slot s holds each entry's s-th term in
-        increasing edge order, padded with the zero column.
-        """
-        k = frm.size
-        edges = np.arange(k)
-        has_f, has_t = frm >= 0, to >= 0
-        both = has_f & has_t
-        f, t, e = frm[both], to[both], edges[both]
-        # one term per (entry, edge): two diagonal terms and two off-diagonal ones per edge
-        pos = np.concatenate((frm[has_f] * (c + 1), to[has_t] * (c + 1), f * c + t, t * c + f))
-        edge = np.concatenate((edges[has_f], edges[has_t], e, e))
-        col = np.concatenate((edges[has_f], edges[has_t], k + e, k + e))
-        order = np.lexsort((edge, pos))
-        pos, col = pos[order], col[order]
-        entries, first, count = np.unique(pos, return_index=True, return_counts=True)
-        slot = np.arange(pos.size) - np.repeat(first, count)
-        terms = np.full((count.max(), entries.size), 2 * k)
-        terms[slot, np.repeat(np.arange(entries.size), count)] = col
-        return entries, terms
-
-    def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        """Damped Newton on the projection's convex dual, all rows at once.
-
-        The projection of w onto the flow equalities A u = rhs is
-        u = sigmoid(logit(w) + A^T theta), where theta minimizes the dual
-        F(theta) = sum_e softplus(logit(w_e) + (A^T theta)_e) - rhs . theta.
-        F is smooth and convex, with gradient A u - rhs and Hessian
-        A diag(u(1-u)) A^T.  It attains its minimum, and damped Newton
-        converges to it from any start, because A leaves out the forced
-        edges: they are 1 on the whole hull and are pinned afterwards.
-        Newton steps are halved until F drops by a quarter of the predicted
-        decrease (Armijo).  A row is tested only while its Newton decrement
-        exceeds 1e-6 and its residual the tolerance, so that F's rounding
-        cannot mask a real decrease.  Converged rows keep stepping until
-        every row has converged.  Raises ``ProjectionError`` when the
-        Jacobian is singular to working precision or the step cap is hit.
-        """
-        mat = self._interior_rows(u_tildes)
-        if not self._flows:
-            return np.ones_like(mat)
-        inc, rhs = self._inc[: self._flows], self._rhs[: self._flows]
-        logits = _logit(mat)
-        n = mat.shape[0]
-        theta = np.zeros((n, self._flows))
-        z, u = logits, mat  # z = logits + theta @ inc
-        diff = u @ inc.T - rhs  # (n, c), the dual gradient
-        res = np.abs(diff).max(axis=1)
-        value = None  # F at theta, once a line search has needed it
-        for _ in range(MAX_NEWTON_STEPS):
-            if np.all(res <= PROJECTION_RESIDUAL):
-                u[:, self._forced] = 1.0
-                return u
-            jac = self._jacobian(u * (1.0 - u))  # (n, c, c)
-            try:
-                step = np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                raise ProjectionError("singular Newton Jacobian in the DAG projection") from None
-            decrement = (diff * step).sum(axis=1)
-            search = (decrement > 1e-6) & (res > PROJECTION_RESIDUAL)
-            searching = search.any()
-            if searching and value is None:
-                value = _dual(z, theta, rhs)
-            drop = ARMIJO * decrement
-            alpha = np.ones(n)
-            cand_value = None
-            for _ in range(60):
-                cand_theta = theta - alpha[:, None] * step
-                cand_z = logits + cand_theta @ inc
-                cand_u = _sigmoid(cand_z)
-                if not searching:
-                    break
-                cand_value = _dual(cand_z, cand_theta, rhs)
-                worse = search & ~(cand_value <= value - alpha * drop)
-                if not worse.any():
-                    break
-                alpha = np.where(worse, 0.5 * alpha, alpha)
-            theta, z, u, value = cand_theta, cand_z, cand_u, cand_value
-            diff = u @ inc.T - rhs
-            res = np.abs(diff).max(axis=1)
-        raise ProjectionError(
-            f"DAG projection missed residual {PROJECTION_RESIDUAL} after "
-            f"{MAX_NEWTON_STEPS} Newton steps (worst {float(res.max()):.2e})"
-        )
-
-    def _jacobian(self, d: np.ndarray) -> np.ndarray:
-        """A diag(d_r) A^T for each row d_r of d (n, K), as an (n, c, c) stack.
-
-        Each entry is summed from +0.0 in increasing edge order, which gives
-        the bits of the dense product ``(A * d_r) @ A^T``.
-        """
-        n, c = d.shape[0], self._flows
-        signed = np.concatenate((d, -d, np.zeros((n, 1))), axis=1)
-        vals = np.zeros((n, self._jac_entries.size))
-        for cols in self._jac_terms:
-            vals += np.take(signed, cols, axis=1)
-        jac = np.zeros((n, c * c))
-        jac[:, self._jac_entries] = vals
-        return jac.reshape(n, c, c)
+    # bench/tracer.py times DagPaths' projection by wrapping this name in its own class dict
+    project_batch = ConceptClass.project_batch
 
     def num_vertices(self) -> int:
         return self._num_paths
@@ -582,14 +570,10 @@ class ExplicitVertices(ConceptClass):
             raise ValueError(
                 "vertex list is not a product set; use a structured concept class instead"
             )
-        self._pinned = np.array([len(vs) == 1 for vs in value_sets])
-        self._inc = np.eye(self.num_components)[self._pinned]
+        pinned = np.array([len(vs) == 1 for vs in value_sets])
+        self._inc = np.eye(self.num_components)[pinned]
         self._rhs = np.array([vs[0] for vs in value_sets if len(vs) == 1])
-
-    def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
-        mat = self._interior_rows(u_tildes)
-        mat[:, self._pinned] = self._rhs
-        return mat
+        self._set_projection(0, pinned, self._rhs)
 
     def _peel(self, point: np.ndarray) -> tuple[list, list]:
         return _peel_greedy(point, lambda residual, mass: residual >= 0.5 * mass)

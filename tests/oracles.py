@@ -15,7 +15,7 @@ helpers:
   ``integrate_adaptive_batch_reference``, adaptive Simpson with separate
   integrand calls per edge set and per side (production ``QuadratureSpec``
   and ``QuadratureError``), ``newton_jacobian_dense``, the dense
-  product that ``DagPaths._jacobian`` builds from its Laplacian structure,
+  product that ``ConceptClass._jacobian`` builds from its Laplacian structure,
   and ``update_replace``, the game-state update through
   ``dataclasses.replace``, which re-runs every ``ExpertGameState`` check
   (production ``_check_simplex``), and ``cv_weight_integrand_former`` and
@@ -30,9 +30,11 @@ helpers:
   ``equality_residuals_former``, ``dead_edges_former`` (on the raw edge
   list), ``num_vertices_former``, ``singular_former``, and the former
   projection, ``project_newton_former`` (dense Jacobians),
-  ``project_cyclic_former`` with its own shift solver and sweep cap, and
-  ``project_batch_former`` (production ``_laplacian_terms``,
-  ``_interior_rows``, logit and sigmoid), and ``log_terms_former``, the
+  ``project_cyclic_former`` with its own shift solver and sweep cap,
+  ``project_subsets_former``, the subset class's bisection on its one
+  logit shift, and ``project_batch_former``, which picks the former body
+  by class (production ``_laplacian_terms``, ``_interior_rows``, logit and
+  sigmoid), and ``log_terms_former``, the
   per-expert closed-form loop on numpy scalars that ``_log_terms`` runs on
   Python floats (production kernels);
 - the single-rate learner that Component iProd aggregates:
@@ -677,9 +679,42 @@ def project_cyclic_former(cls, mat: np.ndarray) -> np.ndarray:
     raise ProjectionError("former cyclic projection missed its residual")
 
 
+def project_subsets_former(mat: np.ndarray, m: int) -> np.ndarray:
+    """The former ``KSubsets.project_batch`` on interior rows: bisection on the one logit shift."""
+    if m == 0:
+        return np.zeros_like(mat)
+    if m == mat.shape[1]:
+        return np.ones_like(mat)
+    logits = _logit(mat)
+    lo = np.full(mat.shape[0], -800.0)
+    hi = np.full(mat.shape[0], 800.0)
+    lam = np.zeros(mat.shape[0])
+    for _ in range(80):
+        lam = 0.5 * (lo + hi)
+        g = _sigmoid(logits + lam[:, None]).sum(axis=1) - m
+        if np.all(np.abs(g) <= 1e-12):
+            break
+        high = g > 0.0
+        hi = np.where(high, lam, hi)
+        lo = np.where(high, lo, lam)
+    return _sigmoid(logits + lam[:, None])
+
+
 def project_batch_former(cls, u_tildes: np.ndarray) -> np.ndarray:
-    """The former ``DagPaths.project_batch``: Newton, then cyclic sweeps for each failed row."""
+    """The former per-class ``project_batch`` bodies, picked by class.
+
+    ``KSubsets``: ``project_subsets_former``; ``ExplicitVertices``: the
+    interior rows with the pinned coordinates set; ``DagPaths``: Newton,
+    then cyclic sweeps for each failed row.
+    """
     mat = cls._interior_rows(u_tildes)
+    if isinstance(cls, KSubsets):
+        return project_subsets_former(mat, cls.subset_size)
+    if isinstance(cls, ExplicitVertices):
+        verts = cls.vertices()
+        pinned = np.array([np.unique(col).size == 1 for col in verts.T])
+        mat[:, pinned] = verts[0, pinned]
+        return mat
     with np.errstate(divide="ignore"):  # the former sweeps warned at saturated coordinates
         u, failed = project_newton_former(cls, mat)
         for i in np.flatnonzero(failed):

@@ -416,6 +416,10 @@ MALFORMED = {
     "t_max_subnormal": lambda tmp_path: comb_config(
         tmp_path, algorithm={"name": "component_iprod", "t_max": 2**1060}
     ),
+    # iProd's grid defaults to the horizon, which parsing used to check as 1
+    "iprod_grid_from_subnormal_horizon": lambda tmp_path: experts_config(
+        tmp_path, horizon=2**1022, algorithm={"name": "iprod"}
+    ),
     # keys of the other mode used to be ignored, whatever their values
     "experts_with_concept_class": lambda tmp_path: experts_config(
         tmp_path, concept_class={"kind": "k_subsets", "num_components": 3, "subset_size": 1}

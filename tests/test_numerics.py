@@ -86,6 +86,19 @@ class TestLogErfc:
             want = float(mp.log(mp.erfc(mp.mpf(x))))
             assert log_erfc(x) == pytest.approx(want, rel=1e-12)
 
+    def test_series_range_against_mpmath(self):
+        # the six-term series serves x > 25; its first omitted term is 2.7e-15 there
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for x in np.linspace(25.0, 60.0, 401)[1:]:
+                want = mp.log(mp.erfc(mp.mpf(x))) + mp.mpf(x) ** 2
+                assert abs(numerics._log_erfcx(float(x)) - float(want)) <= 1e-14
+
+    def test_log_xi_just_past_the_switch(self):
+        # a = r / (2 sqrt(v)) = 26, where the five-term series left 2e-13 relative
+        want = mp_log_exp_integral(5.2, 0.01)
+        assert abs(log_xi(5.2, 0.01) - want) <= 1e-13 * abs(want)
+
 
 class TestXiStable:
     def test_simpson_oracle_values(self):

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from squint import component_iprod as ci
-from squint.polytopes import DagPaths, Decomposition, ExplicitVertices, KSubsets, ProjectionError
+from squint import polytopes as pt
+from squint.polytopes import (
+    PROJECTION_RESIDUAL,
+    ConceptClass,
+    DagPaths,
+    Decomposition,
+    ExplicitVertices,
+    KSubsets,
+    ProjectionError,
+)
 from squint.regret_bounds import binary_relative_entropy
 
 from oracles import (
@@ -18,6 +27,7 @@ from oracles import (
     num_vertices_former,
     project_batch_former,
     project_newton_former,
+    project_subsets_former,
     slsqp_entropy_projection,
     unconstrained_update,
 )
@@ -570,7 +580,7 @@ class TestOneEqualityMatrix:
         _, *want_tables = dag_constraints_former(cls)
         assert cls.num_vertices() == num_vertices_former(cls) == cls.vertices().shape[0]
         forced = cls.vertices().min(axis=0) == 1.0
-        assert np.array_equal(cls._forced, forced) and forced.any() == (name in PINNED_DAGS)
+        assert np.array_equal(cls._pinned, forced) and forced.any() == (name in PINNED_DAGS)
         if name not in PINNED_DAGS:
             tables = (cls._inc, cls._rhs, cls._jac_entries, cls._jac_terms)
             for got, want in zip(tables, want_tables):
@@ -656,3 +666,84 @@ class TestFormerProjectionBytes:
         mat = played_u_tildes(cls, rounds=43)
         assert mat.shape == (301, 60)
         assert cls.project_batch(mat).tobytes() == project_batch_former(cls, mat).tobytes()
+
+
+SATURATED_VALUES = np.array([1e-12, 1.0 - 1e-12, 0.5, 1e-6, 1.0 - 1e-6])
+
+
+def saturated_batches(count, seed, k=None, m=None, rows=4):
+    """(K, m, rows) triples whose rows draw from two of ``SATURATED_VALUES``; K in [2, 300)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kk = int(rng.integers(2, 300)) if k is None else k
+        mm = int(rng.integers(1, kk)) if m is None else m
+        pair = rng.choice(SATURATED_VALUES, 2, replace=False)
+        yield kk, mm, rng.choice(pair, (rows, kk))
+
+
+def parallel_dag(k):
+    """k parallel edges from source to sink: the hull is that of ``KSubsets(k, 1)``."""
+    return DagPaths(["s", "t"], [("s", "t", e + 1) for e in range(k)], "s", "t")
+
+
+class TestOneProjection:
+    """Every class projects through ``ConceptClass.project_batch``, and each gives
+    the former per-class projection: the subset bisection within 1e-9, the
+    single-concept subsets and the product sets bit for bit."""
+
+    def test_no_class_defines_its_own(self):
+        assert "project_batch" not in KSubsets.__dict__
+        assert "project_batch" not in ExplicitVertices.__dict__
+        # the benchmark's tracer wraps the name in DagPaths' own dict
+        assert DagPaths.__dict__["project_batch"] is ConceptClass.project_batch
+
+    @pytest.mark.parametrize("k, m", [(2, 1), (4, 2), (6, 3), (10, 1), (10, 9), (60, 17), (299, 150)])
+    def test_subsets_match_former_bisection(self, k, m):
+        cls = KSubsets(k, m)
+        mat = np.random.default_rng(k + m).uniform(0.01, 0.99, (200, k))
+        got = cls.project_batch(mat)
+        assert np.max(np.abs(got - project_batch_former(cls, mat))) <= 1e-9
+        assert np.max(cls._equality_residuals(got)) <= PROJECTION_RESIDUAL
+
+    def test_saturated_subset_rows(self):
+        # without the line search's two guards Newton raised on 10 of these 400 batches
+        for k, m, mat in saturated_batches(400, 21):
+            cls = KSubsets(k, m)
+            got = cls.project_batch(mat)
+            want = project_subsets_former(cls._interior_rows(mat), m)
+            assert np.max(np.abs(got - want)) <= 1e-9
+            assert np.max(cls._equality_residuals(got)) <= PROJECTION_RESIDUAL
+
+    def test_saturated_parallel_dag_rows(self):
+        # the former DAG projection raised on 46 of these 200 batches
+        cls = parallel_dag(100)
+        for _, _, mat in saturated_batches(200, 22, k=100, m=1):
+            got = cls.project_batch(mat)
+            want = project_subsets_former(cls._interior_rows(mat), 1)
+            assert np.max(np.abs(got - want)) <= 1e-9
+            assert np.max(cls._equality_residuals(got)) <= PROJECTION_RESIDUAL
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: KSubsets(1, 0),
+            lambda: KSubsets(1, 1),
+            lambda: KSubsets(5, 0),
+            lambda: KSubsets(5, 5),
+            lambda: ExplicitVertices([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]),
+            lambda: ExplicitVertices([[0, 0], [0, 1], [1, 0], [1, 1]]),
+            lambda: ExplicitVertices([[0, 1, 1]]),
+        ],
+        ids=["subsets_1_0", "subsets_1_1", "subsets_5_0", "subsets_5_5", "pinned", "free", "point"],
+    )
+    def test_former_bits_without_flow_rows(self, make):
+        cls = make()
+        rng = np.random.default_rng(16)
+        for mat in (rng.uniform(0.0, 1.0, (50, cls.num_components)), played_u_tildes(cls)):
+            assert cls.project_batch(mat).tobytes() == project_batch_former(cls, mat).tobytes()
+
+    def test_vanishing_step_raises(self, monkeypatch):
+        # a dual that grows along every step fails the Armijo test until the step is nothing
+        monkeypatch.setattr(pt, "_dual", lambda z, theta, rhs: np.abs(theta).sum(axis=1))
+        with pytest.raises(ProjectionError, match="vanished"):
+            KSubsets(4, 2).project(np.array([0.9, 0.9, 0.9, 0.1]))
