@@ -4,10 +4,10 @@ Library layout:
 
 - ``squint.numerics``: the stable learning-rate integrals (erfc-based closed
   forms), batched adaptive Simpson quadrature, log-domain helpers.
-- ``squint.experts``: the expert-advice game state and all weight rules
-  (closed-form conjugate and improper priors, the quadrature-backed CV
-  prior, discrete grids, product-form weights, Hedge) plus the diagnostic
-  potential.
+- ``squint.experts``: the expert-advice game state, the learning-rate priors
+  (closed-form conjugate and improper, quadrature-backed CV, discrete grid),
+  each with its weight rule, potential and theorem, plus product-form
+  weights and Hedge.
 - ``squint.regret_bounds``: exact calculators for every regret guarantee and
   the subset/comparator aggregation they consume.
 - ``squint.polytopes``: concept classes over {0,1}^K with entropy projection,
@@ -27,10 +27,6 @@ from .experts import (
     hedge_weights,
     iprod_log_factors,
     iprod_weights_grid,
-    squint_weights_conjugate,
-    squint_weights_cv,
-    squint_weights_grid,
-    squint_weights_improper,
     update,
     weights_for_prior,
 )
@@ -61,10 +57,6 @@ __all__ = [
     "hedge_weights",
     "iprod_log_factors",
     "iprod_weights_grid",
-    "squint_weights_conjugate",
-    "squint_weights_cv",
-    "squint_weights_grid",
-    "squint_weights_improper",
     "update",
     "weights_for_prior",
     "CombGameState",

@@ -101,8 +101,9 @@ def make_game(
     if prior_vec is None:
         prior_vec = np.full(k, 0.5)
     prior_vec = clamp_interior(np.asarray(prior_vec, dtype=float))
-    if prior_vec.shape != (k,):
-        raise ValueError(f"prior vector must have length {k}")
+    # clamped, so only a nan entry fails the second test
+    if prior_vec.shape != (k,) or not (prior_vec > 0.0).all():
+        raise ValueError(f"prior vector must be a {k}-vector of numbers")
     etas = learning_rate_grid(t_max)
     gamma = np.full(etas.size, 1.0 / etas.size)
     return CombGameState(
@@ -128,7 +129,7 @@ def observe(state: CombGameState, losses: np.ndarray) -> CombGameState:
     k = state.num_components
     if losses.shape != (k,):
         raise ValueError(f"expected a {k}-vector of losses")
-    if np.any(np.abs(losses) > 1.0):
+    if not (np.abs(losses) <= 1.0).all():  # written as "not good" so that nan fails
         raise ValueError("losses must lie in [-1, +1] componentwise")
     if state.pending_usage is None:
         raise RuntimeError("observe() requires a preceding play() in the same round")
@@ -136,7 +137,7 @@ def observe(state: CombGameState, losses: np.ndarray) -> CombGameState:
     eta = state.etas[:, None]
     denom = 1.0 + eta * (u - state.u_proj) * losses
     numer = 1.0 + eta * (u - 1.0) * losses
-    if np.any(denom <= 0.0) or np.any(numer <= 0.0):
+    if not ((denom > 0.0).all() and (numer > 0.0).all()):
         raise ValueError("update factor went nonpositive; loss range violated")
     state.u_tilde = clamp_interior(state.u_proj * numer / denom)
     state.neg_log_weight -= np.log(denom).sum(axis=1) / k

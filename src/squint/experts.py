@@ -6,18 +6,19 @@ Each round the learner plays a probability vector w on K experts, the
 environment reveals losses in [0,1]^K, and expert k's instantaneous regret is
 r^k = w . losses - losses^k.
 
-Weight rules:
+Weight rules.  Each learning-rate prior owns its rule (``log_weights``), the
+potential of its proof (``potential``) and its theorem (``bound``):
 
-- ``squint_weights_conjugate``: w^k proportional to
+- ``ConjugatePrior``: w^k proportional to
   pi(k) int_0^{1/2} exp(eta(a+R^k) - eta^2(b+V^k)) eta deta,
   the closed-form family indexed by prior parameters (a, b); a = b = 0 is the
-  uniform learning-rate prior.
-- ``squint_weights_improper``: the eta factor of the rule cancels a 1/eta
+  uniform learning-rate prior (Theorem 1).
+- ``ImproperPrior``: the eta factor of the rule cancels a 1/eta
   prior density, leaving w^k proportional to
-  pi(k) int_0^{1/2} exp(eta R^k - eta^2 V^k) deta.
-- ``squint_weights_cv``: near-1/eta proper prior with density
-  ln(2)/(eta ln^2 eta); no closed form, adaptive quadrature.
-- ``squint_weights_grid``: discrete prior on learning-rate points.
+  pi(k) int_0^{1/2} exp(eta R^k - eta^2 V^k) deta (Theorem 3).
+- ``CVPrior``: near-1/eta proper prior with density
+  ln(2)/(eta ln^2 eta); no closed form, adaptive quadrature (Theorem 2).
+- ``DiscreteGridPrior``: discrete prior on learning-rate points (no bound).
 - ``iprod_weights_grid``: replaces exp(eta R - eta^2 V) by the product
   prod_t (1 + eta r_t), read from the (grid x K) running sums of
   ln(1 + eta r_t) that ``iprod_log_factors`` supplies one round at a time.
@@ -35,6 +36,7 @@ from typing import Union
 
 import numpy as np
 
+from . import regret_bounds as rb
 from .numerics import (
     QuadratureSpec,
     _exponent,
@@ -54,10 +56,6 @@ __all__ = [
     "DiscreteGridPrior",
     "LearningRatePrior",
     "update",
-    "squint_weights_conjugate",
-    "squint_weights_improper",
-    "squint_weights_cv",
-    "squint_weights_grid",
     "iprod_log_factors",
     "iprod_weights_grid",
     "hedge_weights",
@@ -142,6 +140,8 @@ class ExpertGameState:
         return cls.from_prior(np.full(num_experts, 1.0 / num_experts))
 
 
+# The priors' methods look up kernels, quadrature and theorems by module-level
+# name at call time, so that wrapping a name (as bench/tracer.py does) sees every call.
 @dataclass(frozen=True)
 class ConjugatePrior:
     """Density proportional to exp(a eta - b eta^2) on [0, 1/2]; (0, 0) is uniform."""
@@ -153,15 +153,46 @@ class ConjugatePrior:
         if not self.b >= 0.0:  # also rejects nan
             raise ValueError(f"conjugate prior needs b >= 0, got b={self.b}")
 
+    def log_weights(self, state: ExpertGameState) -> np.ndarray:
+        regret, variance = self.a + state.regret, self.b + state.variance
+        return _log_terms(state.prior, regret, variance, log_eta_exp_integral)
+
+    def potential(self, state: ExpertGameState) -> float:
+        log_z = log_exp_integral(self.a, self.b)
+        regret, variance = self.a + state.regret, self.b + state.variance
+        log_terms = _log_terms(state.prior, regret, variance, log_exp_integral) - log_z
+        return math.expm1(logsumexp(log_terms))
+
+    def bound(self, v_agg, pi_mass, t):
+        return rb.bound_theorem1(v_agg, pi_mass, self.a, self.b)
+
 
 @dataclass(frozen=True)
 class CVPrior:
     """Density ln(2) / (eta ln^2 eta) on (0, 1/2]; weights need quadrature."""
 
+    def log_weights(self, state: ExpertGameState) -> np.ndarray:
+        return np.log(state.prior) + cv_log_integrals(state.regret, state.variance)
+
+    def potential(self, state: ExpertGameState) -> float:
+        return float(state.prior @ cv_potential_terms(state.regret, state.variance))
+
+    def bound(self, v_agg, pi_mass, t):
+        return rb.bound_theorem2(v_agg, pi_mass)
+
 
 @dataclass(frozen=True)
 class ImproperPrior:
     """The non-normalizable 1/eta density; the weight rule stays well defined."""
+
+    def log_weights(self, state: ExpertGameState) -> np.ndarray:
+        return _log_terms(state.prior, state.regret, state.variance, log_exp_integral)
+
+    def potential(self, state: ExpertGameState) -> float:
+        return float(state.prior @ improper_potential_terms(state.regret, state.variance))
+
+    def bound(self, v_agg, pi_mass, t):
+        return rb.bound_theorem3(v_agg, pi_mass, t)
 
 
 @dataclass(frozen=True)
@@ -174,6 +205,7 @@ class DiscreteGridPrior:
     etas: np.ndarray
     masses: np.ndarray
     log_mass_eta: np.ndarray = field(init=False, repr=False, compare=False)
+    bound = None  # no theorem for a grid prior yet
 
     def __post_init__(self):
         object.__setattr__(self, "etas", np.asarray(self.etas, dtype=float))
@@ -193,6 +225,15 @@ class DiscreteGridPrior:
         if not etas.size:
             raise ValueError("a grid prior needs at least one learning rate")
         return cls(etas=etas, masses=np.full(etas.shape, 1.0 / etas.size))
+
+    def log_weights(self, state: ExpertGameState) -> np.ndarray:
+        log_terms = _grid_exponent(state, self.etas) + self.log_mass_eta[None, :]
+        return np.log(state.prior) + logsumexp(log_terms, axis=1)
+
+    def potential(self, state: ExpertGameState) -> float:
+        log_terms = _grid_exponent(state, self.etas) + np.log(self.masses)[None, :]
+        log_terms += np.log(state.prior)[:, None]
+        return math.expm1(logsumexp(log_terms))
 
 
 LearningRatePrior = Union[ConjugatePrior, CVPrior, ImproperPrior, DiscreteGridPrior]
@@ -225,18 +266,6 @@ def _log_terms(prior: np.ndarray, regret: np.ndarray, variance: np.ndarray, kern
     # Python floats give the same bits as numpy scalars, about twice as fast
     pairs = zip(prior.tolist(), regret.tolist(), variance.tolist())
     return np.array([math.log(p) + kernel(r, v) for p, r, v in pairs])
-
-
-def squint_weights_conjugate(state: ExpertGameState, a: float = 0.0, b: float = 0.0) -> np.ndarray:
-    """Closed-form weights under the conjugate learning-rate prior."""
-    log_w = _log_terms(state.prior, a + state.regret, b + state.variance, log_eta_exp_integral)
-    return normalize_log_weights(log_w)
-
-
-def squint_weights_improper(state: ExpertGameState) -> np.ndarray:
-    """Weights under the improper 1/eta prior (closed form)."""
-    log_w = _log_terms(state.prior, state.regret, state.variance, log_exp_integral)
-    return normalize_log_weights(log_w)
 
 
 # Substituting u = -1/ln(eta) maps (0, 1/2] to (0, 1/ln 2] and turns the
@@ -305,22 +334,9 @@ def cv_log_integrals(
     return shift + np.log(integrals) + math.log(math.log(2.0))
 
 
-def squint_weights_cv(state: ExpertGameState, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Weights under the near-1/eta proper prior, by adaptive quadrature."""
-    log_w = np.log(state.prior) + cv_log_integrals(state.regret, state.variance, spec)
-    return normalize_log_weights(log_w)
-
-
 def _grid_exponent(state: ExpertGameState, etas: np.ndarray) -> np.ndarray:
     """(K, G) exponents, C-ordered so logsumexp sums along the grid axis pairwise."""
     return np.outer(state.regret, etas) - np.outer(state.variance, etas * etas)
-
-
-def squint_weights_grid(state: ExpertGameState, prior: DiscreteGridPrior) -> np.ndarray:
-    """Weights under a discrete learning-rate prior, in log domain."""
-    log_terms = _grid_exponent(state, prior.etas) + prior.log_mass_eta[None, :]
-    log_w = np.log(state.prior) + logsumexp(log_terms, axis=1)
-    return normalize_log_weights(log_w)
 
 
 def iprod_log_factors(r: np.ndarray, prior: DiscreteGridPrior) -> np.ndarray:
@@ -335,7 +351,7 @@ def iprod_log_factors(r: np.ndarray, prior: DiscreteGridPrior) -> np.ndarray:
     if r.ndim != 1:
         raise ValueError("r must be one regret vector")
     x = prior.etas[:, None] * r[None, :]
-    if np.any(1.0 + x <= 0.0):
+    if not (1.0 + x > 0.0).all():  # a nan regret fails too
         raise ValueError("product factor 1 + eta*r is not positive; need |eta*r| <= 1/2")
     return np.log1p(x)
 
@@ -361,23 +377,10 @@ def iprod_weights_grid(
 
 def hedge_weights(state: ExpertGameState, eta: float) -> np.ndarray:
     """Exponential weights on cumulative losses at a fixed learning rate."""
-    if eta <= 0.0:
-        raise ValueError(f"hedge learning rate must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:  # nan fails too
+        raise ValueError(f"hedge learning rate must be positive and finite, got {eta}")
     log_w = np.log(state.prior) - eta * state.cum_loss
     return normalize_log_weights(log_w)
-
-
-def weights_for_prior(state: ExpertGameState, prior: LearningRatePrior) -> np.ndarray:
-    """Dispatch to the weight rule matching the prior choice."""
-    if isinstance(prior, ConjugatePrior):
-        return squint_weights_conjugate(state, prior.a, prior.b)
-    if isinstance(prior, CVPrior):
-        return squint_weights_cv(state)
-    if isinstance(prior, ImproperPrior):
-        return squint_weights_improper(state)
-    if isinstance(prior, DiscreteGridPrior):
-        return squint_weights_grid(state, prior)
-    raise TypeError(f"unknown learning-rate prior {prior!r}")
 
 
 def improper_potential_terms(regret, variance) -> np.ndarray:
@@ -417,6 +420,11 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
     return math.log(2.0) * integrate_adaptive_batch(f, _CV_SPEC, knots=knots)
 
 
+def weights_for_prior(state: ExpertGameState, prior: LearningRatePrior) -> np.ndarray:
+    """The Squint weights under ``prior``: its log-weights, normalized."""
+    return normalize_log_weights(prior.log_weights(state))
+
+
 def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
     """Diagnostic potential: prior-averaged exp(eta R - eta^2 V) minus one.
 
@@ -429,17 +437,4 @@ def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
     usable while max_k R^k*2/(4 V^k) stays below ~700 (always true for
     horizons below ~2800; weight rules themselves have no such limit).
     """
-    if isinstance(prior, ConjugatePrior):
-        log_z = log_exp_integral(prior.a, prior.b)
-        regret, variance = prior.a + state.regret, prior.b + state.variance
-        log_terms = _log_terms(state.prior, regret, variance, log_exp_integral) - log_z
-        return math.expm1(logsumexp(log_terms))
-    if isinstance(prior, DiscreteGridPrior):
-        log_terms = _grid_exponent(state, prior.etas) + np.log(prior.masses)[None, :]
-        log_terms += np.log(state.prior)[:, None]
-        return math.expm1(logsumexp(log_terms))
-    if isinstance(prior, ImproperPrior):
-        return float(state.prior @ improper_potential_terms(state.regret, state.variance))
-    if isinstance(prior, CVPrior):
-        return float(state.prior @ cv_potential_terms(state.regret, state.variance))
-    raise TypeError(f"unknown learning-rate prior {prior!r}")
+    return prior.potential(state)

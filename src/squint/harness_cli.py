@@ -20,16 +20,16 @@ nan or infinite bound are violations in ``run`` and ``audit`` alike.
 ``parse_config`` rejects a malformed config before the first round,
 including keys of the other mode (``num_experts`` or ``prior_pi`` in
 combinatorial mode, ``concept_class`` or ``prior_vec`` in experts mode),
-wrong vector lengths, vectors holding objects, output paths that
-are not two distinct non-empty strings, a ``prior_pi`` off the simplex or
-with a zero entry, non-integer counts, bad subsets, seeds, stream
-parameters, near-best fractions or conjugate ``a``/``b`` (also one whose
-normalizer overflows), a malformed DAG description (non-integer edge
-indices, duplicate node names), non-boolean ``report.singletons`` or
-``report.vertices``, ``report.vertices`` on a class with more than
-``DEFAULT_VERTEX_CAP`` vertices, and a combinatorial ``algorithm.t_max``
-below 1 or below ``horizon`` (Theorem 4 only covers a grid tuned for the
-horizon).
+wrong vector lengths, vectors holding objects, a loss stream of 2^53 cells
+or more (horizon x K), output paths that are not two distinct non-empty
+strings, a ``prior_pi`` off the simplex or with a zero entry, non-integer
+counts, bad subsets, seeds, stream parameters, near-best fractions or
+conjugate ``a``/``b`` (also one whose normalizer overflows), a malformed DAG
+description (non-integer edge indices, duplicate node names), non-boolean
+``report.singletons`` or ``report.vertices``, ``report.vertices`` on a class
+with more than ``DEFAULT_VERTEX_CAP`` vertices, and a combinatorial
+``algorithm.t_max`` below 1 or below ``horizon`` (Theorem 4 only covers a
+grid tuned for the horizon).
 """
 
 from __future__ import annotations
@@ -366,6 +366,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             # written as "not good" so that a null or nan entry fails
             if vec.shape != (k,) or not np.all((vec >= 0.0) & (vec <= 1.0)):
                 raise ConfigError(f"prior_vec and comparators must be {k}-vectors in [0, 1]")
+    if horizon * k >= 2**53:  # one (horizon x k) float64 loss array; t stays an exact float
+        raise ConfigError(f"horizon {horizon} x {k} loss cells reach 2^53")
     # the generators' own checks, without drawing (numpy.random is slow to import)
     if env["name"] == "stochastic":
         _check_means(k, env["means"])
@@ -389,16 +391,6 @@ def _items(stats: tuple) -> list[tuple]:
     r, v, b = stats
     return list(zip(r.tolist(), v.tolist(), [None] * r.size if b is None else b.tolist()))
 
-def _experts_theorem(prior):
-    """The guarantee of the Squint rule under ``prior``, as f(V, pi mass, t), or None."""
-    if isinstance(prior, ex.ConjugatePrior):
-        return lambda v, pi_mass, t: rb.bound_theorem1(v, pi_mass, prior.a, prior.b)
-    if isinstance(prior, ex.ImproperPrior):
-        return lambda v, pi_mass, t: rb.bound_theorem3(v, pi_mass, t)
-    if isinstance(prior, ex.CVPrior):
-        return lambda v, pi_mass, t: rb.bound_theorem2(v, pi_mass)
-    return None
-
 class _Experts:
     """Squint, Hedge or iProd on K experts, audited on prior-weighted subsets."""
 
@@ -408,7 +400,7 @@ class _Experts:
         k = self.dim = cfg.num_experts
         self.state = ex.ExpertGameState.from_prior(cfg.prior_pi)
         self.prior = cfg.prior
-        self.theorem = _experts_theorem(cfg.prior)
+        self.theorem = None if cfg.prior is None else cfg.prior.bound  # f(V, pi mass, t)
         self.has_bound = self.theorem is not None
         self.subsets = _report_subsets(cfg.report, k)
         self.names = [f"S{j}" for j in range(len(self.subsets))]

@@ -274,23 +274,26 @@ class ConceptClass(ABC):
 
     def _interior_rows(self, u_tildes: np.ndarray) -> np.ndarray:
         mat = clamp_interior(np.atleast_2d(u_tildes))
-        if mat.shape[1] != self.num_components:
-            raise ValueError(f"expected {self.num_components} columns")
+        # clamped, so only a nan entry fails the second test
+        if mat.shape[1] != self.num_components or not (mat > 0.0).all():
+            raise ValueError(f"expected rows of {self.num_components} numbers")
         return mat
 
 
 def _peel_greedy(residual: np.ndarray, pick) -> tuple[list, list]:
-    """Peel concepts off a point of a hull cut out by the box and at most one sum.
+    """Peel concepts off a hull point: a subset sum, a box or a unit flow.
 
-    ``pick(residual, mass)`` chooses the next concept's coordinates; each
+    ``pick(residual, mass)`` returns the next concept as a mask, and the
     concept takes the largest weight that keeps every residual coordinate in
-    [0, mass].
+    [0, mass].  For a flow the pick is a widest path and that weight its
+    bottleneck: every source-sink path crosses each topological-prefix cut
+    exactly once, so an edge off the path carries at most the remaining mass
+    minus the bottleneck.  A point off the hull by up to
+    ``DECOMPOSITION_RESIDUAL`` may leave that much mass unpeeled.
     """
     mass = 1.0
     concepts, weights = [], []
     for _ in range(2 * residual.size + 2):
-        if mass <= 1e-12:
-            break
         chosen = pick(residual, mass)
         lows = residual[chosen]
         highs = (mass - residual)[~chosen]
@@ -299,11 +302,13 @@ def _peel_greedy(residual: np.ndarray, pick) -> tuple[list, list]:
             float(highs.min()) if highs.size else mass,
             mass,
         )
+        if p <= 1e-12:  # exhausted, up to the point's own distance from the hull
+            break
         concepts.append(chosen.astype(float))
         weights.append(p)
         residual = np.clip(residual - p * chosen, 0.0, None)
         mass -= p
-    if mass > 1e-10:
+    if mass > DECOMPOSITION_RESIDUAL:
         raise ValueError(f"peeling failed to exhaust the point (leftover mass {mass:.2e})")
     return concepts, weights
 
@@ -502,47 +507,25 @@ class DagPaths(ConceptClass):
         return np.asarray(rows)
 
     def _peel(self, flow: np.ndarray) -> tuple[list, list]:
-        concepts, weights = [], []
-        for _ in range(2 * self.num_components + 2):
-            remaining = float(flow[self._out[self.source]].sum())
-            if remaining <= 1e-10:
-                break
-            path = self._widest_path(flow)
-            if path is None:
-                break
-            bottleneck = float(flow[path].min())
-            if bottleneck <= 1e-12:
-                break
-            row = np.zeros(self.num_components)
-            row[path] = 1.0
-            concepts.append(row)
-            weights.append(bottleneck)
-            flow[path] -= bottleneck
-        if float(flow[self._out[self.source]].sum()) > 1e-8:
-            raise ValueError("path stripping left residual source outflow")
-        return concepts, weights
+        return _peel_greedy(flow, lambda residual, mass: self._widest_path(residual))
 
-    def _widest_path(self, flow: np.ndarray):
-        best = {n: 0.0 for n in self.nodes}
-        pred = {n: None for n in self.nodes}
+    def _widest_path(self, flow: np.ndarray) -> np.ndarray:
+        """Mask of a source-sink path with the largest least flow; every edge is on some path."""
+        best = {n: -1.0 for n in self.nodes}
+        pred = {}
         best[self.source] = math.inf
         for n in self._topo:
-            if best[n] <= 0.0:
-                continue
             for e in self._out[n]:
                 cand = min(best[n], float(flow[e]))
                 to = self._edge_to[e]
                 if cand > best[to]:
                     best[to] = cand
                     pred[to] = e
-        if best[self.sink] <= 0.0:
-            return None
-        path, node = [], self.sink
+        path, node = np.zeros(self.num_components, dtype=bool), self.sink
         while node != self.source:
-            e = pred[node]
-            path.append(e)
-            node = self._edge_from[e]
-        return path[::-1]
+            path[pred[node]] = True
+            node = self._edge_from[pred[node]]
+        return path
 
 
 class ExplicitVertices(ConceptClass):

@@ -23,7 +23,13 @@ from squint.harness_cli import (
     parse_config,
     run_experiment,
 )
-from squint.numerics import QuadratureSpec, log_eta_exp_integral, log_exp_integral, logsumexp
+from squint.numerics import (
+    QuadratureSpec,
+    log_eta_exp_integral,
+    log_exp_integral,
+    logsumexp,
+    normalize_log_weights,
+)
 from squint.polytopes import DagPaths, KSubsets, ExplicitVertices
 
 from oracles import ComponentBayes, dual_sweep_subset_projection, lemma4_check, mix_loss
@@ -381,10 +387,12 @@ def test_criterion_11_timelessness():
         np.random.Generator(np.random.Philox(key=99)).integers(0, horizon, size=n_zero)
     )
     rules = {
-        "conjugate": lambda s: ex.squint_weights_conjugate(s),
-        "improper": ex.squint_weights_improper,
-        "cv": lambda s: ex.squint_weights_cv(s, CV_SPEC),
-        "grid": lambda s: ex.squint_weights_grid(s, ex.DiscreteGridPrior.uniform_on(2.0 ** -np.arange(1, 17))),
+        "conjugate": lambda s: ex.weights_for_prior(s, ex.ConjugatePrior()),
+        "improper": lambda s: ex.weights_for_prior(s, ex.ImproperPrior()),
+        "cv": lambda s: normalize_log_weights(
+            np.log(s.prior) + ex.cv_log_integrals(s.regret, s.variance, CV_SPEC)
+        ),
+        "grid": lambda s: ex.weights_for_prior(s, ex.DiscreteGridPrior.uniform_on(2.0 ** -np.arange(1, 17))),
     }
     for name, rule in rules.items():
         base = ex.ExpertGameState.uniform(k)

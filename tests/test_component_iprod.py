@@ -141,6 +141,21 @@ class TestPlayObserve:
         with pytest.raises(ValueError):
             observe(game, np.array([2.0, 0.0, 0.0]))
 
+    # nan passes "> 1" and "<= 0" alike; it used to poison u_tilde and neg_log_weight
+    def test_nan_loss_or_usage_raises(self):
+        game = make_game(KSubsets(3, 1), t_max=4)
+        play(game)
+        with pytest.raises(ValueError, match="losses must lie"):
+            observe(game, np.array([math.nan, 0.0, 0.0]))
+        game.pending_usage = np.array([math.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="update factor went nonpositive"):
+            observe(game, np.full(3, 0.5))
+
+    def test_nan_prior_vec_raises(self):
+        # clamp_interior keeps nan, which used to give a nan row of u_tilde
+        with pytest.raises(ValueError, match="vector of numbers"):
+            make_game(KSubsets(3, 1), prior_vec=[math.nan, 0.5, 0.5], t_max=4)
+
 
 class TestMixLoss:
     def test_zero_losses(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import squint.experts as experts
+import squint.regret_bounds as rb
 from squint.experts import (
     ConjugatePrior,
     CVPrior,
@@ -17,10 +18,6 @@ from squint.experts import (
     iprod_log_factors,
     iprod_weights_grid,
     potential,
-    squint_weights_conjugate,
-    squint_weights_cv,
-    squint_weights_grid,
-    squint_weights_improper,
     update,
     weights_for_prior,
 )
@@ -175,10 +172,10 @@ class TestUpdate:
         grid = DiscreteGridPrior.uniform_on(learning_rate_grid(rounds))
         log_products = np.zeros((grid.etas.size, k))
         rules = {
-            "conjugate": squint_weights_conjugate,
-            "improper": squint_weights_improper,
-            "cv": squint_weights_cv,
-            "grid": lambda s: squint_weights_grid(s, grid),
+            "conjugate": lambda s: weights_for_prior(s, ConjugatePrior()),
+            "improper": lambda s: weights_for_prior(s, ImproperPrior()),
+            "cv": lambda s: weights_for_prior(s, CVPrior()),
+            "grid": lambda s: weights_for_prior(s, grid),
             "hedge": lambda s: hedge_weights(s, 0.5),
             "iprod": lambda s: iprod_weights_grid(log_products, s.prior, grid),
         }
@@ -206,7 +203,7 @@ class TestUpdate:
 class TestConjugateWeights:
     def test_fresh_state_returns_prior(self):
         s = ExpertGameState.from_prior([0.1, 0.2, 0.7])
-        np.testing.assert_allclose(squint_weights_conjugate(s), s.prior, atol=1e-14)
+        np.testing.assert_allclose(weights_for_prior(s, ConjugatePrior()), s.prior, atol=1e-14)
 
     def test_matches_simpson_oracle(self):
         s = ExpertGameState(
@@ -216,7 +213,7 @@ class TestConjugateWeights:
             cum_loss=np.zeros(2),
             t=2,
         )
-        w = squint_weights_conjugate(s)
+        w = weights_for_prior(s, ConjugatePrior())
         np.testing.assert_allclose(w, [CONJ_W_POS, CONJ_W_NEG], rtol=1e-8)
         # unnormalized route against the oracle directly
         from squint.numerics import log_eta_exp_integral
@@ -247,9 +244,9 @@ class TestConjugateWeights:
                 t=t,
             )
             for w in (
-                squint_weights_conjugate(s),
-                squint_weights_conjugate(s, a=1.0, b=2.0),
-                squint_weights_improper(s),
+                weights_for_prior(s, ConjugatePrior()),
+                weights_for_prior(s, ConjugatePrior(a=1.0, b=2.0)),
+                weights_for_prior(s, ImproperPrior()),
             ):
                 assert np.all(w >= 0.0)
                 assert abs(w.sum() - 1.0) <= 1e-12
@@ -258,7 +255,7 @@ class TestConjugateWeights:
 class TestImproperWeights:
     def test_fresh_state_returns_prior(self):
         s = ExpertGameState.from_prior([0.4, 0.6])
-        np.testing.assert_allclose(squint_weights_improper(s), s.prior, atol=1e-14)
+        np.testing.assert_allclose(weights_for_prior(s, ImproperPrior()), s.prior, atol=1e-14)
 
     def test_zero_variance_expert_analytic(self):
         # an expert with R = V = 0 keeps unnormalized weight pi(k)/2
@@ -273,7 +270,7 @@ class TestImproperWeights:
         s = ExpertGameState(
             prior=np.full(3, 1 / 3), regret=r, variance=v, cum_loss=np.zeros(3), t=30
         )
-        w = squint_weights_improper(s)
+        w = weights_for_prior(s, ImproperPrior())
         raw = np.array([simpson_exp_integral(ri, vi) for ri, vi in zip(r, v)])
         want = raw / raw.sum()
         np.testing.assert_allclose(w, want, rtol=1e-6)
@@ -282,7 +279,7 @@ class TestImproperWeights:
 class TestCVWeights:
     def test_fresh_state_returns_prior(self):
         s = ExpertGameState.from_prior([0.3, 0.7])
-        np.testing.assert_allclose(squint_weights_cv(s), s.prior, atol=1e-10)
+        np.testing.assert_allclose(weights_for_prior(s, CVPrior()), s.prior, atol=1e-10)
 
     def test_single_expert(self):
         s = ExpertGameState.uniform(1)
@@ -293,7 +290,7 @@ class TestCVWeights:
             cum_loss=np.zeros(1),
             t=10,
         )
-        np.testing.assert_allclose(squint_weights_cv(s), [1.0], atol=1e-14)
+        np.testing.assert_allclose(weights_for_prior(s, CVPrior()), [1.0], atol=1e-14)
 
     def test_matches_refined_oracle(self):
         s = ExpertGameState(
@@ -303,12 +300,12 @@ class TestCVWeights:
             cum_loss=np.zeros(2),
             t=4,
         )
-        w = squint_weights_cv(s)
+        w = weights_for_prior(s, CVPrior())
         assert w[0] == pytest.approx(CV_W_FIRST, rel=1e-6)
         raw = np.array([mp_cv_weight_integral(2.0, 2.0), mp_cv_weight_integral(0.0, 2.0)])
         np.testing.assert_allclose(w, raw / raw.sum(), rtol=1e-6)
 
-    def test_quadrature_failure_propagates(self):
+    def test_quadrature_failure_propagates(self, monkeypatch):
         from squint.numerics import QuadratureError
 
         s = ExpertGameState(
@@ -318,9 +315,12 @@ class TestCVWeights:
             cum_loss=np.zeros(2),
             t=40,
         )
-        starved = QuadratureSpec(0.0, 0.5, abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=4)
+        starved = QuadratureSpec(
+            0.0, experts._CV_UPPER, abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=4
+        )
+        monkeypatch.setattr(experts, "_CV_SPEC", starved)
         with pytest.raises(QuadratureError):
-            squint_weights_cv(s, starved)
+            weights_for_prior(s, CVPrior())
 
 
 def random_statistics(seed: int, k: int):
@@ -526,7 +526,7 @@ class TestGridWeights:
     def test_fresh_state_returns_prior(self):
         s = ExpertGameState.from_prior([0.25, 0.75])
         grid = DiscreteGridPrior.uniform_on([0.5, 0.25, 0.125])
-        np.testing.assert_allclose(squint_weights_grid(s, grid), s.prior, atol=1e-14)
+        np.testing.assert_allclose(weights_for_prior(s, grid), s.prior, atol=1e-14)
 
     def test_single_point_closed_form(self):
         eta = 0.3
@@ -538,7 +538,7 @@ class TestGridWeights:
             t=1,
         )
         grid = DiscreteGridPrior(etas=np.array([eta]), masses=np.array([1.0]))
-        w = squint_weights_grid(s, grid)
+        w = weights_for_prior(s, grid)
         want = np.array([math.exp(eta), 1.0])
         np.testing.assert_allclose(w, want / want.sum(), rtol=1e-12)
 
@@ -553,7 +553,7 @@ class TestGridWeights:
             prior=np.full(5, 0.2), regret=r, variance=v, cum_loss=np.zeros(5), t=20
         )
         np.testing.assert_allclose(
-            squint_weights_grid(s, grid), squint_weights_conjugate(s), atol=1e-3
+            weights_for_prior(s, grid), weights_for_prior(s, ConjugatePrior()), atol=1e-3
         )
 
     def test_grid_validation(self):
@@ -619,6 +619,11 @@ class TestIprodWeights:
         with pytest.raises(ValueError):
             iprod_log_factors(np.array([-2.5, 0.0]), grid)
 
+    def test_rejects_nan_regret(self):
+        grid = DiscreteGridPrior.uniform_on([0.5, 0.25])
+        with pytest.raises(ValueError, match="not positive"):
+            iprod_log_factors(np.array([math.nan, 0.0]), grid)
+
     def test_rejects_wrong_shape(self):
         grid = DiscreteGridPrior.uniform_on([0.5, 0.25])
         pi = np.array([0.5, 0.5])
@@ -665,6 +670,24 @@ class TestHedgeWeights:
         with pytest.raises(ValueError):
             hedge_weights(ExpertGameState.uniform(2), 0.0)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_rejects_nan_or_infinite_rate(self, eta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            hedge_weights(ExpertGameState.uniform(2), eta)
+
+
+class TestPriorTheorems:
+    def test_each_prior_bounds_with_its_theorem(self):
+        v, pi_mass, t = np.array([0.0, 3.5, 40.0]), np.array([0.5, 0.1, 1e-3]), 50
+        pairs = [
+            (ConjugatePrior(a=0.5, b=2.0), rb.bound_theorem1(v, pi_mass, 0.5, 2.0)),
+            (CVPrior(), rb.bound_theorem2(v, pi_mass)),
+            (ImproperPrior(), rb.bound_theorem3(v, pi_mass, t)),
+        ]
+        for prior, want in pairs:
+            assert prior.bound(v, pi_mass, t).tobytes() == want.tobytes()
+        assert DiscreteGridPrior.uniform_on([0.5, 0.25]).bound is None
+
 
 class TestPotential:
     PRIORS = [
@@ -700,7 +723,7 @@ class TestTimelessnessAndAnytime:
     def test_zero_loss_rounds_do_not_move_weights(self):
         rng = np.random.default_rng(55)
         losses_seq = [rng.uniform(0, 1, 4) for _ in range(30)]
-        rule = lambda s: squint_weights_improper(s)
+        rule = lambda s: weights_for_prior(s, ImproperPrior())
 
         base = ExpertGameState.uniform(4)
         padded = ExpertGameState.uniform(4)
@@ -729,8 +752,8 @@ class TestTimelessnessAndAnytime:
             t=400,
         )
         np.testing.assert_array_equal(
-            squint_weights_improper(a), squint_weights_improper(b)
+            weights_for_prior(a, ImproperPrior()), weights_for_prior(b, ImproperPrior())
         )
         np.testing.assert_array_equal(
-            squint_weights_conjugate(a), squint_weights_conjugate(b)
+            weights_for_prior(a, ConjugatePrior()), weights_for_prior(b, ConjugatePrior())
         )

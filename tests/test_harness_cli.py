@@ -291,6 +291,9 @@ MALFORMED = {
     "t_max_zero": lambda tmp_path: comb_config(
         tmp_path, algorithm={"name": "component_iprod", "t_max": 0}
     ),
+    # passed parse_config, then failed with a traceback sizing the loss stream
+    "horizon_2_62": lambda tmp_path: experts_config(tmp_path, horizon=2**62),
+    "horizon_2_51_k_subsets": lambda tmp_path: comb_config(tmp_path, horizon=2**51),
     # these used to pass parse_config, then fail with a traceback or a false violation
     **{
         f"near_best_fraction_{label}": lambda tmp_path, frac=frac: experts_config(

@@ -283,6 +283,21 @@ class TestProjection:
             for row_in, row_out in zip(mat, batch):
                 np.testing.assert_allclose(cls.project(row_in), row_out, atol=1e-9)
 
+    # clamping keeps nan: the product set returned it, and the Newton ran
+    # 80 steps before raising ProjectionError "worst nan"
+    @pytest.mark.parametrize(
+        "cls_factory",
+        [lambda: ExplicitVertices([[0, 0], [0, 1], [1, 0], [1, 1]]), lambda: KSubsets(4, 2), diamond],
+    )
+    def test_rejects_nan_rows(self, cls_factory):
+        cls = cls_factory()
+        row = np.full(cls.num_components, 0.5)
+        row[0] = math.nan
+        with pytest.raises(ValueError, match="numbers"):
+            cls.project(row)
+        with pytest.raises(ValueError, match="numbers"):
+            cls.project_batch(np.vstack((np.full(cls.num_components, 0.5), row)))
+
 
 class TestDecomposition:
     def test_vertex_decomposes_to_itself(self):
@@ -323,6 +338,21 @@ class TestDecomposition:
             np.testing.assert_allclose(d.usage(), u, atol=1e-8)
             for row in d.concepts:
                 assert cls.hull_residual(row) <= 1e-9
+
+    # projected points miss the hull's equalities by up to 1e-9, so the peel
+    # must stop at what is left rather than at an exact zero
+    @pytest.mark.parametrize(
+        "cls_factory", [lambda: KSubsets(6, 3), lambda: KSubsets(9, 4), diamond, six_node_dag]
+    )
+    def test_roundtrip_on_projected_points(self, cls_factory):
+        cls = cls_factory()
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            u = cls.project(rng.uniform(0.01, 0.99, cls.num_components))
+            d = cls.decompose(u)
+            assert d.concepts.shape[0] <= 2 * cls.num_components
+            assert np.all(d.weights >= 0.0) and abs(d.weights.sum() - 1.0) <= 1e-12
+            np.testing.assert_allclose(d.usage(), u, atol=1e-8)
 
     def test_rejects_infeasible_point(self):
         with pytest.raises(ValueError):
