@@ -15,21 +15,23 @@ produce byte-identical outputs.
 Subcommands: ``run`` (config -> outputs), ``audit`` (re-verify an existing
 CSV), ``enumerate`` (list a concept class's vertices), ``grid`` (print the
 learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
-a failed invariant or a malformed config.  A nan regret or potential and a
-nan or infinite bound are violations in ``run`` and ``audit`` alike.
-``parse_config`` rejects a malformed config before the first round,
-including keys of the other mode (``num_experts`` or ``prior_pi`` in
-combinatorial mode, ``concept_class`` or ``prior_vec`` in experts mode),
-wrong vector lengths, vectors holding objects, a loss stream of 2^53 cells
-or more (horizon x K), output paths that are not two distinct non-empty
-strings, a ``prior_pi`` off the simplex or with a zero entry, non-integer
-counts, bad subsets, seeds, stream parameters, near-best fractions or
-conjugate ``a``/``b`` (also one whose normalizer overflows), a malformed DAG
-description (non-integer edge indices, duplicate node names), non-boolean
-``report.singletons`` or ``report.vertices``, ``report.vertices`` on a class
-with more than ``DEFAULT_VERTEX_CAP`` vertices, and a combinatorial
-``algorithm.t_max`` below 1 or below ``horizon`` (Theorem 4 only covers a
-grid tuned for the horizon).
+a failed invariant, a malformed config or an output that cannot be opened.
+A nan regret or potential and a nan or infinite bound are violations in
+``run`` and ``audit`` alike.  ``parse_config`` rejects a malformed config
+before the first round, including keys of the other mode (``num_experts``
+or ``prior_pi`` in combinatorial mode, ``concept_class`` or ``prior_vec``
+in experts mode) and keys that only another algorithm, prior kind,
+environment or concept class takes, wrong vector lengths, vectors holding
+objects, a loss stream of 2^53 cells or more (horizon x K), output paths
+that are not two distinct non-empty strings, a ``prior_pi`` off the
+simplex or with a zero entry, non-integer counts, bad subsets, seeds,
+stream parameters, near-best fractions or conjugate ``a``/``b`` (also one
+whose normalizer overflows), a malformed DAG description (non-integer edge
+indices, duplicate node names), non-boolean ``report.singletons`` or
+``report.vertices``, ``report.vertices`` on a class with more than
+``DEFAULT_VERTEX_CAP`` vertices, and a combinatorial ``algorithm.t_max``
+below 1 or below ``horizon`` (Theorem 4 only covers a grid tuned for the
+horizon).
 """
 
 from __future__ import annotations
@@ -146,10 +148,30 @@ def gen_uniform_signed(num_components: int, seed: int, horizon: int) -> np.ndarr
     """Independent uniform losses on [-1, +1] (combinatorial mode)."""
     return _rng(seed).uniform(-1.0, 1.0, (horizon, num_components))
 
-_ENV_PARAMS = {  # name -> (required, optional) parameters besides name and seed
+# name -> the (required, optional) keys that name takes, one table per named object
+_ENV_PARAMS = {  # besides name and seed
     "stochastic": ({"means"}, set()),
     "adversarial_shift": ({"segment_length"}, {"noise"}),
     "uniform_signed": (set(), set()),
+}
+_ALGORITHM_PARAMS = {  # per mode, besides name
+    "experts": {
+        "squint": ({"prior"}, set()),
+        "hedge": ({"eta"}, set()),
+        "iprod": (set(), {"grid_t_max"}),
+    },
+    "combinatorial": {"component_iprod": (set(), {"t_max"})},
+}
+_PRIOR_PARAMS = {  # besides kind
+    "conjugate": (set(), {"a", "b"}),
+    "improper": (set(), set()),
+    "cv": (set(), set()),
+    "grid": ({"etas"}, {"masses"}),
+}
+_CONCEPT_CLASS_PARAMS = {  # besides kind
+    "k_subsets": ({"num_components", "subset_size"}, set()),
+    "dag_paths": ({"dag"}, set()),
+    "explicit": ({"vertices"}, set()),
 }
 
 def generate_stream(env: dict, dim: int, horizon: int) -> np.ndarray:
@@ -174,6 +196,16 @@ def _require_keys(doc: dict, required: set, optional: set, where: str) -> None:
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
+def _require_named(doc: dict, key: str, table: dict, where: str, common=frozenset()) -> str:
+    """The name doc[key], once doc holds key, common and exactly the keys table gives that name."""
+    _require_keys(doc, {key, *common}, set().union(*(r | o for r, o in table.values())), where)
+    name = doc[key]
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {where} {key} {name!r}")
+    required, optional = table[name]
+    _require_keys(doc, {key, *common} | required, optional, f"{where} {name!r}")
+    return name
+
 @dataclass
 class ExperimentConfig:
     doc: dict
@@ -193,27 +225,18 @@ class ExperimentConfig:
     t_max: int | None = None  # the learning-rate grid's horizon (component_iprod, iprod)
 
 def _parse_concept_class(doc: dict):
-    _require_keys(
-        doc, {"kind"}, {"num_components", "subset_size", "dag", "vertices"}, "concept_class"
-    )
-    kind = doc["kind"]
+    kind = _require_named(doc, "kind", _CONCEPT_CLASS_PARAMS, "concept_class")
     if kind == "k_subsets":
-        _require_keys(doc, {"kind", "num_components", "subset_size"}, set(), "concept_class")
         return KSubsets(
             _check_int(doc["num_components"], "num_components", 1),
             _check_int(doc["subset_size"], "subset_size", 0),
         )
     if kind == "dag_paths":
-        _require_keys(doc, {"kind", "dag"}, set(), "concept_class")
         return DagPaths.from_json(doc["dag"])
-    if kind == "explicit":
-        _require_keys(doc, {"kind", "vertices"}, set(), "concept_class")
-        return ExplicitVertices(_floats(doc["vertices"], "vertices"))
-    raise ConfigError(f"unknown concept class kind {kind!r}")
+    return ExplicitVertices(_floats(doc["vertices"], "vertices"))
 
 def _parse_prior(doc: dict) -> ex.LearningRatePrior:
-    _require_keys(doc, {"kind"}, {"a", "b", "etas", "masses"}, "algorithm.prior")
-    kind = doc["kind"]
+    kind = _require_named(doc, "kind", _PRIOR_PARAMS, "algorithm.prior")
     if kind == "conjugate":
         a = _check_real(doc.get("a", 0.0), "conjugate a")
         b = _check_real(doc.get("b", 0.0), "conjugate b (Theorem 1 needs b >= 0)", 0.0)
@@ -226,14 +249,10 @@ def _parse_prior(doc: dict) -> ex.LearningRatePrior:
         return ex.ImproperPrior()
     if kind == "cv":
         return ex.CVPrior()
-    if kind == "grid":
-        if "etas" not in doc:
-            raise ConfigError("grid prior requires etas")
-        etas = _floats(doc["etas"], "grid etas")
-        if "masses" in doc:
-            return ex.DiscreteGridPrior(etas=etas, masses=_floats(doc["masses"], "grid masses"))
-        return ex.DiscreteGridPrior.uniform_on(etas)
-    raise ConfigError(f"unknown prior kind {kind!r}")
+    etas = _floats(doc["etas"], "grid etas")
+    if "masses" in doc:
+        return ex.DiscreteGridPrior(etas=etas, masses=_floats(doc["masses"], "grid masses"))
+    return ex.DiscreteGridPrior.uniform_on(etas)
 
 def _report_subsets(report: dict, k: int) -> list[list[int]]:
     subsets = report.get("subsets", [])
@@ -272,11 +291,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     horizon = _check_int(doc["horizon"], "horizon", 0)
 
     env = doc["environment"]
-    _require_keys(env, {"name", "seed"}, {"means", "segment_length", "noise"}, "environment")
-    if not isinstance(env["name"], str) or env["name"] not in _ENV_PARAMS:
-        raise ConfigError(f"unknown environment {env['name']!r}")
-    required, optional = _ENV_PARAMS[env["name"]]
-    _require_keys(env, {"name", "seed"} | required, optional, f"environment {env['name']!r}")
+    _require_named(env, "name", _ENV_PARAMS, "environment", {"seed"})
     _check_int(env["seed"], "environment.seed", 0, 2**128)  # Philox's key range
 
     out = doc["output"]
@@ -302,23 +317,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
     algo = doc["algorithm"]
+    name = _require_named(algo, "name", _ALGORITHM_PARAMS[mode], "algorithm")
     if mode == "experts":
         if "num_experts" not in doc:
             raise ConfigError("experts mode requires num_experts")
         k = cfg.num_experts = _check_int(doc["num_experts"], "num_experts", 1)
-        _require_keys(algo, {"name"}, {"prior", "eta", "grid_t_max"}, "algorithm")
-        if algo["name"] == "squint":
-            if "prior" not in algo:
-                raise ConfigError("squint requires a prior")
+        if name == "squint":
             cfg.prior = _parse_prior(algo["prior"])
-        elif algo["name"] == "hedge":
-            if not _check_real(algo.get("eta"), "hedge eta", 0.0) > 0.0:
+        elif name == "hedge":
+            if not _check_real(algo["eta"], "hedge eta", 0.0) > 0.0:
                 raise ConfigError("hedge requires a positive eta")
-        elif algo["name"] == "iprod":
+        else:
             cfg.t_max = _check_int(algo.get("grid_t_max", max(horizon, 1)), "iprod grid_t_max", 1)
             ci.learning_rate_grid(cfg.t_max)
-        else:
-            raise ConfigError(f"unknown experts algorithm {algo['name']!r}")
         _require_keys(
             cfg.report, set(), {"subsets", "singletons", "near_best_fraction"}, "report"
         )
@@ -343,9 +354,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         cfg.concept_class = _parse_concept_class(doc["concept_class"])
         k = cfg.concept_class.num_components
         cfg.prior_vec = doc.get("prior_vec")
-        _require_keys(algo, {"name"}, {"t_max"}, "algorithm")
-        if algo["name"] != "component_iprod":
-            raise ConfigError(f"unknown combinatorial algorithm {algo['name']!r}")
         cfg.t_max = _check_int(algo.get("t_max", max(horizon, 1)), "algorithm.t_max", 1)
         ci.learning_rate_grid(cfg.t_max)
         if horizon > cfg.t_max:
@@ -558,19 +566,23 @@ def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a parsed config; writes the CSV and summary, returns the summary.
 
-    The CSV is written line by line as the rounds are played.  A run that
-    raises removes its partial CSV and writes no summary.
+    Both outputs are opened before the first round, and the CSV is written
+    line by line as the rounds are played.  A run that raises, also on an
+    output it cannot open, removes every output it opened.
     """
-    fh = open(cfg.output_csv, "w", newline="")
+    opened = []
     try:
-        with fh:
-            summary = _run(cfg, fh)
+        with open(cfg.output_csv, "w", newline="") as out:
+            opened.append(cfg.output_csv)
+            with open(cfg.output_summary, "w") as fh:
+                opened.append(cfg.output_summary)
+                summary = _run(cfg, out)
+                json.dump(summary, fh, sort_keys=True, indent=1)
+                fh.write("\n")
     except BaseException:
-        os.remove(cfg.output_csv)
+        for path in opened:
+            os.remove(path)
         raise
-    with open(cfg.output_summary, "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
     return summary
 
 def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
@@ -624,7 +636,7 @@ def main(argv=None) -> int:
 
     p_enum = sub.add_parser("enumerate", help="list a concept class's vertices")
     p_enum.add_argument("spec", help="path to a JSON concept-class spec")
-    p_enum.add_argument("--cap", type=int, default=10**5)
+    p_enum.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
 
     p_grid = sub.add_parser("grid", help="print the learning-rate grid for a horizon")
     p_grid.add_argument("horizon", type=int)
@@ -639,7 +651,11 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError, ConfigError, ValueError) as err:
             print(f"config error: {err}", file=sys.stderr)
             return 2
-        summary = run_experiment(cfg)
+        try:
+            summary = run_experiment(cfg)
+        except OSError as err:
+            print(f"output error: {err}", file=sys.stderr)
+            return 2
         print(json.dumps({"any_violation": summary["any_violation"]}, sort_keys=True))
         return 2 if summary["any_violation"] else 0
 

@@ -106,40 +106,22 @@ class ConceptClass(ABC):
         return np.abs(mat @ self._inc.T - self._rhs).max(axis=1, initial=0.0)
 
     def _set_projection(self, flows: int, pinned: np.ndarray, pin_values) -> None:
-        """Newton solves _inc's first flows rows; the pinned coordinates, in none, take pin_values."""
-        self._flows, self._pinned, self._pin_values = flows, pinned, np.asarray(pin_values, float)
-        if flows:
-            flow = self._inc[:flows]  # each column leaves at most one row and enters at most one
-            frm = np.where((flow > 0.0).any(axis=0), (flow > 0.0).argmax(axis=0), -1)
-            to = np.where((flow < 0.0).any(axis=0), (flow < 0.0).argmax(axis=0), -1)
-            self._jac_entries, self._jac_terms = self._laplacian_terms(frm, to, flows)
+        """Newton solves _inc's first flows rows; the pinned coordinates, in none, take pin_values.
 
-    @staticmethod
-    def _laplacian_terms(frm, to, c):
-        """Sparsity of the Newton Jacobian A diag(d) A^T, a grounded graph Laplacian.
-
-        Entry (i, i) sums d_e over the edges incident to row i; entry (i, j)
-        sums -d_e over the edges joining rows i and j.  Returns the flat
-        positions of the nonzero entries (nnz,) and a (slots, nnz) table of
-        columns into [d, -d, 0]: slot s holds each entry's s-th term in
-        increasing edge order, padded with the zero column.
+        The Newton Jacobian A diag(d) A^T of those rows A is kept as a list
+        of terms: for each pair of rows (i, j) that meet column e, the flat
+        entry i c + j, the column e and the sign A_ie A_je, in increasing e.
         """
-        k = frm.size
-        edges = np.arange(k)
-        has_f, has_t = frm >= 0, to >= 0
-        both = has_f & has_t
-        f, t, e = frm[both], to[both], edges[both]
-        # one term per (entry, edge): two diagonal terms and two off-diagonal ones per edge
-        pos = np.concatenate((frm[has_f] * (c + 1), to[has_t] * (c + 1), f * c + t, t * c + f))
-        edge = np.concatenate((edges[has_f], edges[has_t], e, e))
-        col = np.concatenate((edges[has_f], edges[has_t], k + e, k + e))
-        order = np.lexsort((edge, pos))
-        pos, col = pos[order], col[order]
-        entries, first, count = np.unique(pos, return_index=True, return_counts=True)
-        slot = np.arange(pos.size) - np.repeat(first, count)
-        terms = np.full((count.max(), entries.size), 2 * k)
-        terms[slot, np.repeat(np.arange(entries.size), count)] = col
-        return entries, terms
+        self._flows, self._pinned, self._pin_values = flows, pinned, np.asarray(pin_values, float)
+        edge, row = np.nonzero(self._inc[:flows].T)  # the flow rows' nonzeros, edge-major
+        sign = self._inc[row, edge]
+        first = np.searchsorted(edge, edge)  # where each nonzero's column starts
+        count = np.searchsorted(edge, edge, side="right") - first
+        # each nonzero a, paired with the k-th nonzero b of its column
+        a, k = np.nonzero(np.arange(count.max(initial=0)) < count[:, None])
+        b = first[a] + k
+        self._jac_pos, self._jac_edge = row[a] * flows + row[b], edge[a]
+        self._jac_sign = sign[a] * sign[b]
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         """Row-wise entropy projection of interior points onto the hull.
@@ -214,17 +196,14 @@ class ConceptClass(ABC):
     def _jacobian(self, d: np.ndarray) -> np.ndarray:
         """A diag(d_r) A^T for each row d_r of d (n, K), as an (n, c, c) stack.
 
-        Each entry is summed from +0.0 in increasing edge order, which gives
-        the bits of the dense product ``(A * d_r) @ A^T``.
+        ``np.bincount`` adds each entry's terms to +0.0 in increasing edge
+        order and the signs are exact, which gives the bits of the dense
+        product ``(A * d_r) @ A^T``.
         """
         n, c = d.shape[0], self._flows
-        signed = np.concatenate((d, -d, np.zeros((n, 1))), axis=1)
-        vals = np.zeros((n, self._jac_entries.size))
-        for cols in self._jac_terms:
-            vals += np.take(signed, cols, axis=1)
-        jac = np.zeros((n, c * c))
-        jac[:, self._jac_entries] = vals
-        return jac.reshape(n, c, c)
+        pos = np.arange(n)[:, None] * (c * c) + self._jac_pos
+        vals = d[:, self._jac_edge] * self._jac_sign
+        return np.bincount(pos.ravel(), vals.ravel(), n * c * c).reshape(n, c, c)
 
     @abstractmethod
     def _peel(self, point: np.ndarray) -> tuple[list, list]:

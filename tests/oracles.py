@@ -15,7 +15,7 @@ helpers:
   ``integrate_adaptive_batch_reference``, adaptive Simpson with separate
   integrand calls per edge set and per side (production ``QuadratureSpec``
   and ``QuadratureError``), ``newton_jacobian_dense``, the dense
-  product that ``ConceptClass._jacobian`` builds from its Laplacian structure,
+  product that ``ConceptClass._jacobian`` sums term by term,
   and ``update_replace``, the game-state update through
   ``dataclasses.replace``, which re-runs every ``ExpertGameState`` check
   (production ``_check_simplex``), and ``cv_weight_integrand_former`` and
@@ -33,10 +33,9 @@ helpers:
   ``project_cyclic_former`` with its own shift solver and sweep cap,
   ``project_subsets_former``, the subset class's bisection on its one
   logit shift, and ``project_batch_former``, which picks the former body
-  by class (production ``_laplacian_terms``, ``_interior_rows``, logit and
-  sigmoid), and ``log_terms_former``, the
-  per-expert closed-form loop on numpy scalars that ``_log_terms`` runs on
-  Python floats (production kernels);
+  by class (production ``_interior_rows``, logit and sigmoid), and
+  ``log_terms_former``, the per-expert closed-form loop on numpy scalars
+  that ``_log_terms`` runs on Python floats (production kernels);
 - the single-rate learner that Component iProd aggregates:
   ``unconstrained_update`` (production ``clamp_interior``, logit and
   sigmoid), ``ComponentBayes`` (production ``project``) and ``mix_loss``;
@@ -67,7 +66,6 @@ from squint.numerics import (
 )
 from squint.polytopes import (
     PROJECTION_RESIDUAL,
-    DagPaths,
     ExplicitVertices,
     KSubsets,
     ProjectionError,
@@ -498,13 +496,12 @@ def newton_jacobian_dense(inc: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (inc[None, :, :] * d[:, None, :]) @ inc.T
 
 
-def dag_constraints_former(cls) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A ``DagPaths``' equalities as the former constraint list, and the tables built from it.
+def dag_constraints_former(cls) -> tuple[list, np.ndarray, np.ndarray]:
+    """A ``DagPaths``' equalities as the former constraint list, and the matrix built from it.
 
-    Returns ``(cons, inc, rhs, jac_entries, jac_terms)``: ``cons`` holds one
-    ``(plus, minus, rhs)`` triple of edge-index arrays per equality, the rest
-    are the dense signed incidence, its right-hand sides and the Newton
-    Jacobian's Laplacian tables (production ``_laplacian_terms``).
+    Returns ``(cons, inc, rhs)``: ``cons`` holds one ``(plus, minus, rhs)``
+    triple of edge-index arrays per equality, ``inc`` and ``rhs`` are the
+    dense signed incidence and its right-hand sides.
     """
     cons = [(np.array(cls._out[cls.source], dtype=int), np.array([], dtype=int), 1.0)]
     for n in cls._topo:
@@ -513,17 +510,13 @@ def dag_constraints_former(cls) -> tuple[list, np.ndarray, np.ndarray, np.ndarra
         out_e, in_e = cls._out[n], cls._in[n]
         if out_e or in_e:
             cons.append((np.array(out_e, dtype=int), np.array(in_e, dtype=int), 0.0))
-    c, k = len(cons), cls.num_components
-    inc = np.zeros((c, k))
-    rhs = np.zeros(c)
-    frm, to = np.full(k, -1), np.full(k, -1)
+    inc = np.zeros((len(cons), cls.num_components))
+    rhs = np.zeros(len(cons))
     for i, (plus, minus, b) in enumerate(cons):
         inc[i, plus] = 1.0
         inc[i, minus] = -1.0
         rhs[i] = b
-        frm[plus], to[minus] = i, i
-    entries, terms = DagPaths._laplacian_terms(frm, to, c)
-    return cons, inc, rhs, entries, terms
+    return cons, inc, rhs
 
 
 def _dag_residuals_former(cons: list, mat: np.ndarray) -> np.ndarray:
@@ -587,7 +580,7 @@ def project_newton_former(cls, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     probes every matrix and the stack is solved again with the singular
     rows frozen.
     """
-    _, inc, rhs, _, _ = dag_constraints_former(cls)
+    _, inc, rhs = dag_constraints_former(cls)
     logits = _logit(mat)
     n, c = mat.shape[0], inc.shape[0]
     theta = np.zeros((n, c))

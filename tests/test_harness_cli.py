@@ -430,6 +430,15 @@ MALFORMED = {
     "experts_with_prior_vec": lambda tmp_path: experts_config(tmp_path, prior_vec=[0.5] * 3),
     "combinatorial_with_num_experts": lambda tmp_path: comb_config(tmp_path, num_experts=7),
     "combinatorial_with_prior_pi": lambda tmp_path: comb_config(tmp_path, prior_pi=[1, 0]),
+    # keys of another algorithm or prior kind used to be ignored
+    "hedge_with_prior": lambda tmp_path: experts_config(
+        tmp_path, algorithm={"name": "hedge", "eta": 0.5, "prior": {"kind": "cv"}}
+    ),
+    "iprod_with_eta": lambda tmp_path: experts_config(
+        tmp_path, algorithm={"name": "iprod", "eta": 2.0}
+    ),
+    "improper_with_a": prior_config("improper", a=1.0),
+    "grid_with_a": prior_config("grid", etas=[0.5, 0.25], a=3.0),
 }
 
 
@@ -722,6 +731,19 @@ class TestStreamingCsv:
             run_experiment(parse_config(doc))
         assert not os.path.exists(doc["output"]["csv"])
         assert not os.path.exists(doc["output"]["summary"])
+
+    @pytest.mark.parametrize("bad", ["csv", "summary"])
+    def test_unwritable_output_fails_before_round_1(self, tmp_path, monkeypatch, capsys, bad):
+        doc = experts_config(tmp_path)
+        doc["output"][bad] = str(tmp_path / "missing" / "out")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rounds = []
+        monkeypatch.setattr(ex, "update", lambda *args: rounds.append(None))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "output error" in capsys.readouterr().err
+        assert not rounds
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_memory_does_not_grow_with_horizon(self, tmp_path):
         # Potential sampling is off: the improper potential's adaptive Simpson

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -460,6 +462,19 @@ class TestNewtonJacobian:
                 want = newton_jacobian_dense(cls._inc, d)
                 assert cls._jacobian(d).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("k", [2, 60, 299])
+    def test_subset_jacobian_sums_left_to_right(self, k):
+        # at large K the dense product's BLAS dot sums in another order, so it is no bit reference
+        cls = KSubsets(k, 1)
+        rng = np.random.default_rng(k)
+        for n in (1, 9):
+            d = rng.choice([0.0, 5e-324, 1e-310, 1e-300, 1e-16, 0.1, 0.25], (n, k))
+            d[:, ::3] = rng.uniform(0.0, 0.25, (n, d[:, ::3].shape[1]))
+            want = np.array([functools.reduce(operator.add, row.tolist(), 0.0) for row in d])
+            got = cls._jacobian(d)
+            assert got.shape == (n, 1, 1)
+            assert got.ravel().tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", list(JACOBIAN_DAGS))
     def test_projection_bytes_match_dense_jacobian(self, name, monkeypatch):
         cls = JACOBIAN_DAGS[name]()
@@ -611,22 +626,21 @@ class TestOneEqualityMatrix:
         assert cls.num_vertices() == num_vertices_former(cls) == cls.vertices().shape[0]
         forced = cls.vertices().min(axis=0) == 1.0
         assert np.array_equal(cls._pinned, forced) and forced.any() == (name in PINNED_DAGS)
-        if name not in PINNED_DAGS:
-            tables = (cls._inc, cls._rhs, cls._jac_entries, cls._jac_terms)
-            for got, want in zip(tables, want_tables):
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
-            return
         flows, pins = cls._inc[: cls._flows], cls._inc[cls._flows :]
-        assert np.array_equal(pins, np.eye(cls.num_components)[forced])
-        assert np.all(cls._rhs[cls._flows :] == 1.0) and not flows[:, forced].any()
-        new = np.column_stack((cls._inc, cls._rhs))
-        former = np.column_stack(want_tables[:2])
-        assert np.linalg.matrix_rank(new) == np.linalg.matrix_rank(former) == new.shape[0]
-        row_change(former, new)
         if cls._flows:
             d = np.random.default_rng(15).uniform(0.0, 0.25, (9, cls.num_components))
             assert cls._jacobian(d).tobytes() == newton_jacobian_dense(flows, d).tobytes()
+        if name not in PINNED_DAGS:
+            for got, want in zip((cls._inc, cls._rhs), want_tables):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            return
+        assert np.array_equal(pins, np.eye(cls.num_components)[forced])
+        assert np.all(cls._rhs[cls._flows :] == 1.0) and not flows[:, forced].any()
+        new = np.column_stack((cls._inc, cls._rhs))
+        former = np.column_stack(want_tables)
+        assert np.linalg.matrix_rank(new) == np.linalg.matrix_rank(former) == new.shape[0]
+        row_change(former, new)
 
     @pytest.mark.parametrize("name", list(EQUALITY_CLASSES))
     def test_residuals_match_former(self, name):
