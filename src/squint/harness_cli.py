@@ -12,6 +12,11 @@ Philox generator keyed by the config seed, floats are serialized with
 shortest round-trip repr, and JSON keys are sorted, so identical configs
 produce byte-identical outputs.
 
+Given ``os.fork`` and a second CPU, ``run`` forks a writer that formats the
+CSV from one float64 frame per round sent over a pipe, while the next
+rounds play.  It calls no BLAS, so Python 3.12+'s fork warning is harmless.
+A writer that fails is an output error (exit 2).
+
 Subcommands: ``run`` (config -> outputs), ``audit`` (re-verify an existing
 CSV), ``enumerate`` (list a concept class's vertices), ``grid`` (print the
 learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
@@ -37,11 +42,14 @@ horizon).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import gc
 import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Any, TextIO
 
@@ -383,9 +391,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _check_shift(env["segment_length"], env.get("noise", 0.0))
     return cfg
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
 def _record(entry: dict, regret: float, variance: float, bound: float | None) -> dict:
     """Add an audited item's statistics (and its verdict, if a bound applies)."""
     entry.update(regret=regret, variance=variance)
@@ -514,6 +519,76 @@ class _Combinatorial:
         ]
         return audits, None
 
+def _csv_line(t: int, cells: list[float], phi: float | None) -> str:
+    """One CSV line: t, the row's cells, then the potential ("" when not sampled)."""
+    potential = "" if phi is None else repr(float(phi))
+    return f"{t},{','.join(map(repr, cells))},{potential}\n"
+
+def _write_frames(read_end: int, out: TextIO, width: int) -> None:
+    """Write the line of each frame read until end of file: t, the cells, a flag, phi."""
+    size = 8 * width
+    pending = b""
+    while chunk := os.read(read_end, 1 << 16):
+        pending += chunk
+        whole = len(pending) - len(pending) % size
+        cells = memoryview(pending)[:whole].cast("d").tolist()
+        pending = pending[whole:]
+        for i in range(0, len(cells), width):
+            f = cells[i : i + width]
+            out.write(_csv_line(int(f[0]), f[1:-2], f[-1] if f[-2] else None))
+    out.flush()
+
+def _spare_cpu() -> bool:
+    """Whether os.fork exists and this process may run on more than one CPU."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+@contextlib.contextmanager
+def _line_writer(out: TextIO, width: int) -> Iterator[Callable]:
+    """Yield ``write(t, cells, phi)``, which puts one round's CSV line in ``out``.
+
+    With a spare CPU, a forked writer formats the lines from float64 frames
+    of ``width`` cells.  It ends with ``os._exit``, so it flushes no
+    inherited buffer but ``out``; it is reaped on every exit path, and one
+    that exited nonzero raises ``OSError``.  On one CPU the fork only adds work.
+    """
+    if not _spare_cpu():
+        yield lambda t, cells, phi: out.write(_csv_line(t, cells.tolist(), phi))
+        return
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(write_end)
+            gc.disable()  # so no finalizer of an inherited object runs here
+            _write_frames(read_end, out, width)
+            status = 0
+        except Exception as err:
+            os.write(2, f"CSV writer: {err!r}\n".encode())
+        finally:
+            os._exit(status)
+    os.close(read_end)  # else a writer that died would leave this process blocked on a full pipe
+    try:
+        with open(write_end, "wb") as frames:
+            yield lambda t, cells, phi: frames.write(
+                np.concatenate(((t,), cells, (0.0, 0.0) if phi is None else (1.0, phi)))
+            )
+    except BrokenPipeError:
+        pass  # the writer stopped early, so its exit status below is not 0
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise OSError(f"the CSV writer process exited with status {status}")
+
 def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
     """Play and audit every round, writing each CSV line to ``out``; returns the summary."""
     learner = _Experts(cfg) if cfg.mode == "experts" else _Combinatorial(cfg)
@@ -527,33 +602,33 @@ def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
     header.append("potential")
     # no cell ever needs CSV quoting (float reprs, integers, "" and plain names)
     out.write(",".join(header) + "\n")
+    out.flush()  # a writer process appends every later line to the same file
 
     stats = None
     any_violation = False
     max_potential = None
-    for loss_t in losses:
-        t, played = learner.step(loss_t)
-        r, v, bound = learner.audit()
-        audited = (r, v)
-        if bound is not None:
-            bound = np.broadcast_to(bound, r.shape)
-            # a nan regret and a nan or infinite bound are violations
-            if not np.all((r <= bound) & (bound < math.inf)):
-                any_violation = True
-            audited += (bound,)
-        stats = (r, v, bound)
-        # R, V[, bound] per item; tolist() gives Python floats, repr'd as by _fmt
-        cells = np.concatenate((loss_t, played, np.column_stack(audited).ravel()))
-        sample = cfg.potential_every > 0 and t % cfg.potential_every == 0
-        phi = learner.potential() if sample else None
-        if phi is None:
-            potential = ""
-        else:
-            max_potential = phi if max_potential is None else max(max_potential, phi)
-            if not phi <= _POTENTIAL_TOL:
-                any_violation = True
-            potential = _fmt(phi)
-        out.write(f"{t},{','.join(map(repr, cells.tolist()))},{potential}\n")
+    with _line_writer(out, len(header) + 1) as write:
+        for loss_t in losses:
+            t, played = learner.step(loss_t)
+            r, v, bound = learner.audit()
+            audited = (r, v)
+            if bound is not None:
+                bound = np.broadcast_to(bound, r.shape)
+                # a nan regret and a nan or infinite bound are violations
+                if not np.all((r <= bound) & (bound < math.inf)):
+                    any_violation = True
+                audited += (bound,)
+            stats = (r, v, bound)
+            sample = cfg.potential_every > 0 and t % cfg.potential_every == 0
+            phi = learner.potential() if sample else None
+            if phi is not None:
+                # max() would keep a nan only when it comes first
+                if max_potential is None or phi > max_potential or math.isnan(phi):
+                    max_potential = phi
+                if not phi <= _POTENTIAL_TOL:
+                    any_violation = True
+            # R, V[, bound] per item
+            write(t, np.concatenate((loss_t, played, np.column_stack(audited).ravel())), phi)
 
     audits, near_best = learner.summary(stats)
     summary = dict(schema=SUMMARY_SCHEMA, config=cfg.doc, rounds=cfg.horizon, audits=audits)
@@ -688,8 +763,8 @@ def main(argv=None) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        for eta in etas:
-            print(_fmt(eta))
+        for eta in etas.tolist():
+            print(repr(eta))
         return 0
 
     return 2

@@ -3,13 +3,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import squint.component_iprod as ci
 import squint.experts as ex
+import squint.harness_cli as hc
 import squint.regret_bounds as rb
 from squint.component_iprod import learning_rate_grid
 from squint.harness_cli import (
@@ -696,6 +700,31 @@ class TestRunExperiment:
         assert summary["any_violation"] is False
 
 
+@pytest.fixture
+def writer_pids(monkeypatch):
+    """The pid of every process that os.fork starts, as seen by the parent;
+    runs fork their CSV writer, whatever CPUs this machine has."""
+    monkeypatch.setattr(hc, "_spare_cpu", lambda: True)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid != 0:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """One writer was forked, and it has been waited for already."""
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
 class TestStreamingCsv:
     """The CSV is written line by line, with the bytes csv.writer would give."""
 
@@ -711,7 +740,7 @@ class TestStreamingCsv:
         assert rewritten.getvalue().encode() == raw
 
     @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
-    def test_failed_run_leaves_no_outputs(self, tmp_path, monkeypatch, mode):
+    def test_failed_run_leaves_no_outputs(self, tmp_path, monkeypatch, writer_pids, mode):
         module, name, make = {
             "experts": (ex, "update", experts_config),
             "combinatorial": (ci, "observe", comb_config),
@@ -729,8 +758,90 @@ class TestStreamingCsv:
         doc = make(tmp_path)
         with pytest.raises(RuntimeError, match="round 5"):
             run_experiment(parse_config(doc))
+        assert_reaped(writer_pids)
         assert not os.path.exists(doc["output"]["csv"])
         assert not os.path.exists(doc["output"]["summary"])
+
+    @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
+    def test_clean_run_reaps_its_writer(self, tmp_path, writer_pids, mode):
+        make = experts_config if mode == "experts" else comb_config
+        run_experiment(parse_config(make(tmp_path)))
+        assert_reaped(writer_pids)
+
+    # 30 rounds fit in the pipe, so the writer fails after the last frame is
+    # sent; 3000 rounds do not, so the parent's write meets a closed pipe
+    @pytest.mark.parametrize("horizon", [30, 3000])
+    def test_failed_writer_is_an_output_error(
+        self, tmp_path, monkeypatch, capfd, writer_pids, horizon
+    ):
+        def broken_line(t, cells, phi):
+            raise RuntimeError("injected writer failure")
+
+        monkeypatch.setattr(hc, "_csv_line", broken_line)
+        doc = experts_config(tmp_path, horizon=horizon, algorithm={"name": "hedge", "eta": 1.0})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capfd.readouterr().err
+        assert "injected writer failure" in err
+        assert "output error: the CSV writer process exited with status 1" in err
+        assert_reaped(writer_pids)
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
+    def test_one_cpu_formats_in_process_with_the_same_bytes(self, tmp_path, monkeypatch, mode):
+        make = experts_config if mode == "experts" else comb_config
+        doc = make(tmp_path, potential_every=3)
+        spare_cpu = hc._spare_cpu
+        outputs = []
+        for spare in (True, False):
+            monkeypatch.setattr(hc, "_spare_cpu", lambda: spare)
+            run_experiment(parse_config(doc))
+            outputs.append([Path(doc["output"][k]).read_bytes() for k in ("csv", "summary")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") == 1 + doc["horizon"]
+
+        # a process allowed on one CPU only, as under `taskset -c 0`, forks no writer
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(hc, "_spare_cpu", spare_cpu)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        run_experiment(parse_config(doc))
+        assert [Path(doc["output"][k]).read_bytes() for k in ("csv", "summary")] == outputs[0]
+
+    def test_zero_horizon_writes_the_header_only(self, tmp_path, writer_pids):
+        doc = comb_config(tmp_path, horizon=0)
+        run_experiment(parse_config(doc))
+        with open(doc["output"]["csv"]) as fh:
+            lines = fh.readlines()
+        assert lines == [",".join(RUN_SHAPES["combinatorial_zero_horizon"][1]) + "\n"]
+        assert_reaped(writer_pids)
+
+    def test_forked_writer_flushes_no_inherited_buffer(self, tmp_path):
+        # stdout is a pipe, so the unflushed print sits in its buffer at the fork
+        doc = experts_config(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = (
+            "import sys; import squint.harness_cli as hc; hc._spare_cpu = lambda: True; "
+            "print('printed before the run'); sys.exit(hc.main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hc.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", str(cfg_path)],
+            stdout=subprocess.PIPE,
+            env=env,
+            check=True,
+            timeout=60,
+        )
+        out = proc.stdout.decode()
+        assert out.count("printed before the run") == 1
+        assert out.count('{"any_violation": false}') == 1
+        with open(doc["output"]["csv"]) as fh:
+            assert len(fh.readlines()) == 1 + doc["horizon"]
 
     @pytest.mark.parametrize("bad", ["csv", "summary"])
     def test_unwritable_output_fails_before_round_1(self, tmp_path, monkeypatch, capsys, bad):
@@ -832,6 +943,15 @@ class TestAudit:
         assert main(["run", str(cfg_path)]) == 2
         assert main(["audit", doc["output"]["csv"]]) == 2
 
+
+    @pytest.mark.parametrize("phis", [[-1.0, math.nan, -0.5], [math.nan, -1.0, -0.5]])
+    def test_nan_potential_is_the_max_in_either_order(self, tmp_path, monkeypatch, phis):
+        values = iter(phis)
+        monkeypatch.setattr(ex, "potential", lambda state, prior: next(values))
+        doc = experts_config(tmp_path, horizon=3, potential_every=1)
+        summary = run_experiment(parse_config(doc))
+        assert math.isnan(summary["max_potential"])
+        assert summary["any_violation"] is True
 
     def test_nan_bound_violates_only_its_item(self, tmp_path, monkeypatch):
         bound = rb.bound_theorem3
