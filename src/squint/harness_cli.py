@@ -489,9 +489,7 @@ class _Combinatorial:
             comparators += list(cls.vertices())
         # row j is comparator Cj; one comparator_stats call audits every row per round
         self.matrix = np.array(comparators, dtype=float).reshape(-1, self.dim)
-        self.entropies = np.array(
-            [rb.binary_relative_entropy(v, self.game.prior_vec) for v in self.matrix]
-        )
+        self.entropies = rb.binary_relative_entropy(self.matrix, self.game.prior_vec)
         self.names = [f"C{j}" for j in range(len(self.matrix))]
 
     def step(self, loss: np.ndarray) -> tuple[int, np.ndarray]:
@@ -524,18 +522,21 @@ def _csv_line(t: int, cells: list[float], phi: float | None) -> str:
     potential = "" if phi is None else repr(float(phi))
     return f"{t},{','.join(map(repr, cells))},{potential}\n"
 
+def _write_lines(cells: list[float], out: TextIO, width: int) -> None:
+    """Write the line of each frame of ``width`` cells: t, the row's cells, a sampled flag, phi."""
+    for i in range(0, len(cells), width):
+        f = cells[i : i + width]
+        out.write(_csv_line(int(f[0]), f[1:-2], f[-1] if f[-2] else None))
+
 def _write_frames(read_end: int, out: TextIO, width: int) -> None:
-    """Write the line of each frame read until end of file: t, the cells, a flag, phi."""
+    """Write the line of each frame read until end of file."""
     size = 8 * width
     pending = b""
     while chunk := os.read(read_end, 1 << 16):
         pending += chunk
         whole = len(pending) - len(pending) % size
-        cells = memoryview(pending)[:whole].cast("d").tolist()
+        _write_lines(memoryview(pending)[:whole].cast("d").tolist(), out, width)
         pending = pending[whole:]
-        for i in range(0, len(cells), width):
-            f = cells[i : i + width]
-            out.write(_csv_line(int(f[0]), f[1:-2], f[-1] if f[-2] else None))
     out.flush()
 
 def _spare_cpu() -> bool:
@@ -548,15 +549,16 @@ def _spare_cpu() -> bool:
 
 @contextlib.contextmanager
 def _line_writer(out: TextIO, width: int) -> Iterator[Callable]:
-    """Yield ``write(t, cells, phi)``, which puts one round's CSV line in ``out``.
+    """Yield ``write(frame)``, which puts the CSV line of one round's frame in ``out``.
 
-    With a spare CPU, a forked writer formats the lines from float64 frames
-    of ``width`` cells.  It ends with ``os._exit``, so it flushes no
+    A frame is ``width`` float64 cells (t, the row's cells, a sampled flag,
+    phi), free to refill once ``write`` returns.  With a spare CPU, a forked
+    writer formats the lines.  It ends with ``os._exit``, so it flushes no
     inherited buffer but ``out``; it is reaped on every exit path, and one
     that exited nonzero raises ``OSError``.  On one CPU the fork only adds work.
     """
     if not _spare_cpu():
-        yield lambda t, cells, phi: out.write(_csv_line(t, cells.tolist(), phi))
+        yield lambda frame: _write_lines(frame.tolist(), out, width)
         return
     read_end, write_end = os.pipe()
     try:
@@ -579,9 +581,7 @@ def _line_writer(out: TextIO, width: int) -> Iterator[Callable]:
     os.close(read_end)  # else a writer that died would leave this process blocked on a full pipe
     try:
         with open(write_end, "wb") as frames:
-            yield lambda t, cells, phi: frames.write(
-                np.concatenate(((t,), cells, (0.0, 0.0) if phi is None else (1.0, phi)))
-            )
+            yield frames.write
     except BrokenPipeError:
         pass  # the writer stopped early, so its exit status below is not 0
     finally:
@@ -604,20 +604,21 @@ def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
     out.write(",".join(header) + "\n")
     out.flush()  # a writer process appends every later line to the same file
 
+    frame = np.empty(len(header) + 1)  # the potential is a sampled flag and phi
+    audited = frame[2 * k + 1 : -2].reshape(-1, 3 if learner.has_bound else 2).T  # R, V[, bound]
     stats = None
     any_violation = False
     max_potential = None
-    with _line_writer(out, len(header) + 1) as write:
+    with _line_writer(out, frame.size) as write:
         for loss_t in losses:
             t, played = learner.step(loss_t)
             r, v, bound = learner.audit()
-            audited = (r, v)
+            audited[0], audited[1] = r, v
             if bound is not None:
-                bound = np.broadcast_to(bound, r.shape)
+                bound = audited[2] = np.broadcast_to(bound, r.shape)
                 # a nan regret and a nan or infinite bound are violations
                 if not np.all((r <= bound) & (bound < math.inf)):
                     any_violation = True
-                audited += (bound,)
             stats = (r, v, bound)
             sample = cfg.potential_every > 0 and t % cfg.potential_every == 0
             phi = learner.potential() if sample else None
@@ -627,8 +628,9 @@ def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
                     max_potential = phi
                 if not phi <= _POTENTIAL_TOL:
                     any_violation = True
-            # R, V[, bound] per item
-            write(t, np.concatenate((loss_t, played, np.column_stack(audited).ravel())), phi)
+            frame[0], frame[1 : k + 1], frame[k + 1 : 2 * k + 1] = t, loss_t, played
+            frame[-2:] = (0.0, 0.0) if phi is None else (1.0, phi)
+            write(frame)
 
     audits, near_best = learner.summary(stats)
     summary = dict(schema=SUMMARY_SCHEMA, config=cfg.doc, rounds=cfg.horizon, audits=audits)
@@ -652,7 +654,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             with open(cfg.output_summary, "w") as fh:
                 opened.append(cfg.output_summary)
                 summary = _run(cfg, out)
-                json.dump(summary, fh, sort_keys=True, indent=1)
+                try:  # streamed: one string of the whole summary would hold all its chunks at once
+                    json.dump(summary, fh, sort_keys=True, indent=1, allow_nan=False)
+                except ValueError:  # nan or inf: start over, each as the string of its token
+                    fh.seek(0)
+                    fh.truncate()
+                    strict = json.loads(json.dumps(summary), parse_constant=str)
+                    json.dump(strict, fh, sort_keys=True, indent=1)
                 fh.write("\n")
     except BaseException:
         for path in opened:

@@ -61,12 +61,8 @@ def _logit(u: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))  # exp(-|z|), keeping the sign of a nan z
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _dual(z: np.ndarray, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -122,6 +118,7 @@ class ConceptClass(ABC):
         b = first[a] + k
         self._jac_pos, self._jac_edge = row[a] * flows + row[b], edge[a]
         self._jac_sign = sign[a] * sign[b]
+        self._jac_index = self._jac_pos[:0]  # _jacobian's flat index for its last batch height
 
     def project_batch(self, u_tildes: np.ndarray) -> np.ndarray:
         """Row-wise entropy projection of interior points onto the hull.
@@ -130,13 +127,13 @@ class ConceptClass(ABC):
         u = sigmoid(logit(w) + A^T theta), where theta minimizes the dual
         F(theta) = sum_e softplus(logit(w_e) + (A^T theta)_e) - rhs . theta,
         smooth and convex with gradient A u - rhs and Hessian
-        A diag(u(1-u)) A^T.  Damped Newton reaches its minimum from any
-        start, since A leaves out the pinned coordinates.  Each row's step
-        is halved until F drops by a quarter of the predicted decrease
-        (Armijo; tested while the Newton decrement exceeds 1e-6 and the
-        residual the tolerance, so that F's rounding cannot mask a real
-        decrease) and no flow row has all its coordinates at exactly 0 or 1,
-        which would make the next Jacobian singular.  Converged rows keep
+        A diag(u(1-u)) A^T, from ``_jacobian``.  Damped Newton reaches its
+        minimum from any start, since A leaves out the pinned coordinates.
+        Each row's full step is halved until F drops by a quarter of the
+        predicted decrease (Armijo; tested while the Newton decrement exceeds
+        1e-6 and the residual the tolerance, so that F's rounding cannot mask
+        a real decrease) and no flow row has all its coordinates at exactly 0
+        or 1, which would make the next Jacobian singular.  Converged rows keep
         stepping until all have.  Raises ``ProjectionError`` on a Jacobian
         singular to working precision, a vanished step or the step cap.
         """
@@ -169,11 +166,13 @@ class ConceptClass(ABC):
             drop = ARMIJO * decrement
             alpha = np.ones(n)
             cand_value = None
+            cand_theta = theta - step  # alpha = 1
             while True:
-                cand_theta = theta - alpha[:, None] * step
-                cand_z = logits + cand_theta @ inc
+                cand_z = cand_theta @ inc
+                cand_z += logits
                 cand_u = _sigmoid(cand_z)
-                cand_d = cand_u * (1.0 - cand_u)
+                cand_d = 1.0 - cand_u
+                cand_d *= cand_u
                 worse = ~cand_d.all(axis=1)
                 if worse.any():  # some u is exactly 0 or 1: check the Jacobian diagonal
                     worse = (cand_d @ support == 0.0).any(axis=1)
@@ -183,7 +182,8 @@ class ConceptClass(ABC):
                 if not worse.any():
                     break
                 alpha = np.where(worse, 0.5 * alpha, alpha)
-                if np.any(worse & (theta - alpha[:, None] * step == theta).all(axis=1)):
+                cand_theta = theta - alpha[:, None] * step
+                if np.any(worse & (cand_theta == theta).all(axis=1)):
                     raise ProjectionError("the entropy projection's line search step vanished")
             theta, z, u, d, value = cand_theta, cand_z, cand_u, cand_d, cand_value
             diff = u @ inc.T - rhs
@@ -201,9 +201,10 @@ class ConceptClass(ABC):
         product ``(A * d_r) @ A^T``.
         """
         n, c = d.shape[0], self._flows
-        pos = np.arange(n)[:, None] * (c * c) + self._jac_pos
+        if self._jac_index.size != n * self._jac_pos.size:  # built once per batch height
+            self._jac_index = (np.arange(n)[:, None] * (c * c) + self._jac_pos).ravel()
         vals = d[:, self._jac_edge] * self._jac_sign
-        return np.bincount(pos.ravel(), vals.ravel(), n * c * c).reshape(n, c, c)
+        return np.bincount(self._jac_index, vals.ravel(), n * c * c).reshape(n, c, c)
 
     @abstractmethod
     def _peel(self, point: np.ndarray) -> tuple[list, list]:

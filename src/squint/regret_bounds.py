@@ -189,20 +189,29 @@ def bound_theorem4(v_v, entropy, num_components: int, horizon: int):
     return _result(main + 4.0 * entropy + num_components * max(4.0 * log_g, 1.0), scalar)
 
 
-def binary_relative_entropy(v, u) -> float:
+def binary_relative_entropy(v, u):
     """Sum over coordinates of v ln(v/u) + (1-v) ln((1-v)/(1-u)).
 
     ``v`` may touch the boundary (0 ln 0 = 0); ``u`` should be interior.
     A boundary coordinate of ``u`` with a mismatched ``v`` yields inf.
+    An (N x K) stack ``v`` gives an (N,) array, entry j the float of row j.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if v.shape != u.shape:
+    if v.ndim > 2 or v.shape[-1:] != u.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {u.shape}")
     if np.any((v < 0.0) | (v > 1.0)) or np.any((u < 0.0) | (u > 1.0)):
         raise ValueError("arguments must lie in [0, 1] componentwise")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = np.where(v > 0.0, v * (np.log(v) - np.log(u)), 0.0)
-        second = np.where(v < 1.0, (1.0 - v) * (np.log1p(-v) - np.log1p(-u)), 0.0)
-    total = float(np.sum(first + second))
-    return total if not math.isnan(total) else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # in place, as a stack's arrays are large
+        first = np.log(v)
+        first -= np.log(u)
+        first *= v
+        first[~(v > 0.0)] = 0.0
+        second = np.log1p(-v)
+        second -= np.log1p(-u)
+        second *= 1.0 - v
+        second[~(v < 1.0)] = 0.0
+    first += second
+    total = np.sum(first, axis=-1)
+    total = np.where(np.isnan(total), math.inf, total)
+    return float(total) if v.ndim == 1 else total

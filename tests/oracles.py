@@ -16,6 +16,8 @@ helpers:
   integrand calls per edge set and per side (production ``QuadratureSpec``
   and ``QuadratureError``), ``newton_jacobian_dense``, the dense
   product that ``ConceptClass._jacobian`` sums term by term,
+  ``sigmoid_masked_former``, the logistic function on masked gathers and
+  scatters that ``polytopes._sigmoid`` replaced,
   and ``update_replace``, the game-state update through
   ``dataclasses.replace``, which re-runs every ``ExpertGameState`` check
   (production ``_check_simplex``), and ``cv_weight_integrand_former`` and
@@ -489,6 +491,16 @@ def lemma4_check(state, eta: float, v: np.ndarray) -> tuple[float, float]:
         float(state.gamma[j])
     )
     return lhs, rhs
+
+
+def sigmoid_masked_former(z: np.ndarray) -> np.ndarray:
+    """The former ``polytopes._sigmoid``: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z)) elsewhere."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def newton_jacobian_dense(inc: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -6,13 +6,16 @@ process, through the benchmark's own ``child.one_run``, so that a change to
 output bytes fails the test suite as well as the benchmark.  The two
 workloads that run the adaptive quadrature, ``experts_cv`` and
 ``experts_improper``, also run at seeds 1-3, whose subdivision patterns
-differ from seed 0's.  The bytes depend on the platform's float kernels, so
-they skip on a machine whose Python, numpy or BLAS version differs from the
-one the digests were recorded with.
+differ from seed 0's.  Seed 0 runs again with the CSV formatted in process,
+as on a machine with one CPU, so both writer paths are pinned.  The bytes
+depend on the platform's float kernels, so they skip on a machine whose
+Python, numpy or BLAS version differs from the one the digests were
+recorded with.
 """
 
 import importlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,15 @@ def test_seed_0_output_matches_recorded_digest(child, name, tmp_path, monkeypatc
 @pytest.mark.parametrize("name", ["experts_cv", "experts_improper"])
 def test_quadrature_output_matches_recorded_digest(child, name, seed, tmp_path, monkeypatch):
     check_digest(child, name, seed, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_seed_0_output_formatted_in_process_matches_recorded_digest(
+    child, name, tmp_path, monkeypatch
+):
+    def no_fork():
+        raise AssertionError("forked a CSV writer")
+
+    monkeypatch.setattr(child.hc, "_spare_cpu", lambda: False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    check_digest(child, name, 0, tmp_path, monkeypatch)

@@ -187,6 +187,14 @@ RUN_SHAPES = {
         expected_columns("w", 3, ["S0", "S1", "S2", "S3", "S4"], True),
         SUBSET_KEYS | VERDICT_KEYS,
     ),
+    # no audited item, so no R/V columns: the experts_iprod benchmark shape
+    "near_best_only": (
+        lambda tmp_path: experts_config(
+            tmp_path, algorithm={"name": "iprod"}, report={"near_best_fraction": 0.1}
+        ),
+        expected_columns("w", 3, [], False),
+        SUBSET_KEYS,
+    ),
 }
 
 
@@ -788,10 +796,13 @@ class TestStreamingCsv:
         assert_reaped(writer_pids)
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
-    @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
-    def test_one_cpu_formats_in_process_with_the_same_bytes(self, tmp_path, monkeypatch, mode):
-        make = experts_config if mode == "experts" else comb_config
-        doc = make(tmp_path, potential_every=3)
+    # "experts" and "combinatorial" sample the potential every third round
+    @pytest.mark.parametrize("shape", ["experts", "combinatorial", *RUN_SHAPES])
+    def test_one_cpu_formats_in_process_with_the_same_bytes(self, tmp_path, monkeypatch, shape):
+        if shape in RUN_SHAPES:
+            doc = RUN_SHAPES[shape][0](tmp_path)
+        else:
+            doc = (experts_config if shape == "experts" else comb_config)(tmp_path, potential_every=3)
         spare_cpu = hc._spare_cpu
         outputs = []
         for spare in (True, False):
@@ -884,6 +895,15 @@ class TestStreamingCsv:
         peak_bytes(100)  # first-run allocations (imports, caches) count against neither
         small = peak_bytes(100)
         assert peak_bytes(400) - small < 1_000_000
+
+
+def strict_summary(doc):
+    """The run's summary, parsed as strict JSON: a bare NaN or Infinity token raises."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(doc["output"]["summary"]).read_text(), parse_constant=reject)
 
 
 class TestAudit:
@@ -993,11 +1013,33 @@ class TestAudit:
         cfg_path.write_text(json.dumps(doc))
         with np.errstate(all="ignore"):
             assert main(["run", str(cfg_path)]) == 2
-        with open(doc["output"]["summary"]) as fh:
-            audits = json.load(fh)["audits"]
-        assert audits[0]["bound"] == math.inf
-        assert [a["violated"] for a in audits] == [not a["bound"] < math.inf for a in audits]
+        audits = strict_summary(doc)["audits"]
+        assert float(audits[0]["bound"]) == math.inf
+        assert [a["violated"] for a in audits] == [
+            not float(a["bound"]) < math.inf for a in audits
+        ]
         assert main(["audit", doc["output"]["csv"]]) == 2
+
+    @pytest.mark.parametrize("failure", ["nan_potential", "inf_bound"])
+    def test_failed_run_writes_strict_json(self, tmp_path, monkeypatch, failure):
+        # a nan or infinite float is the string of its token, which float() reads
+        if failure == "nan_potential":
+            monkeypatch.setattr(ex, "potential", lambda state, prior: math.nan)
+        else:
+            monkeypatch.setattr(rb, "bound_theorem3", lambda v_agg, pi_mass, horizon: v_agg + math.inf)
+        doc = experts_config(tmp_path, horizon=3, potential_every=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 2
+        summary = strict_summary(doc)
+        assert summary["any_violation"] is True
+        if failure == "nan_potential":
+            assert summary["max_potential"] == "NaN"
+        else:
+            entries = summary["audits"] + [summary["near_best"]]
+            assert [e["bound"] for e in entries] == ["Infinity"] * 4
+            assert all(e["violated"] for e in entries)
+            assert math.isinf(float(summary["audits"][0]["bound"]))
 
     def test_infinite_bound_fails_audit(self, tmp_path):
         doc = experts_config(tmp_path)

@@ -30,6 +30,7 @@ from oracles import (
     project_batch_former,
     project_newton_former,
     project_subsets_former,
+    sigmoid_masked_former,
     slsqp_entropy_projection,
     unconstrained_update,
 )
@@ -480,8 +481,43 @@ class TestNewtonJacobian:
         cls = JACOBIAN_DAGS[name]()
         mat = played_u_tildes(cls)
         got = cls.project_batch(mat)
-        monkeypatch.setattr(cls, "_jacobian", lambda d: newton_jacobian_dense(cls._inc, d))
+        calls = []
+
+        def dense(d):
+            calls.append(d.shape)
+            return newton_jacobian_dense(cls._inc, d)
+
+        monkeypatch.setattr(cls, "_jacobian", dense)
         assert cls.project_batch(mat).tobytes() == got.tobytes()
+        assert calls  # the projection reaches its Jacobian through this method
+
+    @pytest.mark.parametrize("name", list(JACOBIAN_DAGS))
+    def test_batch_heights_in_sequence(self, name):
+        # _jacobian keeps the flat index of its last batch height: each new height rebuilds it
+        cls = JACOBIAN_DAGS[name]()
+        rng = np.random.default_rng(21)
+        for n in (1, 9, 17, 9, 1, 17):
+            u = rng.uniform(0.0, 1.0, (n, cls.num_components))
+            d = u * (1.0 - u)
+            assert cls._jacobian(d).tobytes() == newton_jacobian_dense(cls._inc, d).tobytes()
+
+
+class TestSigmoid:
+    """The logistic function on one exp(-|z|) has the bits of the former masked one."""
+
+    SPECIAL = [0.0, 1e-300, 36.0, 710.0, 745.0, math.inf, math.nan]
+
+    def test_special_values(self):
+        z = np.array(self.SPECIAL + [-x for x in self.SPECIAL])  # -nan has its sign bit set
+        assert np.signbit(z[-1]) and not np.signbit(z[len(self.SPECIAL) - 1])
+        assert pt._sigmoid(z).tobytes() == sigmoid_masked_former(z).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0, 800.0])
+    def test_normal_draws(self, scale):
+        z = scale * np.random.default_rng(31).standard_normal(10**4)
+        assert pt._sigmoid(z).tobytes() == sigmoid_masked_former(z).tobytes()
+        mat = z.reshape(100, 100)  # the projection's (rows x K) shape
+        assert pt._sigmoid(mat).tobytes() == sigmoid_masked_former(mat).tobytes()
 
 
 def criterion_8_points():

@@ -254,6 +254,40 @@ class TestBinaryRelativeEntropy:
         assert math.isinf(binary_relative_entropy([0.5], [1.0]))
         assert math.isinf(binary_relative_entropy([1.0], [0.0]))
 
+    @pytest.mark.parametrize("k", [1, 6, 60, 300])
+    def test_stack_rows_match_single_rows(self, k):
+        # row j of a stack has the bits of row j alone (pairwise sums start past 8 terms)
+        rng = np.random.default_rng(k)
+        u = rng.uniform(0.01, 0.99, k)
+        edge = u.copy()
+        edge[::2] = rng.choice([0.0, 1.0], edge[::2].shape)  # a boundary u
+        for prior in (u, edge):
+            v = np.vstack(
+                (
+                    rng.integers(0, 2, (5, k)).astype(float),  # vertex rows
+                    rng.uniform(0.0, 1.0, (5, k)),  # interior rows
+                    np.where(rng.uniform(size=(5, k)) < 0.5, 0.0, rng.uniform(size=(5, k))),
+                )
+            )
+            got = binary_relative_entropy(v, prior)
+            want = np.array([binary_relative_entropy(row, prior) for row in v])
+            assert got.shape == (15,)
+            assert got.tobytes() == want.tobytes()
+        assert np.isinf(binary_relative_entropy(v, edge)).any()
+
+    def test_empty_stack(self):
+        got = binary_relative_entropy(np.zeros((0, 4)), np.full(4, 0.5))
+        assert got.shape == (0,) and got.dtype == float
+
+    @pytest.mark.parametrize(
+        "v, u",
+        [(np.zeros((2, 3, 4)), np.full(4, 0.5)), (np.zeros((2, 4)), np.full((2, 4), 0.5))],
+        ids=["3d_v", "2d_u"],
+    )
+    def test_rejects_other_shapes(self, v, u):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            binary_relative_entropy(v, u)
+
     def test_monotonicity_of_bounds(self):
         # all calculators nondecreasing in V, nonincreasing in prior mass
         vs = np.linspace(0.0, 500.0, 40)
