@@ -45,11 +45,15 @@ helpers:
 - ``lemma4_check``, the per-rate guarantee, read from a production
   ``CombGameState`` through ``comparator_stats`` and
   ``binary_relative_entropy``;
-- ``log_erfc``, a composition of the production scaled-erfc kernel.
+- ``log_erfc``, a composition of the production scaled-erfc kernel;
+- ``audit_csv_reference``, the former ``audit_csv`` body, which reads
+  every cell through ``csv.reader`` and Python ``float()`` (production
+  ``_POTENTIAL_TOL``).
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 from typing import Callable, Sequence
@@ -57,6 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from squint.component_iprod import comparator_stats
+from squint.harness_cli import _POTENTIAL_TOL
 from squint.experts import _CV_UPPER, _check_simplex, _cv_eta_of_u
 from squint.numerics import (
     _ERFCX_SERIES_CUTOFF,
@@ -809,3 +814,41 @@ def integrate_adaptive_batch_reference(
         coarse = np.concatenate([s_left[keep] * 0.5, s_right[keep] * 0.5])
 
     return done
+
+
+def audit_csv_reference(csv_path: str) -> tuple[bool, list[str]]:
+    """Re-verify every bound column of an existing run CSV.
+
+    Returns (ok, messages): ok is False iff in some row a regret column is
+    not at most its bound column, a bound is infinite, or a sampled
+    potential is not at most 1e-9; a nan in any of them counts as a
+    violation.  Raises ``ValueError`` for a file with no header line or a
+    row whose length differs from the header's (a truncated or otherwise
+    malformed CSV).
+    """
+    problems = []
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{csv_path} has no header line")
+        pairs = []
+        for i, name in enumerate(header):
+            if name.startswith("bound_"):
+                target = "R_" + name[len("bound_"):]
+                if target not in header:
+                    problems.append(f"column {name} has no matching {target}")
+                    continue
+                pairs.append((header.index(target), i, name))
+        phi_idx = header.index("potential") if "potential" in header else None
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+                )
+            for r_idx, b_idx, name in pairs:
+                if not float(row[r_idx]) <= float(row[b_idx]) < math.inf:
+                    problems.append(f"t={row[0]}: R={row[r_idx]} fails {name}={row[b_idx]}")
+            if phi_idx is not None and row[phi_idx] and not float(row[phi_idx]) <= _POTENTIAL_TOL:
+                problems.append(f"t={row[0]}: potential={row[phi_idx]} exceeds {_POTENTIAL_TOL}")
+    return (not problems, problems)
