@@ -70,11 +70,13 @@ SIMPLEX_TOL = 1e-12
 
 
 def _check_simplex(p: np.ndarray, what: str) -> None:
-    # written as "not good" so that a nan entry fails both tests
-    if not (p >= 0.0).all():
+    # written as "not good" so that a nan entry fails both tests; the min of
+    # nothing is +inf, so an empty vector fails the sum test only
+    if not np.minimum.reduce(p, axis=None, initial=math.inf) >= 0.0:
         raise ValueError(f"{what} has negative or nan entries")
-    if not abs(float(p.sum()) - 1.0) <= SIMPLEX_TOL:
-        raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {p.sum()!r}")
+    total = np.add.reduce(p, axis=None)
+    if not abs(float(total) - 1.0) <= SIMPLEX_TOL:
+        raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def update(state: ExpertGameState, weights: np.ndarray, losses: np.ndarray) -> E
         raise ValueError(f"expected {k}-vectors, got {weights.shape} and {losses.shape}")
     _check_simplex(weights, "weights")
     # written as "not good" so that a nan entry fails
-    if not ((losses >= 0.0) & (losses <= 1.0)).all():
+    if not (np.minimum.reduce(losses) >= 0.0 and np.maximum.reduce(losses) <= 1.0):
         raise ValueError("losses must lie in [0, 1]")
     r = float(weights @ losses) - losses
     regret, variance, cum_loss = state.regret + r, state.variance + r * r, state.cum_loss + losses
@@ -351,7 +353,8 @@ def iprod_log_factors(r: np.ndarray, prior: DiscreteGridPrior) -> np.ndarray:
     if r.ndim != 1:
         raise ValueError("r must be one regret vector")
     x = prior.etas[:, None] * r[None, :]
-    if not (1.0 + x > 0.0).all():  # a nan regret fails too
+    # for doubles 1 + x > 0 exactly when x > -1; a nan regret fails too
+    if not np.minimum.reduce(x, axis=None, initial=math.inf) > -1.0:
         raise ValueError("product factor 1 + eta*r is not positive; need |eta*r| <= 1/2")
     return np.log1p(x)
 
@@ -383,15 +386,32 @@ def hedge_weights(state: ExpertGameState, eta: float) -> np.ndarray:
     return normalize_log_weights(log_w)
 
 
+# e^700 ~ 1e304: the largest peak exponent that the linear-domain potentials
+# take, which leaves their quadrature sums headroom below overflow
+LINEAR_EXPONENT_LIMIT = 700.0
+
+
+def _check_linear_domain(regret, variance, peak, what: str) -> None:
+    top = np.maximum.reduce(_exponent(peak, regret, variance), initial=-math.inf)
+    if top > LINEAR_EXPONENT_LIMIT:  # a nan is left to the quadrature
+        raise OverflowError(
+            f"the {what} potential is evaluated in linear domain, which needs "
+            f"max_k max_eta (eta R - eta^2 V) <= {LINEAR_EXPONENT_LIMIT}, got {float(top)!r}"
+        )
+
+
 def improper_potential_terms(regret, variance) -> np.ndarray:
     """Per-expert int_0^{1/2} (e^{eta R - eta^2 V} - 1)/eta deta.
 
     Accepts stacked statistics of any length (e.g. many games side by side);
-    the integrand takes the limit value R at eta = 0.  Linear-domain: usable
-    while max R^2/(4V) stays below ~700.
+    the integrand takes the limit value R at eta = 0.  Linear-domain: raises
+    ``OverflowError`` when max_k max_eta (eta R - eta^2 V), at most
+    max R^2/(4V), exceeds ``LINEAR_EXPONENT_LIMIT`` (700).
     """
     regret = np.asarray(regret, dtype=float)
     variance = np.asarray(variance, dtype=float)
+    peak = _exponent_peak(regret, variance)
+    _check_linear_domain(regret, variance, peak, "improper")
 
     def f(eta: np.ndarray) -> np.ndarray:
         g = _exponent(eta[:, None], regret, variance)
@@ -400,7 +420,7 @@ def improper_potential_terms(regret, variance) -> np.ndarray:
         g[eta == 0.0] = regret
         return g
 
-    knots = _peak_knots(regret, variance, _exponent_peak(regret, variance), 0.5, in_u=False)
+    knots = _peak_knots(regret, variance, peak, 0.5, in_u=False)
     return integrate_adaptive_batch(f, QuadratureSpec(0.0, 0.5), knots=knots)
 
 
@@ -408,15 +428,18 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
     """Per-expert int (e^{eta R - eta^2 V} - 1) gamma(eta) deta, CV density.
 
     Computed in the substituted variable u = -1/ln(eta), where the density
-    becomes flat: ln2 * int_0^{1/ln2} (e^{g(eta(u))} - 1) du.
+    becomes flat: ln2 * int_0^{1/ln2} (e^{g(eta(u))} - 1) du.  Linear-domain,
+    with the limit of ``improper_potential_terms``.
     """
     regret = np.asarray(regret, dtype=float)
     variance = np.asarray(variance, dtype=float)
+    peak = _exponent_peak(regret, variance)
+    _check_linear_domain(regret, variance, peak, "CV")
 
     def f(u: np.ndarray) -> np.ndarray:
         return np.expm1(_exponent(_cv_eta_of_u(u)[:, None], regret, variance))
 
-    knots = _peak_knots(regret, variance, _exponent_peak(regret, variance), _CV_UPPER, in_u=True)
+    knots = _peak_knots(regret, variance, peak, _CV_UPPER, in_u=True)
     return math.log(2.0) * integrate_adaptive_batch(f, _CV_SPEC, knots=knots)
 
 
@@ -433,8 +456,10 @@ def potential(state: ExpertGameState, prior: LearningRatePrior) -> float:
     constant cannot be pulled out of the divergent 1/eta integral, so the
     subtracted form (e^{g} - 1)/eta is integrated directly.
 
-    Exponents are evaluated in linear domain here, so this diagnostic is
-    usable while max_k R^k*2/(4 V^k) stays below ~700 (always true for
-    horizons below ~2800; weight rules themselves have no such limit).
+    The improper and CV potentials evaluate their exponents in linear
+    domain, so they raise ``OverflowError`` when the largest exponent
+    max_k max_eta (eta R^k - eta^2 V^k) exceeds ``LINEAR_EXPONENT_LIMIT``
+    (700).  It is at most max_k (R^k)^2/(4 V^k) <= t/4 after t rounds, so
+    the first 2800 rounds never raise.  The weight rules have no such limit.
     """
     return prior.potential(state)

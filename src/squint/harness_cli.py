@@ -20,7 +20,9 @@ A writer that fails is an output error (exit 2).
 Subcommands: ``run`` (config -> outputs), ``audit`` (re-verify an existing
 CSV), ``enumerate`` (list a concept class's vertices), ``grid`` (print the
 learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
-a failed invariant, a malformed config or an output that cannot be opened.
+a failed invariant, a malformed config, an output that cannot be opened or
+a numerical error (a potential past its linear-domain limit or a quadrature
+out of subdivisions), which removes the outputs like any failed run.
 A nan regret or potential and a nan or infinite bound are violations in
 ``run`` and ``audit`` alike.  ``parse_config`` rejects a malformed config
 before the first round, including keys of the other mode (``num_experts``
@@ -58,6 +60,7 @@ import numpy as np
 from . import component_iprod as ci
 from . import experts as ex
 from . import regret_bounds as rb
+from .numerics import QuadratureError
 from .polytopes import DEFAULT_VERTEX_CAP, DagPaths, ExplicitVertices, KSubsets
 
 __all__ = [
@@ -424,6 +427,8 @@ class _Experts:
         self.cond = np.zeros((len(self.subsets), k))
         for row, subset, mass in zip(self.cond, self.subsets, self.masses):
             row[subset] = pi[subset] / mass
+        # with no subset reported, every round's audit returns this one empty array
+        self.no_subsets = None if self.subsets else np.empty(0)
         self.near_best_fraction = cfg.report.get("near_best_fraction")
         self.grid = None
         algo = cfg.algorithm
@@ -448,9 +453,12 @@ class _Experts:
     def audit(self) -> tuple:
         """Arrays of every reported subset's regret, variance and bound (or None)."""
         state = self.state
-        v = self.cond @ state.variance
+        if self.no_subsets is None:
+            r, v = self.cond @ state.regret, self.cond @ state.variance
+        else:  # what the two zero-size products would give
+            r = v = self.no_subsets
         bound = None if self.theorem is None else self.theorem(v, self.masses, state.t)
-        return self.cond @ state.regret, v, bound
+        return r, v, bound
 
     def potential(self) -> float | None:
         return None if self.prior is None else ex.potential(self.state, self.prior)
@@ -794,6 +802,9 @@ def main(argv=None) -> int:
             summary = run_experiment(cfg)
         except OSError as err:
             print(f"output error: {err}", file=sys.stderr)
+            return 2
+        except (OverflowError, QuadratureError) as err:
+            print(f"numerical error: {err}", file=sys.stderr)
             return 2
         print(json.dumps({"any_violation": summary["any_violation"]}, sort_keys=True))
         return 2 if summary["any_violation"] else 0

@@ -409,21 +409,51 @@ def integrate_adaptive_batch(
 
 
 def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Max-shifted log(sum(exp(values))); tolerates -inf entries."""
+    """Max-shifted log(sum(exp(values))); tolerates -inf entries.
+
+    When every maximum is finite, as on each experts round, the shifted
+    exponentials, their sum and its log are formed in place by direct ufunc
+    calls.  A -inf, +inf or nan maximum takes the general path, which shifts
+    by 0 instead and lets an all -inf slice give -inf without a warning.
+    Both paths compute the same bits.
+    """
     values = np.asarray(values, dtype=float)
-    m = values.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(values - m).sum(axis=axis, keepdims=True)) + m
+    m = np.maximum.reduce(values, axis=axis, keepdims=True)
+    if np.logical_and.reduce(np.isfinite(m), axis=None):
+        out = values - m
+        np.exp(out, out=out)
+        out = np.add.reduce(out, axis=axis, keepdims=True)
+        np.log(out, out=out)
+        out += m
+    else:
+        m = np.where(np.isfinite(m), m, 0.0)
+        with np.errstate(divide="ignore"):
+            out = np.log(np.exp(values - m).sum(axis=axis, keepdims=True)) + m
     if axis is None:
         return float(out.reshape(()))
     return out.squeeze(axis=axis)
 
 
 def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
-    """The probability vector proportional to exp(log_w), max-shifted."""
-    w = np.exp(log_w - logsumexp(log_w))
-    return w / w.sum()
+    """The probability vector proportional to exp(log_w), max-shifted.
+
+    The bits of exp(log_w - logsumexp(log_w)) divided by their sum; a
+    finite maximum takes ``logsumexp``'s in-place path inline.
+    """
+    log_w = np.asarray(log_w, dtype=float)
+    m = np.maximum.reduce(log_w, axis=None, keepdims=True)
+    if not math.isfinite(m.item()):
+        w = np.exp(log_w - logsumexp(log_w))
+        return w / w.sum()
+    w = log_w - m
+    np.exp(w, out=w)
+    lse = np.add.reduce(w, axis=None, keepdims=True)
+    np.log(lse, out=lse)
+    lse += m
+    np.subtract(log_w, lse, out=w)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=None)
+    return w
 
 
 def ceil_one_plus_log2(t: int) -> int:

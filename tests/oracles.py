@@ -48,7 +48,11 @@ helpers:
 - ``log_erfc``, a composition of the production scaled-erfc kernel;
 - ``audit_csv_reference``, the former ``audit_csv`` body, which reads
   every cell through ``csv.reader`` and Python ``float()`` (production
-  ``_POTENTIAL_TOL``).
+  ``_POTENTIAL_TOL``);
+- ``logsumexp_former``, ``normalize_log_weights_former`` and
+  ``check_simplex_former``, the former bodies that the in-place finite
+  path of the normalizers and the one-reduction simplex check replaced
+  (production ``SIMPLEX_TOL``).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import numpy as np
 
 from squint.component_iprod import comparator_stats
 from squint.harness_cli import _POTENTIAL_TOL
-from squint.experts import _CV_UPPER, _check_simplex, _cv_eta_of_u
+from squint.experts import _CV_UPPER, SIMPLEX_TOL, _check_simplex, _cv_eta_of_u
 from squint.numerics import (
     _ERFCX_SERIES_CUTOFF,
     QuadratureError,
@@ -232,6 +236,32 @@ def iprod_weights_history(history: np.ndarray, prior_pi: np.ndarray, prior) -> n
     log_w = np.log(prior_pi) + logsumexp(log_terms, axis=0)
     w = np.exp(log_w - logsumexp(log_w))
     return w / w.sum()
+
+
+def logsumexp_former(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """Max-shifted log(sum(exp(values))), every maximum through ``np.where``."""
+    values = np.asarray(values, dtype=float)
+    m = values.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(values - m).sum(axis=axis, keepdims=True)) + m
+    if axis is None:
+        return float(out.reshape(()))
+    return out.squeeze(axis=axis)
+
+
+def normalize_log_weights_former(log_w: np.ndarray) -> np.ndarray:
+    """exp(log_w - logsumexp(log_w)) divided by its sum."""
+    w = np.exp(log_w - logsumexp_former(log_w))
+    return w / w.sum()
+
+
+def check_simplex_former(p: np.ndarray, what: str) -> None:
+    """The simplex check as one comparison mask and one sum."""
+    if not (p >= 0.0).all():
+        raise ValueError(f"{what} has negative or nan entries")
+    if not abs(float(p.sum()) - 1.0) <= SIMPLEX_TOL:
+        raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {p.sum()!r}")
 
 
 def update_replace(state, weights: np.ndarray, losses: np.ndarray):

@@ -37,6 +37,7 @@ from squint.numerics import (
 
 from oracles import (
     capped_knots_former,
+    check_simplex_former,
     cv_peak_former,
     cv_peak_knots_former,
     cv_weight_integrand_former,
@@ -757,3 +758,93 @@ class TestTimelessnessAndAnytime:
         np.testing.assert_array_equal(
             weights_for_prior(a, ConjugatePrior()), weights_for_prior(b, ConjugatePrior())
         )
+
+
+# entries at the edges of each check: nan, signed zeros, the least subnormal
+# below 0, the next double above 1, and the infinities
+EDGE_VALUES = [math.nan, -0.0, 0.0, -5e-324, 1.0, 1.0 + 2.0**-52, math.inf, -math.inf]
+
+
+def outcome(fn, *args):
+    """None when ``fn`` returns, else the type and message of what it raised."""
+    try:
+        fn(*args)
+    except Exception as err:  # noqa: BLE001 - the type is the point
+        return type(err), str(err)
+    return None
+
+
+class TestChecksKeepTheirSemantics:
+    """The one-reduction checks raise what the former comparison masks raised."""
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_check_simplex(self, value):
+        for p in ([value], [value, 0.5, 0.5], [0.5, value, 0.5], [1.0 - value, value]):
+            p = np.array(p)
+            got = outcome(experts._check_simplex, p, "weights")
+            assert got == outcome(check_simplex_former, p, "weights")
+
+    def test_check_simplex_on_empty_vector(self):
+        want = (ValueError, "prior must sum to 1 within 1e-12, got np.float64(0.0)")
+        assert outcome(experts._check_simplex, np.array([]), "prior") == want
+        assert outcome(check_simplex_former, np.array([]), "prior") == want
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_update_loss_check(self, value):
+        state, w = ExpertGameState.uniform(2), np.array([0.5, 0.5])
+        for losses in ([value, 0.5], [0.5, value], [value, value]):
+            losses = np.array(losses)
+            former_ok = ((losses >= 0.0) & (losses <= 1.0)).all()
+            want = None if former_ok else (ValueError, "losses must lie in [0, 1]")
+            assert outcome(update, state, w, losses) == want
+
+    def test_update_loss_check_on_empty_vector(self):
+        want = (ValueError, "expected 2-vectors, got (2,) and (0,)")
+        assert outcome(update, ExpertGameState.uniform(2), np.array([0.5, 0.5]), np.array([])) == want
+
+    @pytest.mark.parametrize("value", EDGE_VALUES + [-2.0, -2.0 + 2.0**-52, -4.0])
+    def test_iprod_factor_check(self, value):
+        grid = DiscreteGridPrior.uniform_on([0.5, 0.25])
+        for r in ([value, 0.0], [0.0, value]):
+            r = np.array(r)
+            former_ok = (1.0 + grid.etas[:, None] * r[None, :] > 0.0).all()
+            want = None if former_ok else (
+                ValueError, "product factor 1 + eta*r is not positive; need |eta*r| <= 1/2"
+            )
+            assert outcome(iprod_log_factors, r, grid) == want
+
+    def test_iprod_factor_edge_of_minus_one(self):
+        grid = DiscreteGridPrior.uniform_on([0.5])
+        with pytest.raises(ValueError, match="not positive"):
+            iprod_log_factors(np.array([-2.0]), grid)  # eta r = -1 exactly
+        x = iprod_log_factors(np.array([-2.0 + 2.0**-52]), grid)  # eta r = -1 + 2^-53
+        assert x.tolist() == [[math.log(2.0**-53)]]
+        assert iprod_log_factors(np.array([]), grid).shape == (1, 0)
+
+
+class TestLinearDomainLimit:
+    """The linear-domain potentials raise past the peak exponent 700."""
+
+    @pytest.mark.parametrize("terms", [improper_potential_terms, cv_potential_terms])
+    def test_raises_naming_the_limit(self, terms):
+        # peak at eta = 1/2: 1000 - 250 = 750
+        with pytest.raises(OverflowError, match=r"<= 700\.0, got 750\.0"):
+            terms(np.array([1.0, 2000.0]), np.array([1.0, 1000.0]))
+
+    @pytest.mark.parametrize("terms", [improper_potential_terms, cv_potential_terms])
+    def test_limit_itself_is_evaluated(self, terms):
+        # the peak exponent at eta = 1/2 is 1400 - 700 = 700 exactly, which the limit admits
+        assert np.isfinite(terms(np.array([2800.0]), np.array([2800.0]))).all()
+        assert terms(np.array([]), np.array([])).shape == (0,)
+
+    def test_potential_of_a_state_past_the_limit(self):
+        state = ExpertGameState(
+            prior=np.array([0.5, 0.5]),
+            regret=np.array([2000.0, -2000.0]),
+            variance=np.array([1000.0, 3000.0]),
+            cum_loss=np.array([0.0, 3000.0]),
+            t=3000,
+        )
+        for prior in (ImproperPrior(), CVPrior()):
+            with pytest.raises(OverflowError, match="linear domain"):
+                potential(state, prior)

@@ -16,6 +16,7 @@ import squint.experts as ex
 import squint.harness_cli as hc
 import squint.regret_bounds as rb
 from squint.component_iprod import learning_rate_grid
+from squint.numerics import QuadratureError
 from squint.harness_cli import (
     ConfigError,
     audit_csv,
@@ -865,6 +866,25 @@ class TestStreamingCsv:
         assert main(["run", str(cfg_path)]) == 2
         assert "output error" in capsys.readouterr().err
         assert not rounds
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("failure", ["potential_limit", "quadrature_budget"])
+    def test_numerical_error_exits_2_and_removes_outputs(
+        self, tmp_path, monkeypatch, capsys, failure
+    ):
+        if failure == "potential_limit":  # round 10's peak exponent is far above 0.5
+            monkeypatch.setattr(ex, "LINEAR_EXPONENT_LIMIT", 0.5)
+            message = "numerical error: the improper potential is evaluated in linear domain"
+        else:
+            def starved(*args, **kwargs):
+                raise QuadratureError("adaptive Simpson exceeded 4 subdivisions")
+
+            monkeypatch.setattr(ex, "integrate_adaptive_batch", starved)
+            message = "numerical error: adaptive Simpson exceeded 4 subdivisions"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(experts_config(tmp_path)))
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(message)
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_memory_does_not_grow_with_horizon(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from squint.numerics import (
     log_exp_integral,
     log_xi,
     logsumexp,
+    normalize_log_weights,
 )
 
 from oracles import (
     integrate_adaptive_batch_reference,
     log_erfc,
+    logsumexp_former,
     maclaurin_erf,
     mp_log_exp_integral,
+    normalize_log_weights_former,
     simpson_exp_integral,
 )
 
@@ -528,6 +532,9 @@ class TestHelpers:
 
     def test_logsumexp_all_neg_inf(self):
         assert logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+        vals = np.array([[-math.inf, 0.0], [-math.inf, -math.inf]])
+        assert logsumexp(vals, axis=0).tolist() == [-math.inf, 0.0]
+        assert logsumexp(vals, axis=1).tolist() == [0.0, -math.inf]
 
     def test_logsumexp_axis(self):
         vals = np.log(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -540,3 +547,68 @@ class TestHelpers:
             assert ceil_one_plus_log2(t) == math.ceil(1.0 + math.log2(t)) or t in (1,)
         with pytest.raises(ValueError):
             ceil_one_plus_log2(0)
+
+
+def normalizer_inputs() -> list[np.ndarray]:
+    """Random (G, K) stacks and vectors, -inf rows, columns and arrays, +-0.0, inf and nan."""
+    rng = np.random.default_rng(24)
+    stacks = [rng.normal(0.0, 30.0, shape) for shape in [(12, 20), (3, 7), (1, 5), (5, 1)]]
+    stacks.append(rng.normal(0.0, 2.0, (64, 256)))  # thousands of sums in [1, 64]
+    stacks += [rng.normal(-700.0, 5.0, (4, 6)), rng.normal(0.0, 1e-300, (4, 6))]
+    for rows, cols in [(np.s_[1], np.s_[:]), (np.s_[:], np.s_[2]), (np.s_[:], np.s_[:])]:
+        stack = rng.normal(0.0, 3.0, (4, 6))
+        stack[rows, cols] = -math.inf
+        stacks.append(stack)
+    mixed = rng.normal(0.0, 3.0, (4, 6))
+    mixed[0, 1], mixed[2, 3], mixed[3, 0] = -math.inf, math.inf, math.nan
+    zeros = np.array([[0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, -0.0]])
+    stacks += [mixed, zeros, -zeros]
+    vectors = [rng.normal(0.0, 30.0, n) for n in (1, 2, 20, 101)]
+    vectors += [np.array([-math.inf, 0.5, -math.inf]), np.array([-math.inf, -math.inf])]
+    vectors += [np.array([0.0, -0.0]), np.array([-0.0]), np.array([1e308, 1e308, -1e308])]
+    vectors += [np.array([math.inf, 1.0]), np.array([math.nan, 1.0])]
+    # a nan with a payload: the general path spreads it to every entry, the finite one would not
+    payload_nan = np.array([0x7FF8000000012345, 0xFFF8000000000042], dtype=np.uint64).view(float)
+    vectors += [np.array([payload_nan[0], -2.0]), np.array([-math.inf, payload_nan[1], 0.0])]
+    return stacks + vectors
+
+
+def same_bits(got, want) -> bool:
+    """Same type, shape and bytes: -0.0 and nan payloads count."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestNormalizersMatchFormerBodies:
+    """The in-place finite paths give the bits of the former bodies (tests/oracles.py)."""
+
+    def test_inputs_reach_both_paths(self):
+        finite = [np.isfinite(v.max()) for v in normalizer_inputs()]
+        assert any(finite) and not all(finite)
+
+    @pytest.mark.parametrize("index", range(len(normalizer_inputs())))
+    def test_logsumexp(self, index):
+        values = normalizer_inputs()[index]
+        with np.errstate(all="ignore"):
+            for axis in [None, *range(values.ndim)]:
+                assert same_bits(logsumexp(values, axis=axis), logsumexp_former(values, axis=axis))
+
+    @pytest.mark.parametrize("index", range(len(normalizer_inputs())))
+    def test_normalize_log_weights(self, index):
+        values = normalizer_inputs()[index]
+        with np.errstate(all="ignore"):
+            assert same_bits(normalize_log_weights(values), normalize_log_weights_former(values))
+
+    def test_neg_inf_paths_warn_nothing(self):
+        inputs = [v for v in normalizer_inputs() if np.isneginf(v).any() and not np.isnan(v).any()]
+        assert len(inputs) >= 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in inputs:
+                for axis in [None, *range(values.ndim)]:
+                    logsumexp(values, axis=axis)
+                if np.isfinite(values.max()):
+                    normalize_log_weights(values)
