@@ -325,7 +325,8 @@ def cv_log_integrals(
 
     def f(u: np.ndarray) -> np.ndarray:
         eta = _cv_eta_of_u(u)[:, None]
-        g = _exponent(eta, regret, variance) - shift
+        g = _exponent(eta, regret, variance)
+        g -= shift
         np.exp(g, out=g)
         g *= eta
         return g
@@ -437,7 +438,8 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
     _check_linear_domain(regret, variance, peak, "CV")
 
     def f(u: np.ndarray) -> np.ndarray:
-        return np.expm1(_exponent(_cv_eta_of_u(u)[:, None], regret, variance))
+        g = _exponent(_cv_eta_of_u(u)[:, None], regret, variance)
+        return np.expm1(g, out=g)
 
     knots = _peak_knots(regret, variance, peak, _CV_UPPER, in_u=True)
     return math.log(2.0) * integrate_adaptive_batch(f, _CV_SPEC, knots=knots)

@@ -11,7 +11,11 @@ density in the integrand.  This module provides:
 - analytic values for the degenerate v == 0 case,
 - the eta-weighted integral int_0^{1/2} eta exp(eta*x - eta^2*y) deta used by
   conjugate-prior weights,
-- deterministic adaptive Simpson quadrature, batched over vector integrands.
+- deterministic adaptive Simpson quadrature, batched over vector integrands:
+  each subdivision level is one abscissa block [a | mid | b | x] and one
+  value block beside it, the integrand is called once per level and its
+  fresh (len(x), m) result is copied into the value block, and the kept
+  intervals' children are gathered with one ``take`` per block.
 
 All potentially huge quantities are handled in log domain: the integrals grow
 like exp(r/2 - v/4) or exp(r^2/(4v)) and overflow float64 long before the
@@ -73,6 +77,9 @@ _SERIES_TERMS = 8
 
 # Exponents below this are safe to exponentiate in float64 with headroom.
 _SAFE_EXP = 600.0
+
+
+_SHAPE_MESSAGE = "batch integrand must return a 2-d array (points, components)"
 
 
 class QuadratureError(RuntimeError):
@@ -203,8 +210,14 @@ def _log_eta_flat_integral(x: float) -> float:
 
 
 def _exponent(eta, regret, variance):
-    """eta*R - eta^2*V, broadcast: abscissas eta[:, None] against (K,) statistics give (n, K)."""
-    return eta * regret - eta * eta * variance
+    """eta*R - eta^2*V, broadcast: abscissas eta[:, None] against (K,) statistics give (n, K).
+
+    The difference is formed in place in the fresh product eta*R, with the
+    bits of the written expression.
+    """
+    g = eta * regret
+    g -= eta * eta * variance
+    return g
 
 
 def _exponent_peak(regret, variance):
@@ -330,16 +343,23 @@ def integrate_adaptive_batch(
     are integrated simultaneously over [spec.lower, spec.upper] and share the
     subdivision pattern.  ``f`` must be pointwise: row i of its result
     depends on ``x[i]`` only, so the abscissas of one subdivision level can
-    be batched into a single call.  Each abscissa is evaluated once, in one
-    call for the initial grid and one per level.  ``knots`` seeds extra
-    subdivision points (e.g. the known location of a sharp bump, which a
-    coarse initial grid would otherwise miss entirely).
+    be batched into a single call.  ``f`` is called once for the initial
+    grid and once per level, each abscissa once, and must return a fresh
+    (len(x), m) array, which is copied into the level's value block; any
+    other shape, at any call, raises ``ValueError``.  It must not write to
+    ``x``, which is a view of the level's abscissa block.  ``knots`` seeds
+    extra subdivision points (e.g. the known location of a sharp bump, which
+    a coarse initial grid would otherwise miss entirely).
 
     A level's n open intervals are held as one block of abscissas
-    ``[a | mid | b]`` (3n,) and one block of values ``[f(a) | f(mid) | f(b)]``
-    (3n, m).  The 2n halves, left halves first, then have their left ends in
-    ``block[:2n]`` and their right ends in ``block[n:]``, and the kept halves
-    are gathered into the next level's blocks with one integer index.
+    ``X = [a | mid | b | x]`` (5n,) and one block of values ``F`` (5n, m)
+    in the same rows.  The 2n halves, left halves first, have their left
+    ends in ``X[:2n]`` and their right ends in ``X[n:3n]``; their midpoints
+    ``x`` are formed into ``X[3n:]`` and the integrand's values copied into
+    ``F[3n:]``.  The kept intervals' children become the next level's
+    ``[a | mid | b]`` through one ``take`` each from ``X`` and ``F``.  Every
+    sum is formed in the order of the written Simpson rule, so the result
+    does not depend on this layout.
 
     Deterministic: identical inputs produce identical results.  Raises
     ``QuadratureError`` when max_subdivisions is exhausted before every
@@ -362,50 +382,81 @@ def integrate_adaptive_batch(
     edge_x = np.asarray(cleaned)
     n = edge_x.size - 1
     a, b = edge_x[:-1], edge_x[1:]
-    mid = 0.5 * (a + b)
-    vals = np.asarray(f(np.concatenate((edge_x, mid))), dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("batch integrand must return a 2-d array (points, components)")
-    fa, fm, fb = vals[:n], vals[n + 1 :], vals[1 : n + 1]
-    xs, fs = np.concatenate((a, mid, b)), np.concatenate((fa, fm, fb))
+    X = np.empty(5 * n)
+    X[:n], X[2 * n : 3 * n] = a, b
+    mid = np.add(a, b, out=X[n : 2 * n])
+    mid *= 0.5
+    first = np.concatenate((edge_x, mid))
+    vals = np.asarray(f(first), dtype=float)
+    if vals.ndim != 2 or vals.shape[0] != first.size:
+        raise ValueError(_SHAPE_MESSAGE)
+    m = vals.shape[1]
+    F = np.empty((5 * n, m))
+    F[:n], F[n : 2 * n], F[2 * n : 3 * n] = vals[:n], vals[n + 1 :], vals[1 : n + 1]
     span = b - a
-    coarse = span[:, None] / 6.0 * (fa + 4.0 * fm + fb)
+    coarse = F[n : 2 * n] * 4.0
+    coarse += F[:n]
+    coarse += F[2 * n : 3 * n]
+    coarse *= (span / 6.0)[:, None]
 
-    done = np.zeros(vals.shape[1])
+    rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
+    done = np.zeros(m)
     n_subdiv = n
     while True:
         # the 2n halves, left halves first: [a, mid] then [mid, b]
-        lo_e, hi_e = xs[: 2 * n], xs[n:]
-        f_lo, f_hi = fs[: 2 * n], fs[n:]
-        x = 0.5 * (lo_e + hi_e)
+        n2, n3 = 2 * n, 3 * n
+        x = np.add(X[:n2], X[n:n3], out=X[n3:])
+        x *= 0.5
         fx = np.asarray(f(x), dtype=float)
-        half_w = hi_e - lo_e
-        halves = half_w[:, None] / 3.0 * (f_lo + 4.0 * fx + f_hi)
-        fine = 0.5 * (halves[:n] + halves[n:])
-        d = (fine - coarse) / 15.0
+        if fx.shape != (n2, m):
+            raise ValueError(_SHAPE_MESSAGE)
+        F[n3:] = fx
+        half_w = np.subtract(X[n:n3], X[:n2])
+        halves = F[n3:] * 4.0
+        halves += F[:n2]
+        halves += F[n:n3]
+        halves *= (half_w / 3.0)[:, None]
+        fine = np.add(halves[:n], halves[n:])
+        fine *= 0.5
+        d = np.subtract(fine, coarse, out=coarse)
+        d /= 15.0
         err = np.abs(d)
 
-        total_est = done + fine.sum(axis=0)
-        budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_est))
-        share = (span / width)[:, None] * budget[None, :]
-        ok = (err <= share).all(axis=1)
+        budget = np.add.reduce(fine, axis=0)
+        budget += done
+        np.abs(budget, out=budget)
+        budget *= rel_tol
+        np.maximum(budget, abs_tol, out=budget)
+        share = np.multiply.outer(span / width, budget)
+        ok = np.logical_and.reduce(np.less_equal(err, share), axis=1)
 
-        done += (fine + d)[ok].sum(axis=0)
-        kept = np.flatnonzero(~ok)
-        if not kept.size:
+        fine += d
+        done += np.add.reduce(fine.compress(ok, axis=0), axis=0)
+        kept = np.logical_not(ok, out=ok).nonzero()[0]
+        k = kept.size
+        if not k:
             return done
-        n_subdiv += kept.size
+        n_subdiv += k
         if n_subdiv > spec.max_subdivisions:
             raise QuadratureError(
                 f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions; "
                 f"worst interval error {float(err[kept].max()):.3e}"
             )
-        # children of the kept intervals, left children first
-        sel = np.concatenate((kept, kept + n))
-        xs = np.concatenate((lo_e[sel], x[sel], hi_e[sel]))
-        fs = np.concatenate((f_lo[sel], fx[sel], f_hi[sel]))
-        span, coarse = half_w[sel], halves[sel] * 0.5
-        n = sel.size
+        # children of the kept intervals, left children first: their left
+        # ends, midpoints and right ends sit at [sel | 3n + sel | n + sel]
+        idx = np.add.outer((0, n, n3, n3 + n, n, n2), kept).ravel()
+        sel = idx[: 2 * k]
+        n = 2 * k
+        X_next = np.empty(5 * n)
+        F_next = np.empty((5 * n, m))
+        # the indices are in range; mode "clip" writes straight into out,
+        # where the default "raise" fills a buffer and copies it
+        X.take(idx, out=X_next[: 3 * n], mode="clip")
+        F.take(idx, axis=0, out=F_next[: 3 * n], mode="clip")
+        X, F = X_next, F_next
+        span = half_w.take(sel)
+        coarse = halves.take(sel, axis=0)
+        coarse *= 0.5
 
 
 def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:

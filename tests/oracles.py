@@ -14,7 +14,9 @@ helpers:
   comparator's two ddots for the batched ``comparator_stats``, and
   ``integrate_adaptive_batch_reference``, adaptive Simpson with separate
   integrand calls per edge set and per side (production ``QuadratureSpec``
-  and ``QuadratureError``), ``newton_jacobian_dense``, the dense
+  and ``QuadratureError``), ``integrate_adaptive_batch_former``, the
+  three-block level loop that the five-block one replaced (the same
+  production helpers), ``newton_jacobian_dense``, the dense
   product that ``ConceptClass._jacobian`` sums term by term,
   ``sigmoid_masked_former``, the logistic function on masked gathers and
   scatters that ``polytopes._sigmoid`` replaced,
@@ -844,6 +846,82 @@ def integrate_adaptive_batch_reference(
         coarse = np.concatenate([s_left[keep] * 0.5, s_right[keep] * 0.5])
 
     return done
+
+
+def integrate_adaptive_batch_former(
+    f: Callable[[np.ndarray], np.ndarray],
+    spec: QuadratureSpec,
+    knots: Sequence[float] | None = None,
+) -> np.ndarray:
+    """The former ``integrate_adaptive_batch``: three-block levels rebuilt by concatenation.
+
+    Each level gathers the kept children with six fancy-index gathers and
+    two ``concatenate`` calls, and checks only the first call's result for
+    two dimensions.  ``integrate_adaptive_batch`` must return the same
+    bits, raise the same ``QuadratureError`` text and hand ``f`` the same
+    abscissa arrays, call by call.
+    """
+    lo, hi = spec.lower, spec.upper
+    width = hi - lo
+    # np.linspace(lo, hi, 9) bit for bit, without a numpy call
+    edges = [lo + i * (width / 8) for i in range(8)] + [hi]
+    if knots is not None:
+        edges.extend(k for k in knots if lo < k < hi)
+    edges = sorted(set(edges))
+    # drop near-duplicate edges, keeping the endpoints
+    cleaned = [edges[0]]
+    for e in edges[1:]:
+        if e - cleaned[-1] > 1e-12 * width:
+            cleaned.append(e)
+    cleaned[-1] = hi
+
+    edge_x = np.asarray(cleaned)
+    n = edge_x.size - 1
+    a, b = edge_x[:-1], edge_x[1:]
+    mid = 0.5 * (a + b)
+    vals = np.asarray(f(np.concatenate((edge_x, mid))), dtype=float)
+    if vals.ndim != 2:
+        raise ValueError("batch integrand must return a 2-d array (points, components)")
+    fa, fm, fb = vals[:n], vals[n + 1 :], vals[1 : n + 1]
+    xs, fs = np.concatenate((a, mid, b)), np.concatenate((fa, fm, fb))
+    span = b - a
+    coarse = span[:, None] / 6.0 * (fa + 4.0 * fm + fb)
+
+    done = np.zeros(vals.shape[1])
+    n_subdiv = n
+    while True:
+        # the 2n halves, left halves first: [a, mid] then [mid, b]
+        lo_e, hi_e = xs[: 2 * n], xs[n:]
+        f_lo, f_hi = fs[: 2 * n], fs[n:]
+        x = 0.5 * (lo_e + hi_e)
+        fx = np.asarray(f(x), dtype=float)
+        half_w = hi_e - lo_e
+        halves = half_w[:, None] / 3.0 * (f_lo + 4.0 * fx + f_hi)
+        fine = 0.5 * (halves[:n] + halves[n:])
+        d = (fine - coarse) / 15.0
+        err = np.abs(d)
+
+        total_est = done + fine.sum(axis=0)
+        budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_est))
+        share = (span / width)[:, None] * budget[None, :]
+        ok = (err <= share).all(axis=1)
+
+        done += (fine + d)[ok].sum(axis=0)
+        kept = np.flatnonzero(~ok)
+        if not kept.size:
+            return done
+        n_subdiv += kept.size
+        if n_subdiv > spec.max_subdivisions:
+            raise QuadratureError(
+                f"adaptive Simpson exceeded {spec.max_subdivisions} subdivisions; "
+                f"worst interval error {float(err[kept].max()):.3e}"
+            )
+        # children of the kept intervals, left children first
+        sel = np.concatenate((kept, kept + n))
+        xs = np.concatenate((lo_e[sel], x[sel], hi_e[sel]))
+        fs = np.concatenate((f_lo[sel], fx[sel], f_hi[sel]))
+        span, coarse = half_w[sel], halves[sel] * 0.5
+        n = sel.size
 
 
 def audit_csv_reference(csv_path: str) -> tuple[bool, list[str]]:

@@ -52,6 +52,7 @@ from oracles import (
     simpson_exp_integral,
     update_replace,
 )
+from test_numerics import assert_matches_former
 
 # Frozen from the 1e6-panel Simpson oracle (eta-weighted, r=+-1, v=1):
 CONJ_W_POS = 0.6569304060901634
@@ -345,6 +346,36 @@ class TestQuadratureMatchesReference:
         got = terms(regret, variance)
         monkeypatch.setattr(experts, "integrate_adaptive_batch", integrate_adaptive_batch_reference)
         assert np.array_equal(got, terms(regret, variance))
+
+    # the five-block level loop gives the former body's bits, error text and
+    # abscissa arrays, through each production integrand
+    @pytest.mark.parametrize("k", [3, 12, 64])
+    @pytest.mark.parametrize(
+        "terms", [cv_log_integrals, cv_potential_terms, improper_potential_terms]
+    )
+    def test_terms_match_former_body(self, monkeypatch, terms, k):
+        regret, variance = random_statistics(k, k)
+        want = terms(regret, variance)
+        calls = []
+
+        def both(f, spec, knots=None):
+            calls.append(spec)
+            return assert_matches_former(f, spec, knots)
+
+        monkeypatch.setattr(experts, "integrate_adaptive_batch", both)
+        assert np.array_equal(terms(regret, variance), want) and len(calls) == 1
+
+    @pytest.mark.parametrize("budget", [60, 120, 300])
+    def test_budget_exhaustion_matches_former_body(self, monkeypatch, budget):
+        regret, variance = random_statistics(12, 12)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=budget)
+
+        def both(f, spec, knots=None):
+            raise QuadratureError(assert_matches_former(f, spec, knots))
+
+        monkeypatch.setattr(experts, "integrate_adaptive_batch", both)
+        with pytest.raises(QuadratureError, match=f"exceeded {budget} subdivisions"):
+            cv_log_integrals(regret, variance, spec)
 
     # the in-place integrands give their former expressions' bits, on draws
     # that reach the eta = 0 edge and the 48-knot cap

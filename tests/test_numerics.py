@@ -18,6 +18,7 @@ from squint.numerics import (
 )
 
 from oracles import (
+    integrate_adaptive_batch_former,
     integrate_adaptive_batch_reference,
     log_erfc,
     logsumexp_former,
@@ -372,6 +373,16 @@ def random_exp_family(seed: int, k: int):
     return f, knots
 
 
+# integrand results in Fortran order, or as views that step over rows or
+# columns of a larger array
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "row_strided": lambda y: np.repeat(y, 2, axis=0)[::2],
+    "col_strided": lambda y: np.repeat(y, 3, axis=1)[:, ::3],
+    "fortran_strided": lambda y: np.asfortranarray(np.repeat(y, 2, axis=0))[::2],
+}
+
+
 def use_reference(monkeypatch):
     monkeypatch.setattr(numerics, "integrate_adaptive_batch", integrate_adaptive_batch_reference)
 
@@ -380,6 +391,44 @@ def error_text(fn, *args, **kwargs):
     with pytest.raises(QuadratureError) as info:
         fn(*args, **kwargs)
     return str(info.value)
+
+
+def row_order_tie_case():
+    """(f, spec, knots) at which the order of the budget's row sum decides an interval."""
+    # total_est is fine.sum(axis=0) over C-ordered rows, added row after
+    # row; a column-contiguous fine would be summed pairwise, moving the
+    # error budget by an ulp.  Pick a rel_tol at which that ulp decides
+    # whether a first-level interval is accepted.
+    def f(x):
+        return np.column_stack((np.exp(2.0 * x - 7.0 * x * x), np.ones_like(x)))
+
+    edges = np.arange(17) / 32.0  # the nine default edges plus dyadic knots
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    fa, fb, fm = f(a), f(b), f(mid)
+    coarse = (b - a)[:, None] / 6.0 * (fa + 4.0 * fm + fb)
+    s_left = (mid - a)[:, None] / 3.0 * (fa + 4.0 * f(0.5 * (a + mid)) + fm)
+    s_right = (b - mid)[:, None] / 3.0 * (fm + 4.0 * f(0.5 * (mid + b)) + fb)
+    fine = 0.5 * (s_left + s_right)
+    err = np.abs(fine - coarse) / 15.0
+    frac = ((b - a) / 0.5)[:, None]
+    rows, pairwise = fine.sum(axis=0), np.asfortranarray(fine).sum(axis=0)
+    assert rows[0] != pairwise[0]
+
+    def accepted(rel, total):
+        return (err <= frac * (rel * np.abs(total))[None, :]).all(axis=1)
+
+    ties = []
+    for i in range(a.size):
+        rel = err[i, 0] / frac[i, 0] / abs(rows[0])
+        for step in range(-6, 7):
+            cand = rel + step * np.spacing(rel)
+            if (accepted(cand, rows) != accepted(cand, pairwise)).any():
+                ties.append(float(cand))
+    assert ties
+    spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-300, rel_tol=ties[0])
+    knots = list(edges[1:-1])
+    return f, spec, knots
 
 
 class TestBatchedSimpsonMatchesReference:
@@ -410,16 +459,10 @@ class TestBatchedSimpsonMatchesReference:
     # the sums give the reference's bits whatever layout f returns: Fortran
     # order, or views that step over rows or columns of a larger array
     @pytest.mark.parametrize("m", [1, 200])
-    @pytest.mark.parametrize("layout", ["fortran", "row_strided", "col_strided", "fortran_strided"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_integrand_layout(self, layout, m):
         f, knots = random_exp_family(m, m)
-        views = {
-            "fortran": np.asfortranarray,
-            "row_strided": lambda y: np.repeat(y, 2, axis=0)[::2],
-            "col_strided": lambda y: np.repeat(y, 3, axis=1)[:, ::3],
-            "fortran_strided": lambda y: np.asfortranarray(np.repeat(y, 2, axis=0))[::2],
-        }
-        view = views[layout]
+        view = LAYOUTS[layout]
 
         def g(x):
             return view(f(x))
@@ -458,39 +501,7 @@ class TestBatchedSimpsonMatchesReference:
         assert len(seen["new"]) == 1 + levels
 
     def test_budget_ties_follow_the_row_order_sum(self):
-        # total_est is fine.sum(axis=0) over C-ordered rows, added row after
-        # row; a column-contiguous fine would be summed pairwise, moving the
-        # error budget by an ulp.  Pick a rel_tol at which that ulp decides
-        # whether a first-level interval is accepted.
-        def f(x):
-            return np.column_stack((np.exp(2.0 * x - 7.0 * x * x), np.ones_like(x)))
-
-        edges = np.arange(17) / 32.0  # the nine default edges plus dyadic knots
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b)
-        fa, fb, fm = f(a), f(b), f(mid)
-        coarse = (b - a)[:, None] / 6.0 * (fa + 4.0 * fm + fb)
-        s_left = (mid - a)[:, None] / 3.0 * (fa + 4.0 * f(0.5 * (a + mid)) + fm)
-        s_right = (b - mid)[:, None] / 3.0 * (fm + 4.0 * f(0.5 * (mid + b)) + fb)
-        fine = 0.5 * (s_left + s_right)
-        err = np.abs(fine - coarse) / 15.0
-        frac = ((b - a) / 0.5)[:, None]
-        rows, pairwise = fine.sum(axis=0), np.asfortranarray(fine).sum(axis=0)
-        assert rows[0] != pairwise[0]
-
-        def accepted(rel, total):
-            return (err <= frac * (rel * np.abs(total))[None, :]).all(axis=1)
-
-        ties = []
-        for i in range(a.size):
-            rel = err[i, 0] / frac[i, 0] / abs(rows[0])
-            for step in range(-6, 7):
-                cand = rel + step * np.spacing(rel)
-                if (accepted(cand, rows) != accepted(cand, pairwise)).any():
-                    ties.append(float(cand))
-        assert ties
-        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-300, rel_tol=ties[0])
-        knots = list(edges[1:-1])
+        f, spec, knots = row_order_tie_case()
         got = integrate_adaptive_batch(f, spec, knots=knots)
         assert np.array_equal(got, integrate_adaptive_batch_reference(f, spec, knots=knots))
 
@@ -519,6 +530,168 @@ class TestBatchedSimpsonMatchesReference:
             knots = near + [0.5 - k for k in near]
             got = integrate_adaptive_batch(f, spec, knots=knots)
             assert np.array_equal(got, integrate_adaptive_batch_reference(f, spec, knots=knots))
+
+
+def recorded(integrate, f, spec, knots=None):
+    """``integrate``'s result or ``QuadratureError`` text, and a copy of each abscissa array f got."""
+    seen = []
+
+    def g(x):
+        seen.append(x.copy())
+        return f(x)
+
+    try:
+        return integrate(g, spec, knots=knots), seen
+    except QuadratureError as exc:
+        return str(exc), seen
+
+
+def assert_matches_former(f, spec, knots=None):
+    """The five-block level loop gives the former body's bits or error text, call by call.
+
+    Returns the former body's result, or its ``QuadratureError`` text.
+    """
+    got, got_x = recorded(integrate_adaptive_batch, f, spec, knots)
+    want, want_x = recorded(integrate_adaptive_batch_former, f, spec, knots)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bits(got, want)
+    assert len(got_x) == len(want_x)
+    assert all(same_bits(x, y) for x, y in zip(got_x, want_x))
+    return want
+
+
+def cubic(x):
+    """Two cubic columns: Simpson is exact, so every first-level interval is accepted."""
+    return np.column_stack((x**3 - 2.0 * x, 5.0 * x * x + 1.0))
+
+
+SHAPE_ERROR = "batch integrand must return a 2-d array (points, components)"
+
+# integrand results of another shape than (len(x), m)
+BAD = {
+    "one_column": lambda y: y[:, :1],
+    "extra_column": lambda y: np.column_stack((y, y[:, 0])),
+    "short": lambda y: y[:-1],
+    "flat": lambda y: y[:, 0],
+}
+
+
+class TestLevelLoopMatchesFormerBody:
+    """One gather per level gives the former three-block body's bits (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_integrands(self, seed):
+        f, knots = random_exp_family(seed, 1 + seed % 5)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        assert_matches_former(f, spec, knots)
+
+    def test_every_first_level_interval_accepted(self):
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        assert_matches_former(cubic, spec, [0.013, 0.2, 0.31])
+
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_integrand_layout(self, layout, m):
+        f, knots = random_exp_family(m, m)
+        view = LAYOUTS[layout]
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        assert_matches_former(lambda x: view(f(x)), spec, knots)
+
+    @pytest.mark.parametrize("budget", [5, 70, 90, 150, 400])
+    def test_budget_exhaustion_message(self, budget):
+        f, knots = random_exp_family(3, 4)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=budget)
+        assert assert_matches_former(f, spec, knots).startswith(
+            f"adaptive Simpson exceeded {budget} subdivisions; worst interval error "
+        )
+
+    def test_budget_below_initial_grid_all_accepted(self):
+        spec = QuadratureSpec(0.0, 1.0, max_subdivisions=5)
+        assert_matches_former(column(lambda e: e * e), spec)
+
+    def test_budget_ties_follow_the_row_order_sum(self):
+        assert_matches_former(*row_order_tie_case())
+
+    def test_convex_exponent(self):
+        rng = np.random.default_rng(8)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-280, rel_tol=1e-10, max_subdivisions=200_000)
+        for r, v in zip(rng.uniform(-300.0, 300.0, 30), -(10.0 ** rng.uniform(-6.0, 3.0, 30))):
+            shift = max(0.0, 0.5 * r - 0.25 * v)
+
+            def f(eta, r=r, v=v, shift=shift):
+                return np.exp(eta * r - eta * eta * v - shift)[:, None]
+
+            near = [k / max(abs(r), abs(v), 2.0) for k in (1.0, 3.0, 10.0, 45.0)]
+            assert_matches_former(f, spec, near + [0.5 - k for k in near])
+
+    def test_eta_integral_fallback(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-3.0, 3.0, 400) * 10.0 ** rng.uniform(-8.0, 5.0, 400)
+        ys = 10.0 ** rng.uniform(-10.0, 5.0, 400)
+        cases = [(x, y) for x, y in zip(xs, ys) if numerics._log_eta_closed(x, y) is None]
+        calls = []
+
+        def both(f, spec, knots=None):
+            calls.append(spec)
+            return assert_matches_former(f, spec, knots)
+
+        monkeypatch.setattr(numerics, "integrate_adaptive_batch", both)
+        for x, y in cases:
+            log_eta_exp_integral(x, y)
+        assert len(calls) == len(cases) > 100
+
+
+class TestIntegrandShapeChecked:
+    """Every call's result must be (len(x), m); another shape raises at that call."""
+
+    @staticmethod
+    def broken_on(call, bad, base):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            y = base(x)
+            return bad(y) if len(calls) == call else y
+
+        return f, calls
+
+    # the first call fixes m, so only a wrong row count or a 1-d result
+    # fails there
+    @pytest.mark.parametrize(
+        "call, bad", [(1, "short"), (1, "flat")] + [(c, b) for c in (2, 3) for b in BAD]
+    )
+    def test_interval_keeping_integrand(self, call, bad):
+        g, knots = random_exp_family(3, 4)
+        f, calls = self.broken_on(call, BAD[bad], g)
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        with pytest.raises(ValueError) as info:
+            integrate_adaptive_batch(f, spec, knots=knots)
+        assert str(info.value) == SHAPE_ERROR and len(calls) == call
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    def test_cubic_second_call(self, bad):
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        f, calls = self.broken_on(2, BAD[bad], cubic)
+        with pytest.raises(ValueError) as info:
+            integrate_adaptive_batch(f, spec, knots=[0.013, 0.2, 0.31])
+        assert str(info.value) == SHAPE_ERROR and len(calls) == 2
+
+    def test_former_body_broadcast_a_one_column_level(self):
+        # the former body checked only the first call: on a cubic whose two
+        # columns agree, a (2n, 1) second result was broadcast into both
+        # columns and accepted without a word
+        def twin(x):
+            return np.column_stack((x**3 - 2.0 * x, x**3 - 2.0 * x))
+
+        spec = QuadratureSpec(0.0, 0.5, abs_tol=1e-13, rel_tol=1e-11)
+        f, calls = self.broken_on(2, BAD["one_column"], twin)
+        assert integrate_adaptive_batch_former(f, spec).shape == (2,) and len(calls) == 2
+        f, calls = self.broken_on(2, BAD["one_column"], twin)
+        with pytest.raises(ValueError) as info:
+            integrate_adaptive_batch(f, spec)
+        assert str(info.value) == SHAPE_ERROR
 
 
 class TestHelpers:
