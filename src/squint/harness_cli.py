@@ -21,24 +21,12 @@ Subcommands: ``run`` (config -> outputs), ``audit`` (re-verify an existing
 CSV), ``enumerate`` (list a concept class's vertices), ``grid`` (print the
 learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
 a failed invariant, a malformed config, an output that cannot be opened or
-a numerical error (a potential past its linear-domain limit or a quadrature
-out of subdivisions), which removes the outputs like any failed run.
-A nan regret or potential and a nan or infinite bound are violations in
-``run`` and ``audit`` alike.  ``parse_config`` rejects a malformed config
-before the first round, including keys of the other mode (``num_experts``
-or ``prior_pi`` in combinatorial mode, ``concept_class`` or ``prior_vec``
-in experts mode) and keys that only another algorithm, prior kind,
-environment or concept class takes, wrong vector lengths, vectors holding
-objects, a loss stream of 2^53 cells or more (horizon x K), output paths
-that are not two distinct non-empty strings, a ``prior_pi`` off the
-simplex or with a zero entry, non-integer counts, bad subsets, seeds,
-stream parameters, near-best fractions or conjugate ``a``/``b`` (also one
-whose normalizer overflows), a malformed DAG description (non-integer edge
-indices, duplicate node names), non-boolean ``report.singletons`` or
-``report.vertices``, ``report.vertices`` on a class with more than
-``DEFAULT_VERTEX_CAP`` vertices, and a combinatorial ``algorithm.t_max``
-below 1 or below ``horizon`` (Theorem 4 only covers a grid tuned for the
-horizon).
+a numerical error, which removes the outputs like any failed run.  A nan
+regret or potential and a nan or infinite bound are violations in ``run``
+and ``audit`` alike.  ``parse_config`` rejects a malformed config before
+the first round: each named object has one table holding every key's check
+and default, and the rules that tie keys together follow as code.  README
+"CLI" lists the keys and what each check rejects.
 """
 
 from __future__ import annotations
@@ -53,6 +41,7 @@ import os
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, TextIO
 
 import numpy as np
@@ -61,7 +50,7 @@ from . import component_iprod as ci
 from . import experts as ex
 from . import regret_bounds as rb
 from .numerics import QuadratureError
-from .polytopes import DEFAULT_VERTEX_CAP, DagPaths, ExplicitVertices, KSubsets
+from .polytopes import DEFAULT_VERTEX_CAP, DagPaths, ExplicitVertices, KSubsets, ProjectionError
 
 __all__ = [
     "ConfigError",
@@ -128,10 +117,6 @@ def _check_bool(value, name: str) -> bool:
         raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
 
-def _check_shift(segment_length: int, noise: float) -> None:
-    _check_int(segment_length, "segment length", 1)
-    _check_real(noise, "noise", 0.0, 1.0)
-
 def gen_stochastic(num_experts: int, means, seed: int, horizon: int) -> np.ndarray:
     """Independent Bernoulli losses, coordinate k with the given mean."""
     means = _check_means(num_experts, means)
@@ -146,7 +131,8 @@ def gen_adversarial_shift(
     With ``noise`` > 0 each entry is flipped independently with that
     probability, keeping losses in {0, 1}.
     """
-    _check_shift(segment_length, noise)
+    _check_int(segment_length, "segment length", 1)
+    _check_real(noise, "noise", 0.0, 1.0)
     t_idx = np.arange(horizon)
     best = (t_idx // segment_length) % num_experts
     losses = np.ones((horizon, num_experts))
@@ -160,43 +146,35 @@ def gen_uniform_signed(num_components: int, seed: int, horizon: int) -> np.ndarr
     """Independent uniform losses on [-1, +1] (combinatorial mode)."""
     return _rng(seed).uniform(-1.0, 1.0, (horizon, num_components))
 
-# name -> the (required, optional) keys that name takes, one table per named object
-_ENV_PARAMS = {  # besides name and seed
-    "stochastic": ({"means"}, set()),
-    "adversarial_shift": ({"segment_length"}, {"noise"}),
-    "uniform_signed": (set(), set()),
-}
-_ALGORITHM_PARAMS = {  # per mode, besides name
-    "experts": {
-        "squint": ({"prior"}, set()),
-        "hedge": ({"eta"}, set()),
-        "iprod": (set(), {"grid_t_max"}),
-    },
-    "combinatorial": {"component_iprod": (set(), {"t_max"})},
-}
-_PRIOR_PARAMS = {  # besides kind
-    "conjugate": (set(), {"a", "b"}),
-    "improper": (set(), set()),
-    "cv": (set(), set()),
-    "grid": ({"etas"}, {"masses"}),
-}
-_CONCEPT_CLASS_PARAMS = {  # besides kind
-    "k_subsets": ({"num_components", "subset_size"}, set()),
-    "dag_paths": ({"dag"}, set()),
-    "explicit": ({"vertices"}, set()),
-}
+# A key table maps each key an object takes to (check, default).  check(value,
+# where) returns the checked value or raises ValueError.  A key left out takes
+# its default, which is a checked value already; one whose default is
+# _REQUIRED must be given.
+_REQUIRED = object()
 
-def generate_stream(env: dict, dim: int, horizon: int) -> np.ndarray:
-    name = env["name"]
-    if name == "stochastic":
-        return gen_stochastic(dim, env["means"], env["seed"], horizon)
-    if name == "adversarial_shift":
-        return gen_adversarial_shift(
-            dim, env["segment_length"], env["seed"], horizon, env.get("noise", 0.0)
-        )
-    if name == "uniform_signed":
-        return gen_uniform_signed(dim, env["seed"], horizon)
-    raise ConfigError(f"unknown environment {name!r}")
+def _as_given(value, where: str):
+    """The check of a value that is parsed on its own: a nested object or a DAG description."""
+    return value
+
+def _or_null(check: Callable) -> Callable:
+    """``check``, except that null stands for the default, None."""
+    return lambda value, where: None if value is None else check(value, where)
+
+def _path(value, where: str) -> str:
+    if not (isinstance(value, str) and value):  # open() takes an integer or a bool as a descriptor
+        raise ValueError(f"{where} must be a non-empty string, got {value!r}")
+    return value
+
+def _subsets(value, where: str) -> list[list[int]]:
+    """Sorted, duplicate-free index lists; the range and the prior mass need K and prior_pi."""
+    if not isinstance(value, list) or not all(isinstance(s, list) for s in value):
+        raise ValueError(f"{where} must be a list of expert index lists, got {value!r}")
+    return [sorted(set(_check_int(i, "subset index", 0) for i in s)) for s in value]
+
+def _vectors(value, where: str) -> list[np.ndarray]:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list of vectors, got {value!r}")
+    return [_floats(vec, where) for vec in value]
 
 def _require_keys(doc: dict, required: set, optional: set, where: str) -> None:
     if not isinstance(doc, dict):
@@ -208,191 +186,210 @@ def _require_keys(doc: dict, required: set, optional: set, where: str) -> None:
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
-def _require_named(doc: dict, key: str, table: dict, where: str, common=frozenset()) -> str:
-    """The name doc[key], once doc holds key, common and exactly the keys table gives that name."""
-    _require_keys(doc, {key, *common}, set().union(*(r | o for r, o in table.values())), where)
+def _checked(doc: dict, table: dict, where: str, named: frozenset = frozenset()) -> dict:
+    """Each key of ``table``: doc's value, checked, or its default; doc may hold ``named`` too."""
+    required = {key for key, (_, default) in table.items() if default is _REQUIRED}
+    _require_keys(doc, required | named, set(table), where)
+    return {key: check(doc[key], f"{where} {key}") if key in doc else default
+            for key, (check, default) in table.items()}
+
+def _require_named(doc: dict, key: str, tables: dict, where: str) -> tuple[str, dict]:
+    """The name doc[key] and doc's values checked against that name's table."""
+    _require_keys(doc, {key}, set().union(*tables.values()), where)
     name = doc[key]
-    if not isinstance(name, str) or name not in table:
+    if not isinstance(name, str) or name not in tables:
         raise ConfigError(f"unknown {where} {key} {name!r}")
-    required, optional = table[name]
-    _require_keys(doc, {key, *common} | required, optional, f"{where} {name!r}")
-    return name
+    return name, _checked(doc, tables[name], f"{where} {name!r}", {key})
+
+def _conjugate(a: float, b: float) -> ex.ConjugatePrior:
+    try:
+        rb.z_conjugate(a, b)  # Theorem 1's normalizer
+    except OverflowError:
+        raise ConfigError(f"conjugate prior normalizer overflows at a={a}, b={b}") from None
+    return ex.ConjugatePrior(a=a, b=b)
+
+def _grid(etas: np.ndarray, masses: np.ndarray | None) -> ex.DiscreteGridPrior:
+    grid = ex.DiscreteGridPrior
+    return grid.uniform_on(etas) if masses is None else grid(etas=etas, masses=masses)
+
+# per named object, name -> key table and name -> constructor of the checked values
+_SEED = (partial(_check_int, lo=0, hi=2**128), _REQUIRED)  # Philox's key range
+_ENV_PARAMS = {
+    "stochastic": {"seed": _SEED, "means": (_floats, _REQUIRED)},  # means' length needs K
+    "adversarial_shift": {
+        "seed": _SEED,
+        "segment_length": (partial(_check_int, lo=1), _REQUIRED),
+        "noise": (partial(_check_real, lo=0.0, hi=1.0), 0.0),
+    },
+    "uniform_signed": {"seed": _SEED},
+}
+_GENERATORS = {
+    "stochastic": gen_stochastic,
+    "adversarial_shift": gen_adversarial_shift,
+    "uniform_signed": gen_uniform_signed,
+}
+_PRIOR_PARAMS = {
+    # Theorem 1's bound takes the square root of V + b
+    "conjugate": {"a": (_check_real, 0.0), "b": (partial(_check_real, lo=0.0), 0.0)},
+    "improper": {},
+    "cv": {},
+    "grid": {"etas": (_floats, _REQUIRED), "masses": (_floats, None)},  # None: uniform
+}
+_PRIORS = {"conjugate": _conjugate, "improper": ex.ImproperPrior, "cv": ex.CVPrior, "grid": _grid}
+_CONCEPT_CLASS_PARAMS = {
+    "k_subsets": {
+        "num_components": (partial(_check_int, lo=1), _REQUIRED),
+        "subset_size": (partial(_check_int, lo=0), _REQUIRED),
+    },
+    "dag_paths": {"dag": (_as_given, _REQUIRED)},  # DagPaths.from_json checks it
+    "explicit": {"vertices": (_floats, _REQUIRED)},
+}
+_CONCEPT_CLASSES = {
+    "k_subsets": KSubsets,
+    "dag_paths": lambda dag: DagPaths.from_json(dag),
+    "explicit": ExplicitVertices,
+}
+
+def generate_stream(env: dict, dim: int, horizon: int) -> np.ndarray:
+    """The (horizon, dim) loss stream of an environment, checked against its table."""
+    name, params = _require_named(env, "name", _ENV_PARAMS, "environment")
+    return _GENERATORS[name](dim, horizon=horizon, **params)
+
+def _parse_prior(doc: dict, where: str) -> ex.LearningRatePrior:
+    kind, params = _require_named(doc, "kind", _PRIOR_PARAMS, where)
+    return _PRIORS[kind](**params)
+
+def _parse_concept_class(doc: dict, where: str = "concept_class"):
+    kind, params = _require_named(doc, "kind", _CONCEPT_CLASS_PARAMS, where)
+    return _CONCEPT_CLASSES[kind](**params)
+
+_GRID_T_MAX = (partial(_check_int, lo=1), None)  # None: the horizon
+_ALGORITHM_PARAMS = {  # per mode
+    "experts": {
+        "squint": {"prior": (_parse_prior, _REQUIRED)},
+        "hedge": {"eta": (partial(_check_real, lo=math.ulp(0.0)), _REQUIRED)},  # positive
+        "iprod": {"grid_t_max": _GRID_T_MAX},
+    },
+    "combinatorial": {"component_iprod": {"t_max": _GRID_T_MAX}},
+}
+_REPORT_PARAMS = {  # per mode
+    "experts": {
+        "subsets": (_subsets, []),
+        "singletons": (_check_bool, False),
+        "near_best_fraction": (_or_null(partial(_check_real, lo=0.0)), None),
+    },
+    "combinatorial": {"comparators": (_vectors, []), "vertices": (_check_bool, False)},
+}
+_OUTPUT_PARAMS = {"csv": (_path, _REQUIRED), "summary": (_path, _REQUIRED)}
+_CONFIG_KEYS = {  # the top-level keys of both modes
+    "schema": (_as_given, _REQUIRED),
+    "mode": (_as_given, _REQUIRED),
+    "horizon": (partial(_check_int, lo=0), _REQUIRED),
+    "environment": (_as_given, _REQUIRED),
+    "algorithm": (_as_given, _REQUIRED),
+    "output": (_as_given, _REQUIRED),
+    "report": (_as_given, {}),
+    "potential_every": (partial(_check_int, lo=0), 10),  # 0 disables sampling
+}
+_CONFIG_PARAMS = {  # per mode
+    "experts": {
+        **_CONFIG_KEYS,
+        "num_experts": (partial(_check_int, lo=1), _REQUIRED),
+        "prior_pi": (_or_null(_floats), None),  # None: uniform
+    },
+    "combinatorial": {
+        **_CONFIG_KEYS,
+        "concept_class": (_parse_concept_class, _REQUIRED),
+        "prior_vec": (_or_null(_floats), None),  # None: 1/2 per component
+    },
+}
 
 @dataclass
 class ExperimentConfig:
-    doc: dict
+    """A parsed config: every value is checked, with its default filled in."""
+
+    doc: dict  # the document as given, echoed by the summary
     mode: str
     horizon: int
-    environment: dict
-    algorithm: dict
+    environment: dict  # the environment's name and checked values
+    algorithm: str
+    params: dict  # the algorithm's checked values
     report: dict
     output_csv: str
     output_summary: str
-    potential_every: int = 10
+    potential_every: int
     num_experts: int | None = None
     prior_pi: np.ndarray | None = None
-    prior: ex.LearningRatePrior | None = None
+    subsets: list[list[int]] | None = None  # the audited expert subsets, singletons included
     concept_class: Any = None
-    prior_vec: list | None = None
+    prior_vec: np.ndarray | None = None
     t_max: int | None = None  # the learning-rate grid's horizon (component_iprod, iprod)
-
-def _parse_concept_class(doc: dict):
-    kind = _require_named(doc, "kind", _CONCEPT_CLASS_PARAMS, "concept_class")
-    if kind == "k_subsets":
-        return KSubsets(
-            _check_int(doc["num_components"], "num_components", 1),
-            _check_int(doc["subset_size"], "subset_size", 0),
-        )
-    if kind == "dag_paths":
-        return DagPaths.from_json(doc["dag"])
-    return ExplicitVertices(_floats(doc["vertices"], "vertices"))
-
-def _parse_prior(doc: dict) -> ex.LearningRatePrior:
-    kind = _require_named(doc, "kind", _PRIOR_PARAMS, "algorithm.prior")
-    if kind == "conjugate":
-        a = _check_real(doc.get("a", 0.0), "conjugate a")
-        b = _check_real(doc.get("b", 0.0), "conjugate b (Theorem 1 needs b >= 0)", 0.0)
-        try:
-            rb.z_conjugate(a, b)  # Theorem 1's normalizer
-        except OverflowError:
-            raise ConfigError(f"conjugate prior normalizer overflows at a={a}, b={b}") from None
-        return ex.ConjugatePrior(a=a, b=b)
-    if kind == "improper":
-        return ex.ImproperPrior()
-    if kind == "cv":
-        return ex.CVPrior()
-    etas = _floats(doc["etas"], "grid etas")
-    if "masses" in doc:
-        return ex.DiscreteGridPrior(etas=etas, masses=_floats(doc["masses"], "grid masses"))
-    return ex.DiscreteGridPrior.uniform_on(etas)
-
-def _report_subsets(report: dict, k: int) -> list[list[int]]:
-    subsets = report.get("subsets", [])
-    if not isinstance(subsets, list) or not all(isinstance(s, list) for s in subsets):
-        raise ConfigError(f"report.subsets must be a list of expert index lists, got {subsets!r}")
-    subsets = [sorted(set(_check_int(i, "subset index", 0, k) for i in s)) for s in subsets]
-    if report.get("singletons", False):
-        subsets += [[i] for i in range(k)]
-    return subsets
-
-_OTHER_MODE_KEYS = {  # mode -> the top-level keys only the other mode takes
-    "experts": {"concept_class", "prior_vec"},
-    "combinatorial": {"num_experts", "prior_pi"},
-}
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; unknown keys anywhere are rejected.
 
     Everything that can be checked without playing a round is checked here,
-    so a malformed config fails before the run starts.
+    so a malformed config fails before the run starts: each key against its
+    table, then the rules between keys.
     """
-    _require_keys(
-        doc,
-        {"schema", "mode", "horizon", "environment", "algorithm", "output"},
-        {"report", "potential_every", "num_experts", "prior_pi", "concept_class", "prior_vec"},
-        "config",
-    )
+    _require_keys(doc, {"schema", "mode"}, set().union(*_CONFIG_PARAMS.values()), "config")
     if doc["schema"] != SCHEMA:
         raise ConfigError(f"unsupported schema {doc['schema']!r}, expected {SCHEMA!r}")
     mode = doc["mode"]
-    if mode not in ("experts", "combinatorial"):
+    if not isinstance(mode, str) or mode not in _CONFIG_PARAMS:
         raise ConfigError(f"unknown mode {mode!r}")
-    foreign = sorted(set(doc) & _OTHER_MODE_KEYS[mode])
+    foreign = sorted(set(doc) - set(_CONFIG_PARAMS[mode]))
     if foreign:
         raise ConfigError(f"{mode} mode does not take {foreign}")
-    horizon = _check_int(doc["horizon"], "horizon", 0)
-
-    env = doc["environment"]
-    _require_named(env, "name", _ENV_PARAMS, "environment", {"seed"})
-    _check_int(env["seed"], "environment.seed", 0, 2**128)  # Philox's key range
-
-    out = doc["output"]
-    _require_keys(out, {"csv", "summary"}, set(), "output")
-    paths = [out["csv"], out["summary"]]
-    # open() would take an integer or a bool as a file descriptor
-    if not all(isinstance(path, str) and path for path in paths):
-        raise ConfigError(f"output.csv and output.summary must be non-empty strings, got {paths!r}")
-    if os.path.abspath(paths[0]) == os.path.abspath(paths[1]):
-        raise ConfigError(f"output.csv and output.summary must differ, got {paths!r}")
-
+    top = _checked(doc, _CONFIG_PARAMS[mode], "config")
+    horizon = top["horizon"]
+    env_name, env = _require_named(top["environment"], "name", _ENV_PARAMS, "environment")
+    name, params = _require_named(top["algorithm"], "name", _ALGORITHM_PARAMS[mode], "algorithm")
+    report = _checked(top["report"], _REPORT_PARAMS[mode], "report")
+    out = _checked(top["output"], _OUTPUT_PARAMS, "output")
+    if os.path.abspath(out["csv"]) == os.path.abspath(out["summary"]):
+        raise ConfigError(f"output.csv and output.summary must differ, got {out['csv']!r}")
     cfg = ExperimentConfig(
-        doc=doc,
-        mode=mode,
-        horizon=horizon,
-        environment=env,
-        algorithm=doc["algorithm"],
-        report=doc.get("report", {}),
-        output_csv=out["csv"],
-        output_summary=out["summary"],
-        # 0 disables sampling
-        potential_every=_check_int(doc.get("potential_every", 10), "potential_every", 0),
+        doc=doc, mode=mode, horizon=horizon, environment={"name": env_name, **env},
+        algorithm=name, params=params, report=report, output_csv=out["csv"],
+        output_summary=out["summary"], potential_every=top["potential_every"],
     )
-
-    algo = doc["algorithm"]
-    name = _require_named(algo, "name", _ALGORITHM_PARAMS[mode], "algorithm")
+    if mode == "combinatorial" or name == "iprod":
+        t_max = params["t_max" if mode == "combinatorial" else "grid_t_max"]
+        cfg.t_max = max(horizon, 1) if t_max is None else t_max
+        ci.learning_rate_grid(cfg.t_max)
     if mode == "experts":
-        if "num_experts" not in doc:
-            raise ConfigError("experts mode requires num_experts")
-        k = cfg.num_experts = _check_int(doc["num_experts"], "num_experts", 1)
-        if name == "squint":
-            cfg.prior = _parse_prior(algo["prior"])
-        elif name == "hedge":
-            if not _check_real(algo["eta"], "hedge eta", 0.0) > 0.0:
-                raise ConfigError("hedge requires a positive eta")
-        else:
-            cfg.t_max = _check_int(algo.get("grid_t_max", max(horizon, 1)), "iprod grid_t_max", 1)
-            ci.learning_rate_grid(cfg.t_max)
-        _require_keys(
-            cfg.report, set(), {"subsets", "singletons", "near_best_fraction"}, "report"
-        )
-        _check_bool(cfg.report.get("singletons", False), "report.singletons")
-        if cfg.report.get("near_best_fraction") is not None:
-            _check_real(cfg.report["near_best_fraction"], "near_best_fraction", 0.0)
-        if env["name"] == "uniform_signed":
+        k = cfg.num_experts = top["num_experts"]
+        if env_name == "uniform_signed":
             raise ConfigError("experts mode requires losses in [0, 1]")
-        pi = doc.get("prior_pi")
-        cfg.prior_pi = np.full(k, 1.0 / k) if pi is None else _floats(pi, "prior_pi")
-        if cfg.prior_pi.shape != (k,):
+        pi = cfg.prior_pi = np.full(k, 1.0 / k) if top["prior_pi"] is None else top["prior_pi"]
+        if pi.shape != (k,):
             raise ConfigError(f"prior_pi must have length {k}")
-        if not np.all(cfg.prior_pi > 0.0):
+        if not np.all(pi > 0.0):
             # the weight rules take ln pi(k), and a subset audit needs prior mass
             raise ConfigError("prior_pi entries must be positive")
-        start = ex.ExpertGameState.from_prior(cfg.prior_pi)  # checks the simplex
-        for subset in _report_subsets(cfg.report, k):
+        start = ex.ExpertGameState.from_prior(pi)  # checks the simplex
+        cfg.subsets = report["subsets"] + ([[i] for i in range(k)] if report["singletons"] else [])
+        for subset in cfg.subsets:
             rb.aggregate_subset(start, subset)  # nonempty, in range, positive prior mass
     else:
-        if "concept_class" not in doc:
-            raise ConfigError("combinatorial mode requires concept_class")
-        cfg.concept_class = _parse_concept_class(doc["concept_class"])
-        k = cfg.concept_class.num_components
-        cfg.prior_vec = doc.get("prior_vec")
-        cfg.t_max = _check_int(algo.get("t_max", max(horizon, 1)), "algorithm.t_max", 1)
-        ci.learning_rate_grid(cfg.t_max)
+        cls = cfg.concept_class = top["concept_class"]
+        k = cls.num_components
         if horizon > cfg.t_max:
             # Theorem 4 holds for the grid tuned to t_max, at horizons up to t_max
             raise ConfigError(f"horizon {horizon} exceeds algorithm.t_max {cfg.t_max}")
-        _require_keys(cfg.report, set(), {"comparators", "vertices"}, "report")
-        if _check_bool(cfg.report.get("vertices", False), "report.vertices"):
-            count = cfg.concept_class.num_vertices()
-            if count > DEFAULT_VERTEX_CAP:
-                raise ConfigError(
-                    f"report.vertices: {count} vertices exceed the cap {DEFAULT_VERTEX_CAP}"
-                )
-        vectors = cfg.report.get("comparators", [])
-        if not isinstance(vectors, list):
-            raise ConfigError(f"report.comparators must be a list of {k}-vectors, got {vectors!r}")
-        for vec in vectors + ([] if cfg.prior_vec is None else [cfg.prior_vec]):
-            vec = _floats(vec, "prior_vec and comparators")
+        count = cls.num_vertices() if report["vertices"] else 0
+        if count > DEFAULT_VERTEX_CAP:
+            raise ConfigError(f"report.vertices: {count} vertices exceed {DEFAULT_VERTEX_CAP}")
+        cfg.prior_vec = top["prior_vec"]
+        for vec in report["comparators"] + ([] if cfg.prior_vec is None else [cfg.prior_vec]):
             # written as "not good" so that a null or nan entry fails
             if vec.shape != (k,) or not np.all((vec >= 0.0) & (vec <= 1.0)):
                 raise ConfigError(f"prior_vec and comparators must be {k}-vectors in [0, 1]")
     if horizon * k >= 2**53:  # one (horizon x k) float64 loss array; t stays an exact float
         raise ConfigError(f"horizon {horizon} x {k} loss cells reach 2^53")
-    # the generators' own checks, without drawing (numpy.random is slow to import)
-    if env["name"] == "stochastic":
+    if env_name == "stochastic":
         _check_means(k, env["means"])
-    elif env["name"] == "adversarial_shift":
-        _check_shift(env["segment_length"], env.get("noise", 0.0))
     return cfg
 
 def _record(entry: dict, regret: float, variance: float, bound: float | None) -> dict:
@@ -416,10 +413,7 @@ class _Experts:
     def __init__(self, cfg: ExperimentConfig):
         k = self.dim = cfg.num_experts
         self.state = ex.ExpertGameState.from_prior(cfg.prior_pi)
-        self.prior = cfg.prior
-        self.theorem = None if cfg.prior is None else cfg.prior.bound  # f(V, pi mass, t)
-        self.has_bound = self.theorem is not None
-        self.subsets = _report_subsets(cfg.report, k)
+        self.subsets = cfg.subsets
         self.names = [f"S{j}" for j in range(len(self.subsets))]
         # row j: the prior conditioned on subset j, so (cond @ R)[j] is its aggregate regret
         pi = self.state.prior
@@ -429,19 +423,21 @@ class _Experts:
             row[subset] = pi[subset] / mass
         # with no subset reported, every round's audit returns this one empty array
         self.no_subsets = None if self.subsets else np.empty(0)
-        self.near_best_fraction = cfg.report.get("near_best_fraction")
-        self.grid = None
-        algo = cfg.algorithm
-        if algo["name"] == "squint":
+        self.near_best_fraction = cfg.report["near_best_fraction"]
+        self.prior = self.theorem = self.grid = None
+        if cfg.algorithm == "squint":
+            self.prior = cfg.params["prior"]
+            self.theorem = self.prior.bound  # f(V, pi mass, t), or None
             self._weights = lambda: ex.weights_for_prior(self.state, self.prior)
-        elif algo["name"] == "hedge":
-            eta = float(algo["eta"])
+        elif cfg.algorithm == "hedge":
+            eta = cfg.params["eta"]
             self._weights = lambda: ex.hedge_weights(self.state, eta)
         else:
             grid = self.grid = ex.DiscreteGridPrior.uniform_on(ci.learning_rate_grid(cfg.t_max))
             # iProd's sufficient statistic: running sums of ln(1 + eta r_t)
             log_products = self.log_products = np.zeros((grid.etas.size, k))
             self._weights = lambda: ex.iprod_weights_grid(log_products, self.state.prior, grid)
+        self.has_bound = self.theorem is not None
 
     def step(self, loss: np.ndarray) -> tuple[int, np.ndarray]:
         w = self._weights()
@@ -491,10 +487,9 @@ class _Combinatorial:
         cls = cfg.concept_class
         self.dim = cls.num_components
         self.t_max = cfg.t_max
-        prior_vec = None if cfg.prior_vec is None else np.asarray(cfg.prior_vec, dtype=float)
-        self.game = ci.make_game(cls, prior_vec=prior_vec, t_max=cfg.t_max)
-        comparators = list(cfg.report.get("comparators", []))
-        if cfg.report.get("vertices", False):
+        self.game = ci.make_game(cls, prior_vec=cfg.prior_vec, t_max=cfg.t_max)
+        comparators = list(cfg.report["comparators"])
+        if cfg.report["vertices"]:
             comparators += list(cls.vertices())
         # row j is comparator Cj; one comparator_stats call audits every row per round
         self.matrix = np.array(comparators, dtype=float).reshape(-1, self.dim)
@@ -803,7 +798,7 @@ def main(argv=None) -> int:
         except OSError as err:
             print(f"output error: {err}", file=sys.stderr)
             return 2
-        except (OverflowError, QuadratureError) as err:
+        except (OverflowError, ValueError, QuadratureError, ProjectionError) as err:
             print(f"numerical error: {err}", file=sys.stderr)
             return 2
         print(json.dumps({"any_violation": summary["any_violation"]}, sort_keys=True))

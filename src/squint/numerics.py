@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
+_LN2 = math.log(2.0)
 
 # erfc(x) stays a normal float64 up to x ~ 26.6; beyond 25 the six-term
 # asymptotic series for the scaled function erfcx(x) = e^{x^2} erfc(x) is
@@ -181,7 +182,7 @@ def log_xi(r: float, v: float) -> float:
 
 def _log_flat_integral(r: float) -> float:
     """ln of int_0^{1/2} e^{eta r} deta = (e^{r/2} - 1)/r, limit 1/2 at r=0."""
-    if r == 0.0:
+    if 0.5 * r == 0.0:  # also r = +-5e-324, whose half underflows to 0
         return math.log(0.5)
     if r > 0.0:
         # e^{r/2}(1 - e^{-r/2})/r, stable for r from 1e-300 up to overflow
@@ -309,7 +310,8 @@ def _log_eta_closed(x: float, y: float) -> float | None:
     gross = sum(math.exp(m - peak) for _, m in terms)
     if signed <= 0.0 or gross > _CANCELLATION_CAP * signed:
         return None
-    return peak + math.log(signed) - math.log(2.0 * y)
+    two_y = 2.0 * y  # inf from y ~ 8.99e307 on, where ln 2 + ln y stays finite
+    return peak + math.log(signed) - (math.log(two_y) if two_y < math.inf else _LN2 + math.log(y))
 
 
 def log_eta_exp_integral(x: float, y: float) -> float:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -455,6 +456,137 @@ MALFORMED = {
 }
 
 
+def grid_dag_doc(n):
+    """The n-by-n grid DAG as a config describes it: edges right then down, in row-major order."""
+    edges = []
+    for r in range(n):
+        for c in range(n):
+            for to in [f"{r}_{c + 1}"] * (c + 1 < n) + [f"{r + 1}_{c}"] * (r + 1 < n):
+                edges.append({"from": f"{r}_{c}", "to": to, "index": len(edges) + 1})
+    nodes = [f"{r}_{c}" for r in range(n) for c in range(n)]
+    return {"nodes": nodes, "edges": edges, "source": "0_0", "sink": f"{n - 1}_{n - 1}"}
+
+
+# configs that pass parse_config and then fail in the run; each used to exit 1 with a traceback
+RUN_FAILURES = {
+    # a math domain error in the conjugate weights
+    "conjugate_a_minus_1e300": prior_config("conjugate", a=-1e300, b=1.0),
+    # eta times the cumulative loss overflows, so the weights are nan
+    "hedge_eta_1e308": lambda tmp_path: experts_config(
+        tmp_path, algorithm={"name": "hedge", "eta": 1e308}
+    ),
+    # the projection's Newton Jacobian is singular in double precision
+    "ill_conditioned_prior_vec": lambda tmp_path: comb_config(
+        tmp_path,
+        horizon=3,
+        concept_class={"kind": "dag_paths", "dag": grid_dag_doc(6)},
+        report={},
+        prior_vec=np.random.default_rng(1).choice([0.5, 1 - 1e-12], 60).tolist(),
+    ),
+}
+
+README = Path(__file__).parents[1] / "README.md"
+
+# README "CLI" object label -> the parse tables it describes (name -> key table)
+README_OBJECTS = {
+    "`algorithm` (experts)": hc._ALGORITHM_PARAMS["experts"],
+    "`algorithm` (combinatorial)": hc._ALGORITHM_PARAMS["combinatorial"],
+    "`algorithm.prior`": hc._PRIOR_PARAMS,
+    "`environment`": hc._ENV_PARAMS,
+    "`concept_class`": hc._CONCEPT_CLASS_PARAMS,
+    "`report` (experts)": {"": hc._REPORT_PARAMS["experts"]},
+    "`report` (combinatorial)": {"": hc._REPORT_PARAMS["combinatorial"]},
+    "`output`": {"": hc._OUTPUT_PARAMS},
+}
+
+
+def readme_table(first_header):
+    """The body rows, as lists of stripped cells, of the README table with this first header."""
+    lines = README.read_text().splitlines()
+    start = lines.index(next(line for line in lines if line.startswith(f"| {first_header} |")))
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip()[1:-1].split("|")])
+    return rows
+
+
+def readme_keys(cell):
+    """{key: the default text stated after it, or ""} of a cell such as "`a`, `b` (default `0`)"."""
+    keys = {}
+    for group, default in re.findall(r"((?:`\w+`(?:, )?)+)\s*(?:\(default ([^)]*)\))?", cell):
+        keys.update(dict.fromkeys(re.findall(r"`(\w+)`", group), default))
+    return keys
+
+
+def stated_default(text):
+    """A README default as a table holds it: the JSON literal in its first backticks, or None."""
+    try:
+        return json.loads(text.split("`")[1])
+    except (IndexError, ValueError):  # words, or a name such as `horizon`: a default made in code
+        return None
+
+
+def table_keys(table):
+    """(required keys, {optional key: default}) of one key table."""
+    required = {key for key, (_, default) in table.items() if default is hc._REQUIRED}
+    return required, {key: d for key, (_, d) in table.items() if d is not hc._REQUIRED}
+
+
+class TestConfigTables:
+    def test_readme_top_level_keys_match_the_parse_tables(self):
+        rows = readme_table("key")
+        for column, mode in enumerate(hc._CONFIG_PARAMS, start=1):
+            stated = {"required": set(), "optional": {}, "rejected": set()}
+            for row in rows:
+                status, _, default = row[column].partition(" (default ")
+                keys = readme_keys(row[0])
+                if status == "optional":
+                    assert default, f"{mode}: {row[0]} states no default"
+                    stated[status].update(dict.fromkeys(keys, stated_default(default[:-1])))
+                else:
+                    stated[status].update(keys)
+            assert (stated["required"], stated["optional"]) == table_keys(hc._CONFIG_PARAMS[mode])
+            others = set().union(*hc._CONFIG_PARAMS.values()) - set(hc._CONFIG_PARAMS[mode])
+            assert stated["rejected"] == others
+
+    def test_readme_object_keys_match_the_parse_tables(self):
+        stated, label = {}, None
+        for obj, names, required, optional in readme_table("object"):
+            label = obj or label
+            optional = readme_keys(optional)
+            assert all(optional.values()), f"{label} {names}: an optional key states no default"
+            defaults = {key: stated_default(text) for key, text in optional.items()}
+            for name in re.findall(r"`(\w+)`", names) or [""]:
+                stated.setdefault(label, {})[name] = (set(readme_keys(required)), defaults)
+        parsed = {
+            label: {name: table_keys(table) for name, table in tables.items()}
+            for label, tables in README_OBJECTS.items()
+        }
+        assert stated == parsed
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            {"name": "stochastic", "seed": 1},
+            {"name": "adversarial_shift", "seed": 1},
+            {"name": "uniform_signed"},
+            {"seed": 1},
+            {"name": "uniform_signed", "seed": 1, "means": [0.5]},  # a key of another environment
+            {"name": "uniform_signed", "seed": 1, "extra": True},
+        ],
+    )
+    def test_generate_stream_rejects_missing_or_unknown_keys(self, env):
+        with pytest.raises(ConfigError):
+            hc.generate_stream(env, 1, 5)
+
+    def test_generate_stream_noise_defaults_to_zero(self):
+        env = {"name": "adversarial_shift", "segment_length": 3, "seed": 4}
+        left_out = hc.generate_stream(env, 4, 50)
+        assert left_out.tobytes() == hc.generate_stream({**env, "noise": 0.0}, 4, 50).tobytes()
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path):
         doc = experts_config(tmp_path)
@@ -887,6 +1019,14 @@ class TestStreamingCsv:
         assert capsys.readouterr().err.startswith(message)
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    @pytest.mark.parametrize("case", list(RUN_FAILURES))
+    def test_run_time_failure_exits_2_and_removes_outputs(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(RUN_FAILURES[case](tmp_path)))
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("numerical error:")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
     def test_memory_does_not_grow_with_horizon(self, tmp_path):
         # Potential sampling is off: the improper potential's adaptive Simpson
         # keeps more intervals as its integrand sharpens with t, which is a
@@ -1121,6 +1261,28 @@ class TestCli:
         cfg_path.write_text(json.dumps({"schema": "nope"}))
         assert main(["run", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (MALFORMED["hedge_eta_nan"], "config error:"),
+            (RUN_FAILURES["hedge_eta_1e308"], "numerical error:"),
+        ],
+        ids=["malformed", "run_time_failure"],
+    )
+    def test_module_entry_point_exits_2_without_traceback(self, tmp_path, make, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(make(tmp_path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "squint.harness_cli", "run", str(cfg_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(hc.__file__).parents[1])),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_enumerate(self, tmp_path, capsys):
         spec = tmp_path / "cls.json"

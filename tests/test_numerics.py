@@ -227,6 +227,14 @@ class TestEtaExpIntegral:
         assert math.isfinite(log_eta_exp_integral(-1e6, 1.0))
         assert math.isfinite(log_eta_exp_integral(1e7, 1e7))
 
+    # 2y overflows from y ~ 8.99e307 on, where ln(2y) used to read inf
+    @pytest.mark.parametrize("y", [9e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("x", [0.3, 0.0, -0.3])
+    def test_largest_curvatures_give_minus_ln_2y(self, x, y):
+        # J = 1/(2y) to double precision: the next term is O(x / y^1.5)
+        want = -(math.log(2.0) + math.log(y))
+        assert log_eta_exp_integral(x, y) == pytest.approx(want, rel=1e-15)
+
 
 class TestExpIntegral:
     def test_negative_curvature(self):
@@ -249,6 +257,11 @@ class TestExpIntegral:
         assert math.exp(log_exp_integral(2.0, 0.0)) == pytest.approx(
             (math.exp(1.0) - 1.0) / 2.0, rel=1e-13
         )
+
+    @pytest.mark.parametrize("r", [5e-324, -5e-324])
+    def test_flat_limit_at_the_least_subnormal(self, r):
+        # r / 2 underflows to 0, where (e^{r/2} - 1)/r used to take ln(0)
+        assert log_exp_integral(r, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
 
 
 class TestAdaptiveSimpson:
