@@ -383,7 +383,10 @@ def hedge_weights(state: ExpertGameState, eta: float) -> np.ndarray:
     """Exponential weights on cumulative losses at a fixed learning rate."""
     if not 0.0 < eta < math.inf:  # nan fails too
         raise ValueError(f"hedge learning rate must be positive and finite, got {eta}")
-    log_w = np.log(state.prior) - eta * state.cum_loss
+    with np.errstate(over="ignore"):  # a loss weighed past the float range leaves weight 0
+        log_w = np.log(state.prior) - eta * state.cum_loss
+    if not math.isfinite(np.maximum.reduce(log_w, axis=None)):
+        raise ValueError(f"hedge learning rate eta={eta} leaves no expert a finite log-weight")
     return normalize_log_weights(log_w)
 
 

@@ -521,27 +521,15 @@ class _Combinatorial:
         ]
         return audits, None
 
-def _csv_line(t: int, cells: list[float], phi: float | None) -> str:
-    """One CSV line: t, the row's cells, then the potential ("" when not sampled)."""
-    potential = "" if phi is None else repr(float(phi))
-    return f"{t},{','.join(map(repr, cells))},{potential}\n"
+def _write_frame(frame, out: TextIO) -> None:
+    """Write the CSV line of one frame: t, the row's cells, then phi ("" when not sampled).
 
-def _write_lines(cells: list[float], out: TextIO, width: int) -> None:
-    """Write the line of each frame of ``width`` cells: t, the row's cells, a sampled flag, phi."""
-    for i in range(0, len(cells), width):
-        f = cells[i : i + width]
-        out.write(_csv_line(int(f[0]), f[1:-2], f[-1] if f[-2] else None))
-
-def _write_frames(read_end: int, out: TextIO, width: int) -> None:
-    """Write the line of each frame read until end of file."""
-    size = 8 * width
-    pending = b""
-    while chunk := os.read(read_end, 1 << 16):
-        pending += chunk
-        whole = len(pending) - len(pending) % size
-        _write_lines(memoryview(pending)[:whole].cast("d").tolist(), out, width)
-        pending = pending[whole:]
-    out.flush()
+    A frame is anything whose ``tolist()`` gives its float64 cells: t, the
+    row's cells, a sampled flag and phi.
+    """
+    cells = frame.tolist()
+    phi = repr(cells[-1]) if cells[-2] else ""
+    out.write(f"{int(cells[0])},{','.join(map(repr, cells[1:-2]))},{phi}\n")
 
 def _spare_cpu() -> bool:
     """Whether os.fork exists and this process may run on more than one CPU."""
@@ -556,13 +544,15 @@ def _line_writer(out: TextIO, width: int) -> Iterator[Callable]:
     """Yield ``write(frame)``, which puts the CSV line of one round's frame in ``out``.
 
     A frame is ``width`` float64 cells (t, the row's cells, a sampled flag,
-    phi), free to refill once ``write`` returns.  With a spare CPU, a forked
-    writer formats the lines.  It ends with ``os._exit``, so it flushes no
-    inherited buffer but ``out``; it is reaped on every exit path, and one
-    that exited nonzero raises ``OSError``.  On one CPU the fork only adds work.
+    phi), free to refill once ``write`` returns.  ``_write_frame`` formats
+    every line: in this process on one CPU, where a fork only adds work, and
+    with a spare CPU in a forked writer that reads the frames from a pipe.
+    The writer ends with ``os._exit``, so it flushes no inherited buffer but
+    ``out``; it is reaped on every exit path, and one that exited nonzero
+    raises ``OSError``.
     """
     if not _spare_cpu():
-        yield lambda frame: _write_lines(frame.tolist(), out, width)
+        yield lambda frame: _write_frame(frame, out)
         return
     read_end, write_end = os.pipe()
     try:
@@ -576,7 +566,10 @@ def _line_writer(out: TextIO, width: int) -> Iterator[Callable]:
         try:
             os.close(write_end)
             gc.disable()  # so no finalizer of an inherited object runs here
-            _write_frames(read_end, out, width)
+            with open(read_end, "rb") as frames:  # until end of file or a partial frame
+                while len(frame := frames.read(8 * width)) == 8 * width:
+                    _write_frame(memoryview(frame).cast("d"), out)
+            out.flush()
             status = 0
         except Exception as err:
             os.write(2, f"CSV writer: {err!r}\n".encode())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from squint.numerics import (
     _log_eta_closed,
     log_eta_exp_integral,
     log_exp_integral,
+    normalize_log_weights,
 )
 
 from oracles import (
@@ -706,6 +708,30 @@ class TestHedgeWeights:
     def test_rejects_nan_or_infinite_rate(self, eta):
         with pytest.raises(ValueError, match="positive and finite"):
             hedge_weights(ExpertGameState.uniform(2), eta)
+
+    @staticmethod
+    def _played(losses):
+        s = ExpertGameState.uniform(3)
+        for loss in losses:
+            s = update(s, np.full(3, 1 / 3), np.array(loss, dtype=float))
+        return s
+
+    def test_overflow_that_leaves_a_weight_keeps_the_bits_without_warning(self):
+        s = self._played([[0, 1, 1], [0, 1, 1], [0, 0, 1]])
+        assert s.cum_loss.tolist() == [0.0, 2.0, 3.0]
+        with np.errstate(over="ignore"):
+            want = normalize_log_weights(np.log(s.prior) - 1e308 * s.cum_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = hedge_weights(s, 1e308)
+        assert w.tobytes() == want.tobytes() and w.tolist() == [1.0, 0.0, 0.0]
+
+    def test_overflow_of_every_weight_names_the_learning_rate(self):
+        s = self._played([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^hedge learning rate eta=1e\+308 "):
+                hedge_weights(s, 1e308)
 
 
 class TestPriorTheorems:

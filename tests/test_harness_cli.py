@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -471,7 +472,7 @@ def grid_dag_doc(n):
 RUN_FAILURES = {
     # a math domain error in the conjugate weights
     "conjugate_a_minus_1e300": prior_config("conjugate", a=-1e300, b=1.0),
-    # eta times the cumulative loss overflows, so the weights are nan
+    # eta times the cumulative loss overflows, so no expert keeps a finite log-weight
     "hedge_eta_1e308": lambda tmp_path: experts_config(
         tmp_path, algorithm={"name": "hedge", "eta": 1e308}
     ),
@@ -915,10 +916,10 @@ class TestStreamingCsv:
     def test_failed_writer_is_an_output_error(
         self, tmp_path, monkeypatch, capfd, writer_pids, horizon
     ):
-        def broken_line(t, cells, phi):
+        def broken_frame(frame, out):
             raise RuntimeError("injected writer failure")
 
-        monkeypatch.setattr(hc, "_csv_line", broken_line)
+        monkeypatch.setattr(hc, "_write_frame", broken_frame)
         doc = experts_config(tmp_path, horizon=horizon, algorithm={"name": "hedge", "eta": 1.0})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -927,6 +928,27 @@ class TestStreamingCsv:
         assert "injected writer failure" in err
         assert "output error: the CSV writer process exited with status 1" in err
         assert_reaped(writer_pids)
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
+    def test_failed_write_in_process_is_an_output_error(self, tmp_path, monkeypatch, capsys, mode):
+        write_frame = hc._write_frame
+        rounds = []
+
+        def disk_full_at_round_5(frame, out):
+            rounds.append(None)
+            if len(rounds) == 5:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_frame(frame, out)
+
+        monkeypatch.setattr(hc, "_spare_cpu", lambda: False)
+        monkeypatch.setattr(hc, "_write_frame", disk_full_at_round_5)
+        doc = (experts_config if mode == "experts" else comb_config)(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "output error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert len(rounds) == 5
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     # "experts" and "combinatorial" sample the potential every third round
@@ -954,6 +976,33 @@ class TestStreamingCsv:
         monkeypatch.setattr(os, "fork", no_fork)
         run_experiment(parse_config(doc))
         assert [Path(doc["output"][k]).read_bytes() for k in ("csv", "summary")] == outputs[0]
+
+    # the child pins itself to one CPU before it imports squint, so _spare_cpu
+    # reads the real affinity mask; this changes no setting outside that process
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+    @pytest.mark.parametrize("mode", ["experts", "combinatorial"])
+    def test_process_pinned_to_one_cpu_forks_no_writer(self, tmp_path, writer_pids, mode):
+        doc = (experts_config if mode == "experts" else comb_config)(tmp_path, potential_every=3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import squint.harness_cli as hc\n"
+            "def no_fork():\n"
+            "    raise AssertionError('forked on one CPU')\n"
+            "os.fork = no_fork\n"
+            "sys.exit(hc.main(['run', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(cfg_path)], capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        pinned = [Path(doc["output"][k]).read_bytes() for k in ("csv", "summary")]
+        run_experiment(parse_config(doc))
+        assert_reaped(writer_pids)
+        assert [Path(doc["output"][k]).read_bytes() for k in ("csv", "summary")] == pinned
 
     def test_zero_horizon_writes_the_header_only(self, tmp_path, writer_pids):
         doc = comb_config(tmp_path, horizon=0)
@@ -1266,7 +1315,7 @@ class TestCli:
         "make, message",
         [
             (MALFORMED["hedge_eta_nan"], "config error:"),
-            (RUN_FAILURES["hedge_eta_1e308"], "numerical error:"),
+            (RUN_FAILURES["hedge_eta_1e308"], "numerical error: hedge learning rate eta=1e+308"),
         ],
         ids=["malformed", "run_time_failure"],
     )
@@ -1283,6 +1332,7 @@ class TestCli:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_enumerate(self, tmp_path, capsys):
         spec = tmp_path / "cls.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from squint.experts import ExpertGameState
+from squint.numerics import log_exp_integral
 from squint.regret_bounds import (
     aggregate_subset,
     binary_relative_entropy,
@@ -86,6 +87,40 @@ class TestTheorem1:
             bound_theorem1(1.0, 0.0)
         with pytest.raises(ValueError):
             bound_theorem1(1.0, 1.5)
+
+    # Theorem 1 must stay at or above the R that its proof inverts; played runs
+    # never come within 12 of it, so this is the only check of its constants
+    def test_stays_above_the_conjugate_r_star(self):
+        failing = [
+            (v, p, r, bound)
+            for v in [0.0, *np.logspace(-8, 7, 61).tolist()]
+            for p in np.logspace(-12, 0, 49).tolist()
+            if (bound := bound_theorem1(v, p)) < (r := conjugate_r_star(v, p))
+        ]
+        assert failing == []
+
+    def test_conjugate_r_star_values(self):
+        r = [conjugate_r_star(v, 0.1) for v in (0.0, 10.0, 100.0, 1000.0)]
+        assert r == pytest.approx([7.2299, 11.1968, 36.5761, 134.0494], abs=1e-4)
+
+
+def conjugate_r_star(v: float, pi_mass: float) -> float:
+    """R* of the conjugate prior at a = b = 0, from above, to 1e-9 (relative above 1).
+
+    The root in R of ln 2 + ln int_0^{1/2} e^{eta R - eta^2 V} deta = ln(1/pi),
+    by bisection: the left side increases in R and is at most 0 at R = 0.
+    """
+    target = -math.log(pi_mass) - math.log(2.0)
+    lo, hi = 0.0, 1.0
+    while log_exp_integral(hi, v) < target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if log_exp_integral(mid, v) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestTheorem2:
