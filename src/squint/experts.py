@@ -278,18 +278,25 @@ _CV_UPPER = 1.0 / math.log(2.0)
 _CV_SPEC = QuadratureSpec(0.0, _CV_UPPER)
 
 
+# e^700 ~ 1e304: the largest peak exponent that the linear-domain potentials
+# take, which leaves their quadrature sums headroom below overflow
+LINEAR_EXPONENT_LIMIT = 700.0
+
+
 def _cv_eta_of_u(u: np.ndarray) -> np.ndarray:
     # exactly 0.0 at u = 0: exp(-1e300) underflows
     return np.exp(-1.0 / np.maximum(u, 1e-300))
 
 
-def _peak_knots(regret, variance, peak, upper: float, in_u: bool) -> list[float]:
+def _peak_knots(regret, variance, peak, in_u: bool) -> list[float]:
     """Knots at each interior peak and +-1, +-3 bump widths 1/sqrt(2V), at most 48.
 
-    ``in_u`` places them in u = -1/ln(eta) and adds u = 1/ln|R| where R < -e
-    (the mass sits near eta ~ 1/|R|).  Past 48, as in large stacked batches,
-    a uniform seed of [0, upper] suffices: bump widths stay wide for V <= t.
+    ``in_u`` places them in u = -1/ln(eta) on [0, 1/ln 2] and adds
+    u = 1/ln|R| where R < -e (the mass sits near eta ~ 1/|R|); otherwise
+    they lie in eta on [0, 1/2].  Past 48, as in large stacked batches, a
+    uniform seed of the interval suffices: bump widths stay wide for V <= t.
     """
+    upper = _CV_UPPER if in_u else 0.5
     knots = []
     for r, v, p in zip(regret.tolist(), variance.tolist(), peak.tolist()):
         if 0.0 < p < 0.5:
@@ -309,6 +316,43 @@ def _peak_knots(regret, variance, peak, upper: float, in_u: bool) -> list[float]
     return knots
 
 
+def _eta_quadrature(regret, variance, integrand, in_u: bool, linear=None, spec=None):
+    """Per-expert peak exponents and integrals over the learning rate, in one call.
+
+    Coerces the statistics R and V, finds each expert's peak exponent
+    ``shift`` = max over eta in [0, 1/2] of eta R - eta^2 V, and integrates
+    ``integrand(g, eta, shift)`` with one ``integrate_adaptive_batch`` call:
+    eta are the abscissas' learning rates (n,) and g the fresh (n, K) array
+    of exponents eta R - eta^2 V, which the integrand may overwrite and
+    return.  ``in_u`` integrates in u = -1/ln(eta) over [0, 1/ln 2] with
+    ``_CV_SPEC`` (or the tolerances and budget of ``spec``), otherwise in
+    eta over [0, 1/2]; ``_peak_knots`` seeds either.  ``linear`` names a
+    linear-domain potential: it raises ``OverflowError`` when the largest
+    peak exponent exceeds ``LINEAR_EXPONENT_LIMIT``.  Returns (shift,
+    integrals).
+    """
+    regret = np.asarray(regret, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    peak = _exponent_peak(regret, variance)
+    shift = _exponent(peak, regret, variance)
+    if linear is not None:
+        top = np.maximum.reduce(shift, initial=-math.inf)
+        if top > LINEAR_EXPONENT_LIMIT:  # a nan is left to the quadrature
+            raise OverflowError(
+                f"the {linear} potential is evaluated in linear domain, which needs "
+                f"max_k max_eta (eta R - eta^2 V) <= {LINEAR_EXPONENT_LIMIT}, got {float(top)!r}"
+            )
+    default = _CV_SPEC if in_u else QuadratureSpec(0.0, 0.5)
+    spec = default if spec is None else replace(spec, lower=0.0, upper=default.upper)
+
+    def f(x: np.ndarray) -> np.ndarray:
+        eta = _cv_eta_of_u(x) if in_u else x
+        return integrand(_exponent(eta[:, None], regret, variance), eta, shift)
+
+    knots = _peak_knots(regret, variance, peak, in_u)
+    return shift, integrate_adaptive_batch(f, spec, knots=knots)
+
+
 def cv_log_integrals(
     regret: np.ndarray, variance: np.ndarray, spec: QuadratureSpec | None = None
 ) -> np.ndarray:
@@ -318,22 +362,14 @@ def cv_log_integrals(
     variable u = -1/ln eta), each max-shifted by its own peak exponent.  Only
     the tolerances and subdivision budget of ``spec`` are used.
     """
-    regret = np.asarray(regret, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    peak = _exponent_peak(regret, variance)
-    shift = _exponent(peak, regret, variance)
 
-    def f(u: np.ndarray) -> np.ndarray:
-        eta = _cv_eta_of_u(u)[:, None]
-        g = _exponent(eta, regret, variance)
+    def f(g, eta, shift):
         g -= shift
         np.exp(g, out=g)
-        g *= eta
+        g *= eta[:, None]
         return g
 
-    u_spec = _CV_SPEC if spec is None else replace(spec, lower=0.0, upper=_CV_UPPER)
-    knots = _peak_knots(regret, variance, peak, _CV_UPPER, in_u=True)
-    integrals = integrate_adaptive_batch(f, u_spec, knots=knots)
+    shift, integrals = _eta_quadrature(regret, variance, f, in_u=True, spec=spec)
     return shift + np.log(integrals) + math.log(math.log(2.0))
 
 
@@ -390,20 +426,6 @@ def hedge_weights(state: ExpertGameState, eta: float) -> np.ndarray:
     return normalize_log_weights(log_w)
 
 
-# e^700 ~ 1e304: the largest peak exponent that the linear-domain potentials
-# take, which leaves their quadrature sums headroom below overflow
-LINEAR_EXPONENT_LIMIT = 700.0
-
-
-def _check_linear_domain(regret, variance, peak, what: str) -> None:
-    top = np.maximum.reduce(_exponent(peak, regret, variance), initial=-math.inf)
-    if top > LINEAR_EXPONENT_LIMIT:  # a nan is left to the quadrature
-        raise OverflowError(
-            f"the {what} potential is evaluated in linear domain, which needs "
-            f"max_k max_eta (eta R - eta^2 V) <= {LINEAR_EXPONENT_LIMIT}, got {float(top)!r}"
-        )
-
-
 def improper_potential_terms(regret, variance) -> np.ndarray:
     """Per-expert int_0^{1/2} (e^{eta R - eta^2 V} - 1)/eta deta.
 
@@ -413,19 +435,14 @@ def improper_potential_terms(regret, variance) -> np.ndarray:
     max R^2/(4V), exceeds ``LINEAR_EXPONENT_LIMIT`` (700).
     """
     regret = np.asarray(regret, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    peak = _exponent_peak(regret, variance)
-    _check_linear_domain(regret, variance, peak, "improper")
 
-    def f(eta: np.ndarray) -> np.ndarray:
-        g = _exponent(eta[:, None], regret, variance)
+    def f(g, eta, shift):
         np.expm1(g, out=g)
         g /= np.where(eta > 0.0, eta, 1.0)[:, None]
         g[eta == 0.0] = regret
         return g
 
-    knots = _peak_knots(regret, variance, peak, 0.5, in_u=False)
-    return integrate_adaptive_batch(f, QuadratureSpec(0.0, 0.5), knots=knots)
+    return _eta_quadrature(regret, variance, f, in_u=False, linear="improper")[1]
 
 
 def cv_potential_terms(regret, variance) -> np.ndarray:
@@ -435,17 +452,11 @@ def cv_potential_terms(regret, variance) -> np.ndarray:
     becomes flat: ln2 * int_0^{1/ln2} (e^{g(eta(u))} - 1) du.  Linear-domain,
     with the limit of ``improper_potential_terms``.
     """
-    regret = np.asarray(regret, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    peak = _exponent_peak(regret, variance)
-    _check_linear_domain(regret, variance, peak, "CV")
 
-    def f(u: np.ndarray) -> np.ndarray:
-        g = _exponent(_cv_eta_of_u(u)[:, None], regret, variance)
+    def f(g, eta, shift):
         return np.expm1(g, out=g)
 
-    knots = _peak_knots(regret, variance, peak, _CV_UPPER, in_u=True)
-    return math.log(2.0) * integrate_adaptive_batch(f, _CV_SPEC, knots=knots)
+    return math.log(2.0) * _eta_quadrature(regret, variance, f, in_u=True, linear="CV")[1]
 
 
 def weights_for_prior(state: ExpertGameState, prior: LearningRatePrior) -> np.ndarray:

@@ -156,6 +156,10 @@ def log_xi(r: float, v: float) -> float:
     (a, b) so no difference of near-equal quantities is ever formed.  The
     combination a^2 - b^2 is computed exactly as r/2 - v/4.  Where |r| <= 1
     and v <= 1e-2, a and b nearly coincide and ``_log_xi_series`` is used.
+    Where a or b overflows (|r| > ~1e146 and v < 1/4), the quadratic term is
+    invisible over the mass and the linear-exponent limit is exact in
+    double precision: ln xi = c - ln(r - v) + ln(1 - e^{-c}) for r > 0 and
+    -ln(-r) + ln(1 - e^{c}) for r < 0, with c = r/2 - v/4.
     """
     if not (math.isfinite(r) and math.isfinite(v)):
         raise ValueError(f"log_xi requires finite inputs, got r={r}, v={v}")
@@ -167,6 +171,11 @@ def log_xi(r: float, v: float) -> float:
     a = r / (2.0 * sv)
     b = (r - v) / (2.0 * sv)
     c = 0.5 * r - 0.25 * v
+    if math.isinf(a) or math.isinf(b):
+        # the mass sits at eta = 1/2 (r > 0) or eta = 0 (r < 0)
+        if r > 0.0:
+            return c - math.log(r - v) + math.log1p(-math.exp(-c))
+        return -math.log(-r) + math.log1p(-math.exp(c))
     base = _LN_SQRT_PI - math.log(2.0 * sv)
     if b >= 0.0:
         # erf(a) - erf(b) = erfc(b) - erfc(a), both arguments >= 0
@@ -242,36 +251,47 @@ _DECAY_BUDGET = 45.0
 
 
 def _shifted_log_quadrature(r: float, v: float) -> float:
-    """ln int_0^{1/2} eta e^{eta r - eta^2 v} deta by max-shifted Simpson.
+    """ln int_0^{1/2} eta e^{eta r - eta^2 v} deta by max-shifted Simpson in a window.
 
-    The integrand is shifted by its peak exponent and the domain is clipped
-    to the region where the exponent (concave or linear, v >= 0) is within
-    45 of the peak; an exponential boundary layer of width 1e-6 would
-    otherwise force millions of panels on the full interval.
+    The domain is clipped to the window |eta - p| <= d about the peak p of
+    the exponent (concave or linear, v >= 0), where the exponent stays within
+    45 of its peak value; an exponential boundary layer of width 1e-6 would
+    otherwise force millions of panels on the full interval.  The window is
+    integrated in its own coordinate s = (eta - p)/d:
+
+        J = e^{shift} d^2 int (p/d + s) e^{s (a - b s)} ds,
+
+    with a = d (r - 2 p v) and b = d^2 v, both at most 45 in size, and 2 ln d
+    added outside the integral.  So the integral stays a normal float
+    however narrow the window (d ~ 45/|r|), and no abscissa carries the
+    rounding of eta*r for |r| up to the float range.
     """
     peak = float(_exponent_peak(r, v))
     shift = _exponent(peak, r, v)
 
-    def f(eta: np.ndarray) -> np.ndarray:
-        return (eta * np.exp(_exponent(eta, r, v) - shift))[:, None]
-
     # distance from the peak at which the exponent has dropped by 45
-    rate = abs(r - 2.0 * peak * v)
+    slope = r - 2.0 * peak * v
     d = math.inf
-    if rate > 0.0:
-        d = _DECAY_BUDGET / rate
+    if slope != 0.0:
+        d = _DECAY_BUDGET / abs(slope)
     if v > 0.0:
         d = min(d, math.sqrt(_DECAY_BUDGET / v))
     d = min(d, 0.5)
-    lo = max(0.0, peak - d)
-    hi = min(0.5, peak + d)
-    knots = [peak + s * k * d for s in (-1.0, 1.0) for k in (0.02, 0.07, 0.25)]
+    a, b = d * slope, d * d * v
+    p_over_d = peak / d
+
+    def f(s: np.ndarray) -> np.ndarray:
+        return ((p_over_d + s) * np.exp(s * (a - b * s)))[:, None]
+
+    lo = max(-1.0, -p_over_d)
+    hi = min(1.0, (0.5 - peak) / d)
+    knots = [sign * k for sign in (-1.0, 1.0) for k in (0.02, 0.07, 0.25)]
 
     spec = QuadratureSpec(
         lo, hi, abs_tol=_REL_ONLY_ABS_TOL, rel_tol=1e-10, max_subdivisions=200_000
     )
     val = integrate_adaptive_batch(f, spec, knots=knots)[0]
-    return shift + math.log(val)
+    return shift + 2.0 * math.log(d) + math.log(val)
 
 
 def log_exp_integral(r: float, v: float) -> float:

@@ -234,14 +234,12 @@ class ConceptClass(ABC):
         eq = self._equality_residuals(u[None, :])[0]
         return float(max(np.max(-u, initial=0.0), np.max(u - 1.0, initial=0.0), 0.0, eq))
 
-    def contains(self, u: np.ndarray, tol: float = DECOMPOSITION_RESIDUAL) -> bool:
-        return self.hull_residual(u) <= tol
-
     def decompose(self, u: np.ndarray) -> Decomposition:
         """Write a hull point as a convex combination of concepts."""
         u = self._check_dim(u)
-        if not self.contains(u):
-            raise ValueError(f"point is outside the hull (residual {self.hull_residual(u):.2e})")
+        residual = self.hull_residual(u)
+        if not residual <= DECOMPOSITION_RESIDUAL:
+            raise ValueError(f"point is outside the hull (residual {residual:.2e})")
         concepts, weights = self._peel(np.clip(u, 0.0, 1.0).astype(float))
         w = np.asarray(weights)
         return Decomposition(np.asarray(concepts), w / w.sum())

@@ -414,7 +414,7 @@ class TestQuadratureMatchesReference:
         # ... and the shared builder the 48 uniform ones
         for upper, in_u in [(experts._CV_UPPER, True), (0.5, False)]:
             uniform = list(np.linspace(0.0, upper, 50)[1:-1])
-            assert experts._peak_knots(regret, variance, peak, upper, in_u) == uniform
+            assert experts._peak_knots(regret, variance, peak, in_u) == uniform
 
     @pytest.mark.parametrize("budget", [60, 120, 300])
     def test_budget_exhaustion_message(self, monkeypatch, budget):
@@ -483,8 +483,8 @@ class TestPeakAndKnots:
                 cv_peak_knots_former(regret, variance, peak), experts._CV_UPPER
             )
             eta_knots = capped_knots_former(interior_peaks_former(regret, variance), 0.5)
-        assert experts._peak_knots(regret, variance, peak, experts._CV_UPPER, True) == cv_knots
-        assert experts._peak_knots(regret, variance, peak, 0.5, False) == eta_knots
+        assert experts._peak_knots(regret, variance, peak, True) == cv_knots
+        assert experts._peak_knots(regret, variance, peak, False) == eta_knots
 
     def test_shift_matches_former_expression(self):
         for regret, variance in STATISTICS:

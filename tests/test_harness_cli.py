@@ -470,8 +470,6 @@ def grid_dag_doc(n):
 
 # configs that pass parse_config and then fail in the run; each used to exit 1 with a traceback
 RUN_FAILURES = {
-    # a math domain error in the conjugate weights
-    "conjugate_a_minus_1e300": prior_config("conjugate", a=-1e300, b=1.0),
     # eta times the cumulative loss overflows, so no expert keeps a finite log-weight
     "hedge_eta_1e308": lambda tmp_path: experts_config(
         tmp_path, algorithm={"name": "hedge", "eta": 1e308}
@@ -1075,6 +1073,21 @@ class TestStreamingCsv:
         assert main(["run", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("numerical error:")
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_conjugate_a_minus_1e300_runs(self, tmp_path, capsys):
+        # the weights' eta integrals sit in a window of width ~45/|a| at eta = 0
+        doc = prior_config("conjugate", a=-1e300, b=1.0)(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(doc["output"]["csv"]) as fh:
+            rows = list(csv.reader(fh))
+        header, rows = rows[0], rows[1:]
+        w = np.array([[float(row[header.index(f"w_{i + 1}")]) for i in range(3)] for row in rows])
+        assert w.shape == (20, 3) and np.isfinite(w).all()
+        summary = json.loads(Path(doc["output"]["summary"]).read_text())
+        assert summary["any_violation"] is False
 
     def test_memory_does_not_grow_with_horizon(self, tmp_path):
         # Potential sampling is off: the improper potential's adaptive Simpson

@@ -236,6 +236,56 @@ class TestEtaExpIntegral:
         assert log_eta_exp_integral(x, y) == pytest.approx(want, rel=1e-15)
 
 
+def leading_order(x: float, y: float, with_eta: bool) -> float:
+    """ln of the integral's leading term as |x| -> inf with y fixed.
+
+    x -> -inf: the mass sits at eta = 0, xi ~ 1/|x| and J ~ 1/x^2.
+    x -> +inf: it sits at eta = 1/2, xi ~ e^{x/2 - y/4}/(x - y) and J ~ xi/2.
+    """
+    if x < 0.0:
+        return -(2.0 if with_eta else 1.0) * math.log(-x)
+    return 0.5 * x - 0.25 * y - math.log(x - y) - (math.log(2.0) if with_eta else 0.0)
+
+
+class TestExtremeArguments:
+    """Finite, leading-order values where the erfc form or the fallback's eta grid cannot serve."""
+
+    # the erfc arguments r/(2 sqrt v) overflow
+    OVERFLOWING = [(-1e308, 1e-10), (1e308, 1e-300), (-1e308, 1e-300), (-1e300, 1e-300)]
+    # the fallback's window has width d ~ 45/|x|, and J over it is about d^2
+    NARROW_WINDOW = [(-1e200, 1.0), (-1e300, 1.0)]
+    # the rounding of eta*x is above the fallback's relative tolerance
+    ROUNDING = [(1e8, 1.0), (1e9, 1.0), (1e10, 1.0)]
+
+    @pytest.mark.parametrize("x, y", OVERFLOWING)
+    def test_log_exp_integral(self, x, y):
+        got = log_exp_integral(x, y)
+        assert math.isfinite(got)
+        assert got == pytest.approx(leading_order(x, y, False), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x, y", OVERFLOWING + NARROW_WINDOW + ROUNDING)
+    def test_log_eta_exp_integral(self, x, y):
+        got = log_eta_exp_integral(x, y)
+        assert math.isfinite(got)
+        assert got == pytest.approx(leading_order(x, y, True), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x, y", ROUNDING)
+    def test_rounding_cases_against_mpmath(self, x, y):
+        assert numerics._log_eta_closed(x, y) is None  # they take the fallback
+        want = mp_log_exp_integral(x, y, with_eta=True)
+        assert log_eta_exp_integral(x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_fallback_draws_against_mpmath(self):
+        # every fourth of the fallback cases that TestBatchedSimpsonMatchesReference draws
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-3.0, 3.0, 400) * 10.0 ** rng.uniform(-8.0, 5.0, 400)
+        ys = 10.0 ** rng.uniform(-10.0, 5.0, 400)
+        cases = [(x, y) for x, y in zip(xs, ys) if numerics._log_eta_closed(x, y) is None]
+        for x, y in cases[::4]:
+            want = mp_log_exp_integral(x, y, with_eta=True)
+            assert abs(log_eta_exp_integral(x, y) - want) <= 1e-12 * max(1.0, abs(want)), (x, y)
+
+
 class TestExpIntegral:
     def test_negative_curvature(self):
         # v is a cumulative variance: v < 0 lies outside the kernels' domain

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from squint.experts import ExpertGameState
+from squint.component_iprod import learning_rate_grid
+from squint.experts import ExpertGameState, cv_potential_terms
 from squint.numerics import log_exp_integral
 from squint.regret_bounds import (
     aggregate_subset,
@@ -91,36 +92,60 @@ class TestTheorem1:
     # Theorem 1 must stay at or above the R that its proof inverts; played runs
     # never come within 12 of it, so this is the only check of its constants
     def test_stays_above_the_conjugate_r_star(self):
-        failing = [
-            (v, p, r, bound)
-            for v in [0.0, *np.logspace(-8, 7, 61).tolist()]
-            for p in np.logspace(-12, 0, 49).tolist()
-            if (bound := bound_theorem1(v, p)) < (r := conjugate_r_star(v, p))
-        ]
-        assert failing == []
+        v, p = np.meshgrid([0.0, *np.logspace(-8, 7, 61)], np.logspace(-12, 0, 49))
+        r, bound = conjugate_r_star(v, p), bound_theorem1(v.ravel(), p.ravel()).reshape(v.shape)
+        failing = (bound < r).nonzero()
+        assert list(zip(v[failing], p[failing], r[failing], bound[failing])) == []
 
     def test_conjugate_r_star_values(self):
-        r = [conjugate_r_star(v, 0.1) for v in (0.0, 10.0, 100.0, 1000.0)]
-        assert r == pytest.approx([7.2299, 11.1968, 36.5761, 134.0494], abs=1e-4)
+        r = conjugate_r_star([0.0, 10.0, 100.0, 1000.0], 0.1)
+        assert r.tolist() == pytest.approx([7.2299, 11.1968, 36.5761, 134.0494], abs=1e-4)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0])
+    @pytest.mark.parametrize("b", [0.0, 0.5, 5.0, 50.0])
+    def test_stays_above_the_conjugate_r_star_at_a_b(self, a, b):
+        v, p = np.meshgrid([0.0, *np.logspace(-6, 6, 25)], np.logspace(-12, 0, 13))
+        r = conjugate_r_star(v, p, a, b)
+        bound = bound_theorem1(v.ravel(), p.ravel(), a, b).reshape(v.shape)
+        failing = (bound < r).nonzero()
+        assert list(zip(v[failing], p[failing], r[failing], bound[failing])) == []
 
 
-def conjugate_r_star(v: float, pi_mass: float) -> float:
-    """R* of the conjugate prior at a = b = 0, from above, to 1e-9 (relative above 1).
+def r_star(log_mean, pi_mass):
+    """The root in R of log_mean(R) = ln(1/pi), elementwise, from above, to 1e-9 (relative above 1).
 
-    The root in R of ln 2 + ln int_0^{1/2} e^{eta R - eta^2 V} deta = ln(1/pi),
-    by bisection: the left side increases in R and is at most 0 at R = 0.
+    ``log_mean`` maps an array of R to ln E[e^{eta R - eta^2 V}] under a
+    normalised learning-rate prior, which increases in R.  Proper priors give
+    pi(S) E[e^{eta R_S - eta^2 V_S}] <= 1, so R_S <= R*.  The bracket grows
+    in both directions, then one bisection serves every entry.
     """
-    target = -math.log(pi_mass) - math.log(2.0)
-    lo, hi = 0.0, 1.0
-    while log_exp_integral(hi, v) < target:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-9 * max(hi, 1.0):
+    target = -np.log(pi_mass)
+    lo, hi = np.full(target.shape, -1.0), np.full(target.shape, 1.0)
+    while (up := log_mean(hi) < target).any():
+        lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
+    while (down := log_mean(lo) >= target).any():
+        lo, hi = np.where(down, 2.0 * lo, lo), np.where(down, lo, hi)
+    while (hi - lo > 1e-9 * np.maximum(np.abs(hi), 1.0)).any():
         mid = 0.5 * (lo + hi)
-        if log_exp_integral(mid, v) < target:
-            lo = mid
-        else:
-            hi = mid
+        below = log_mean(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return hi
+
+
+def conjugate_r_star(v, pi_mass, a: float = 0.0, b: float = 0.0):
+    """R* of the conjugate prior with parameters (a, b), at arrays of (V, pi).
+
+    ln E[e^{eta R - eta^2 V}] = ln Z(a + R, b + V) - ln Z(a, b), Z from
+    ``log_exp_integral``.
+    """
+    v, pi_mass = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(pi_mass, dtype=float))
+    log_z = log_exp_integral(a, b)
+
+    def log_mean(r):
+        pairs = zip(r.tolist(), v.ravel().tolist())
+        return np.array([log_exp_integral(a + x, b + y) - log_z for x, y in pairs])
+
+    return r_star(log_mean, pi_mass.ravel()).reshape(v.shape)
 
 
 class TestTheorem2:
@@ -132,6 +157,16 @@ class TestTheorem2:
 
     def test_arithmetic_oracle(self):
         assert bound_theorem2(1000.0, 0.05) == pytest.approx(THM2_V1000_PI005, rel=1e-13)
+
+    # the CV density is normalised on (0, 1/2], so 1 + cv_potential_terms is
+    # E[e^{eta R - eta^2 V}]; one quadrature batch per V serves all 13 masses
+    def test_stays_above_the_cv_r_star(self):
+        p = np.logspace(-12, 0, 13)
+        for v in [0.0, *np.logspace(-6, 6, 25)]:
+            v_col = np.full(p.shape, v)
+            r = r_star(lambda x: np.log1p(cv_potential_terms(x, v_col)), p)
+            bound = bound_theorem2(v_col, p)
+            assert list(zip(p[bound < r], r[bound < r], bound[bound < r])) == [], v
 
 
 class TestTheorem3:
@@ -175,6 +210,20 @@ class TestTheorem4:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             bound_theorem4(1.0, 1.0, 1, 0)
+
+    # lemma 4 with gamma = 1/G on the grid eta = 2^-i, i = 1..G, inverted:
+    # R <= R* = min_eta eta V + (D + K ln G)/eta (oracles.lemma4_check)
+    @pytest.mark.parametrize("k", [1, 2, 5, 60])
+    @pytest.mark.parametrize("t", [1, 2, 3, 10, 10**3, 10**6])
+    def test_stays_above_the_per_rate_r_star(self, k, t):
+        # |r| <= 1 per coordinate and round, so V <= K T; past it the bound
+        # can fall below R* (K = T = 1, V = 3.16: R* = 1.58, bound 1.0)
+        etas = learning_rate_grid(t)
+        v, d = np.meshgrid([0.0, *(k * t * np.logspace(-6, 0, 27))], [0.0, *np.logspace(-3, 3, 13)])
+        v, d = v.ravel(), d.ravel()
+        r = np.min(np.outer(v, etas) + np.outer(d + k * math.log(etas.size), 1.0 / etas), axis=1)
+        bound = bound_theorem4(v, d, k, t)
+        assert list(zip(v[bound < r], d[bound < r], r[bound < r], bound[bound < r])) == []
 
 
 # (V, pi) grid: V = 0, tiny and large V, pi = 1 and mixed masses, every pair
