@@ -39,6 +39,7 @@ import numpy as np
 from . import regret_bounds as rb
 from .numerics import (
     QuadratureSpec,
+    _check_simplex,
     _exponent,
     _exponent_peak,
     integrate_adaptive_batch,
@@ -65,19 +66,6 @@ __all__ = [
     "improper_potential_terms",
     "cv_potential_terms",
 ]
-
-SIMPLEX_TOL = 1e-12
-
-
-def _check_simplex(p: np.ndarray, what: str) -> None:
-    # written as "not good" so that a nan entry fails both tests; the min of
-    # nothing is +inf, so an empty vector fails the sum test only
-    if not np.minimum.reduce(p, axis=None, initial=math.inf) >= 0.0:
-        raise ValueError(f"{what} has negative or nan entries")
-    total = np.add.reduce(p, axis=None)
-    if not abs(float(total) - 1.0) <= SIMPLEX_TOL:
-        raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
-
 
 @dataclass(frozen=True)
 class ExpertGameState:

@@ -21,12 +21,13 @@ Subcommands: ``run`` (config -> outputs), ``audit`` (re-verify an existing
 CSV), ``enumerate`` (list a concept class's vertices), ``grid`` (print the
 learning-rate grid for a horizon).  Exit status is 2 on a bound violation,
 a failed invariant, a malformed config, an output that cannot be opened or
-a numerical error, which removes the outputs like any failed run.  A nan
-regret or potential and a nan or infinite bound are violations in ``run``
-and ``audit`` alike.  ``parse_config`` rejects a malformed config before
-the first round: each named object has one table holding every key's check
-and default, and the rules that tie keys together follow as code.  README
-"CLI" lists the keys and what each check rejects.
+a numerical error, which removes the outputs like any failed run.  One
+predicate, ``_holds``, gives every verdict in ``run`` and ``audit`` alike:
+a nan regret or potential and a nan or infinite bound are violations.
+``parse_config`` rejects a malformed config before the first round: each
+named object has one row, its constructor and a table holding every key's
+check and default, and the rules that tie keys together follow as code.
+README "CLI" lists the keys and what each check rejects.
 """
 
 from __future__ import annotations
@@ -193,13 +194,13 @@ def _checked(doc: dict, table: dict, where: str, named: frozenset = frozenset())
     return {key: check(doc[key], f"{where} {key}") if key in doc else default
             for key, (check, default) in table.items()}
 
-def _require_named(doc: dict, key: str, tables: dict, where: str) -> tuple[str, dict]:
-    """The name doc[key] and doc's values checked against that name's table."""
-    _require_keys(doc, {key}, set().union(*tables.values()), where)
+def _require_named(doc: dict, key: str, rows: dict, where: str) -> tuple[str, dict]:
+    """The name doc[key] and doc's values checked against the key table of that name's row."""
+    _require_keys(doc, {key}, set().union(*(table for _, table in rows.values())), where)
     name = doc[key]
-    if not isinstance(name, str) or name not in tables:
+    if not isinstance(name, str) or name not in rows:
         raise ConfigError(f"unknown {where} {key} {name!r}")
-    return name, _checked(doc, tables[name], f"{where} {name!r}", {key})
+    return name, _checked(doc, rows[name][1], f"{where} {name!r}", {key})
 
 def _conjugate(a: float, b: float) -> ex.ConjugatePrior:
     try:
@@ -212,66 +213,45 @@ def _grid(etas: np.ndarray, masses: np.ndarray | None) -> ex.DiscreteGridPrior:
     grid = ex.DiscreteGridPrior
     return grid.uniform_on(etas) if masses is None else grid(etas=etas, masses=masses)
 
-# per named object, name -> key table and name -> constructor of the checked values
+# per named object, name -> (constructor of the checked values, key table)
 _SEED = (partial(_check_int, lo=0, hi=2**128), _REQUIRED)  # Philox's key range
-_ENV_PARAMS = {
-    "stochastic": {"seed": _SEED, "means": (_floats, _REQUIRED)},  # means' length needs K
-    "adversarial_shift": {
+_ENVIRONMENTS = {
+    # means' length needs K
+    "stochastic": (gen_stochastic, {"seed": _SEED, "means": (_floats, _REQUIRED)}),
+    "adversarial_shift": (gen_adversarial_shift, {
         "seed": _SEED,
         "segment_length": (partial(_check_int, lo=1), _REQUIRED),
         "noise": (partial(_check_real, lo=0.0, hi=1.0), 0.0),
-    },
-    "uniform_signed": {"seed": _SEED},
+    }),
+    "uniform_signed": (gen_uniform_signed, {"seed": _SEED}),
 }
-_GENERATORS = {
-    "stochastic": gen_stochastic,
-    "adversarial_shift": gen_adversarial_shift,
-    "uniform_signed": gen_uniform_signed,
-}
-_PRIOR_PARAMS = {
+_PRIORS = {
     # Theorem 1's bound takes the square root of V + b
-    "conjugate": {"a": (_check_real, 0.0), "b": (partial(_check_real, lo=0.0), 0.0)},
-    "improper": {},
-    "cv": {},
-    "grid": {"etas": (_floats, _REQUIRED), "masses": (_floats, None)},  # None: uniform
-}
-_PRIORS = {"conjugate": _conjugate, "improper": ex.ImproperPrior, "cv": ex.CVPrior, "grid": _grid}
-_CONCEPT_CLASS_PARAMS = {
-    "k_subsets": {
-        "num_components": (partial(_check_int, lo=1), _REQUIRED),
-        "subset_size": (partial(_check_int, lo=0), _REQUIRED),
-    },
-    "dag_paths": {"dag": (_as_given, _REQUIRED)},  # DagPaths.from_json checks it
-    "explicit": {"vertices": (_floats, _REQUIRED)},
+    "conjugate": (_conjugate, {"a": (_check_real, 0.0), "b": (partial(_check_real, lo=0.0), 0.0)}),
+    "improper": (ex.ImproperPrior, {}),
+    "cv": (ex.CVPrior, {}),
+    "grid": (_grid, {"etas": (_floats, _REQUIRED), "masses": (_floats, None)}),  # None: uniform
 }
 _CONCEPT_CLASSES = {
-    "k_subsets": KSubsets,
-    "dag_paths": lambda dag: DagPaths.from_json(dag),
-    "explicit": ExplicitVertices,
+    "k_subsets": (KSubsets, {
+        "num_components": (partial(_check_int, lo=1), _REQUIRED),
+        "subset_size": (partial(_check_int, lo=0), _REQUIRED),
+    }),
+    # DagPaths.from_json checks the DAG
+    "dag_paths": (lambda dag: DagPaths.from_json(dag), {"dag": (_as_given, _REQUIRED)}),
+    "explicit": (ExplicitVertices, {"vertices": (_floats, _REQUIRED)}),
 }
 
 def generate_stream(env: dict, dim: int, horizon: int) -> np.ndarray:
-    """The (horizon, dim) loss stream of an environment, checked against its table."""
-    name, params = _require_named(env, "name", _ENV_PARAMS, "environment")
-    return _GENERATORS[name](dim, horizon=horizon, **params)
+    """The (horizon, dim) loss stream of an environment, checked against its row."""
+    name, params = _require_named(env, "name", _ENVIRONMENTS, "environment")
+    return _ENVIRONMENTS[name][0](dim, horizon=horizon, **params)
 
-def _parse_prior(doc: dict, where: str) -> ex.LearningRatePrior:
-    kind, params = _require_named(doc, "kind", _PRIOR_PARAMS, where)
-    return _PRIORS[kind](**params)
+def _build(rows: dict, doc: dict, where: str):
+    """The object that doc's kind names, built from doc's values checked against its row."""
+    kind, params = _require_named(doc, "kind", rows, where)
+    return rows[kind][0](**params)
 
-def _parse_concept_class(doc: dict, where: str = "concept_class"):
-    kind, params = _require_named(doc, "kind", _CONCEPT_CLASS_PARAMS, where)
-    return _CONCEPT_CLASSES[kind](**params)
-
-_GRID_T_MAX = (partial(_check_int, lo=1), None)  # None: the horizon
-_ALGORITHM_PARAMS = {  # per mode
-    "experts": {
-        "squint": {"prior": (_parse_prior, _REQUIRED)},
-        "hedge": {"eta": (partial(_check_real, lo=math.ulp(0.0)), _REQUIRED)},  # positive
-        "iprod": {"grid_t_max": _GRID_T_MAX},
-    },
-    "combinatorial": {"component_iprod": {"t_max": _GRID_T_MAX}},
-}
 _REPORT_PARAMS = {  # per mode
     "experts": {
         "subsets": (_subsets, []),
@@ -299,7 +279,7 @@ _CONFIG_PARAMS = {  # per mode
     },
     "combinatorial": {
         **_CONFIG_KEYS,
-        "concept_class": (_parse_concept_class, _REQUIRED),
+        "concept_class": (partial(_build, _CONCEPT_CLASSES), _REQUIRED),
         "prior_vec": (_or_null(_floats), None),  # None: 1/2 per component
     },
 }
@@ -343,8 +323,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"{mode} mode does not take {foreign}")
     top = _checked(doc, _CONFIG_PARAMS[mode], "config")
     horizon = top["horizon"]
-    env_name, env = _require_named(top["environment"], "name", _ENV_PARAMS, "environment")
-    name, params = _require_named(top["algorithm"], "name", _ALGORITHM_PARAMS[mode], "algorithm")
+    env_name, env = _require_named(top["environment"], "name", _ENVIRONMENTS, "environment")
+    name, params = _require_named(top["algorithm"], "name", _ALGORITHMS[mode], "algorithm")
     report = _checked(top["report"], _REPORT_PARAMS[mode], "report")
     out = _checked(top["output"], _OUTPUT_PARAMS, "output")
     if os.path.abspath(out["csv"]) == os.path.abspath(out["summary"]):
@@ -392,12 +372,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _check_means(k, env["means"])
     return cfg
 
+def _holds(value, bound):
+    """Every verdict: value <= bound, elementwise on arrays.
+
+    A nan value fails, and so does a nan or infinite bound, which checks nothing.
+    """
+    return (value <= bound) & (bound < math.inf)
+
 def _record(entry: dict, regret: float, variance: float, bound: float | None) -> dict:
     """Add an audited item's statistics (and its verdict, if a bound applies)."""
     entry.update(regret=regret, variance=variance)
     if bound is not None:
-        # a nan or infinite bound checks nothing, so it is a violation too
-        entry.update(bound=bound, violated=not (regret <= bound < math.inf))
+        entry.update(bound=bound, violated=not _holds(regret, bound))
     return entry
 
 def _items(stats: tuple) -> list[tuple]:
@@ -521,6 +507,18 @@ class _Combinatorial:
         ]
         return audits, None
 
+# per mode, name -> (the learner that plays it, key table); after the learners it names
+_GRID_T_MAX = (partial(_check_int, lo=1), None)  # None: the horizon
+_ALGORITHMS = {
+    "experts": {
+        "squint": (_Experts, {"prior": (partial(_build, _PRIORS), _REQUIRED)}),
+        # a positive eta
+        "hedge": (_Experts, {"eta": (partial(_check_real, lo=math.ulp(0.0)), _REQUIRED)}),
+        "iprod": (_Experts, {"grid_t_max": _GRID_T_MAX}),
+    },
+    "combinatorial": {"component_iprod": (_Combinatorial, {"t_max": _GRID_T_MAX})},
+}
+
 def _write_frame(frame, out: TextIO) -> None:
     """Write the CSV line of one frame: t, the row's cells, then phi ("" when not sampled).
 
@@ -588,7 +586,7 @@ def _line_writer(out: TextIO, width: int) -> Iterator[Callable]:
 
 def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
     """Play and audit every round, writing each CSV line to ``out``; returns the summary."""
-    learner = _Experts(cfg) if cfg.mode == "experts" else _Combinatorial(cfg)
+    learner = _ALGORITHMS[cfg.mode][cfg.algorithm][0](cfg)
     k = learner.dim
     losses = generate_stream(cfg.environment, k, cfg.horizon)
 
@@ -613,9 +611,7 @@ def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
             audited[0], audited[1] = r, v
             if bound is not None:
                 bound = audited[2] = np.broadcast_to(bound, r.shape)
-                # a nan regret and a nan or infinite bound are violations
-                if not np.all((r <= bound) & (bound < math.inf)):
-                    any_violation = True
+                any_violation = any_violation or not np.all(_holds(r, bound))
             stats = (r, v, bound)
             sample = cfg.potential_every > 0 and t % cfg.potential_every == 0
             phi = learner.potential() if sample else None
@@ -623,8 +619,7 @@ def _run(cfg: ExperimentConfig, out: TextIO) -> dict:
                 # max() would keep a nan only when it comes first
                 if max_potential is None or phi > max_potential or math.isnan(phi):
                     max_potential = phi
-                if not phi <= _POTENTIAL_TOL:
-                    any_violation = True
+                any_violation = any_violation or not _holds(phi, _POTENTIAL_TOL)
             frame[0], frame[1 : k + 1], frame[k + 1 : 2 * k + 1] = t, loss_t, played
             frame[-2:] = (0.0, 0.0) if phi is None else (1.0, phi)
             write(frame)
@@ -689,6 +684,13 @@ def _unreadable_cell(
                     return ValueError(f"line {n}: {header[c]}={_fields(line)[c]!r} is not a float")
     return None
 
+def _cell_float(cell: str, n: int, name: str) -> float:
+    """A cell read with ``float``; a ``ValueError`` naming its line and column otherwise."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"line {n}: {name}={cell!r} is not a float") from None
+
 def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
     """Re-verify every bound column of an existing run CSV.
 
@@ -698,8 +700,9 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
     violation.  Messages come row by row, and within a row the bound
     columns in header order, then the potential.  Raises ``ValueError``
     for a file with no header line, a row whose length differs from the
-    header's (a truncated or otherwise malformed CSV), or a regret or bound
-    cell that is not a float.
+    header's (a truncated or otherwise malformed CSV), or a regret, bound or
+    potential cell that is not a float; its message names the line and the
+    column, as in ``line 2: potential='abc' is not a float``.
 
     The file is read as ``run`` writes it: comma-separated, unquoted, with
     the numbers in Python float syntax without underscores.  It is parsed
@@ -739,9 +742,7 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
                     values = _csv_floats(block, cols)
                 except ValueError as err:
                     raise _unreadable_cell(block, first, cols, header) or err
-                r, bound = values[:, : len(pairs)], values[:, len(pairs) :]
-                # a nan regret and a nan or infinite bound are violations
-                bad = ~((r <= bound) & (bound < math.inf))
+                bad = ~_holds(values[:, : len(pairs)], values[:, len(pairs) :])
                 failed = bad.any(axis=1).tolist()
             for j, line in enumerate(block):
                 if failed[j]:
@@ -752,7 +753,7 @@ def audit_csv(csv_path: str) -> tuple[bool, list[str]]:
                 if phi_idx is None:
                     continue
                 phi = line[line.rfind(",") + 1 :].rstrip("\r\n") if phi_last else _fields(line)[phi_idx]
-                if phi and not float(phi) <= _POTENTIAL_TOL:
+                if phi and not _holds(_cell_float(phi, first + j, "potential"), _POTENTIAL_TOL):
                     problems.append(f"t={_fields(line)[0]}: potential={phi} exceeds {_POTENTIAL_TOL}")
             first += len(block)
     return (not problems, problems)
@@ -811,7 +812,7 @@ def main(argv=None) -> int:
     if args.command == "enumerate":
         try:
             with open(args.spec) as fh:
-                cls = _parse_concept_class(json.load(fh))
+                cls = _build(_CONCEPT_CLASSES, json.load(fh), "concept_class")
             verts = cls.vertices(cap=args.cap)
         except (OSError, json.JSONDecodeError, ConfigError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)

@@ -11,6 +11,8 @@ density in the integrand.  This module provides:
 - analytic values for the degenerate v == 0 case,
 - the eta-weighted integral int_0^{1/2} eta exp(eta*x - eta^2*y) deta used by
   conjugate-prior weights,
+- ``_check_simplex``, the one probability-vector check (the experts'
+  priors and weights, and ``polytopes.Decomposition``'s weights),
 - deterministic adaptive Simpson quadrature, batched over vector integrands:
   each subdivision level is one abscissa block [a | mid | b | x] and one
   value block beside it, the integrand is called once per level and its
@@ -527,6 +529,20 @@ def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=None)
     return w
+
+
+SIMPLEX_TOL = 1e-12
+
+
+def _check_simplex(p: np.ndarray, what: str) -> None:
+    """ValueError unless p is a probability vector: no negative or nan entry, sum 1 ± SIMPLEX_TOL."""
+    # written as "not good" so that a nan entry fails both tests; the min of
+    # nothing is +inf, so an empty vector fails the sum test only
+    if not np.minimum.reduce(p, axis=None, initial=math.inf) >= 0.0:
+        raise ValueError(f"{what} has negative or nan entries")
+    total = np.add.reduce(p, axis=None)
+    if not abs(float(total) - 1.0) <= SIMPLEX_TOL:
+        raise ValueError(f"{what} must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
 
 
 def ceil_one_plus_log2(t: int) -> int:

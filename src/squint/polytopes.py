@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _check_simplex
+
 __all__ = [
     "ProjectionError",
     "Decomposition",
@@ -82,8 +84,7 @@ class Decomposition:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.concepts.ndim != 2 or self.weights.shape != (self.concepts.shape[0],):
             raise ValueError("need (n, K) concepts and (n,) weights")
-        if np.any(self.weights < 0.0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must form a probability vector")
+        _check_simplex(self.weights, "weights")
 
     def usage(self) -> np.ndarray:
         """The reconstructed point sum_i weights_i concepts_i."""

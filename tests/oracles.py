@@ -68,11 +68,13 @@ import numpy as np
 
 from squint.component_iprod import comparator_stats
 from squint.harness_cli import _POTENTIAL_TOL
-from squint.experts import _CV_UPPER, SIMPLEX_TOL, _check_simplex, _cv_eta_of_u
+from squint.experts import _CV_UPPER, _cv_eta_of_u
 from squint.numerics import (
     _ERFCX_SERIES_CUTOFF,
+    SIMPLEX_TOL,
     QuadratureError,
     QuadratureSpec,
+    _check_simplex,
     _log_erfcx,
     ceil_one_plus_log2,
     logsumexp,
@@ -113,7 +115,18 @@ def maclaurin_erf(x: float, terms: int = 50) -> float:
 
 
 def mp_log_exp_integral(r: float, v: float, with_eta: bool = False, dps: int = 50) -> float:
-    """High-precision ln of int_0^{1/2} [eta] e^{eta r - eta^2 v} deta."""
+    """High-precision ln of int_0^{1/2} [eta] e^{eta r - eta^2 v} deta.
+
+    The integral is taken in the window coordinate s = (eta - peak)/d, where
+    d = min(1/2, 1/|r - 2 peak v|, 1/sqrt(v)) is the width over which the
+    exponent falls by about one from its peak, with breakpoints at s = 0 and
+    s = +-2^j for j < 12.  In eta itself a peak at an end of [0, 1/2] with
+    |r| >> 1 leaves a boundary layer of width ~1/|r| that ``mp.quad`` on
+    [0, 1/2] misses: at (-1e50, 1) it read -294.76 for -230.26.  The eta
+    factor enters as eta/d, which keeps the integral near 1: at size d,
+    ``mp.quad``'s absolute tolerance would stop it short (2e-13 relative at
+    (-1e50, 1)).
+    """
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -123,14 +136,19 @@ def mp_log_exp_integral(r: float, v: float, with_eta: bool = False, dps: int = 5
         else:
             peak = mp.mpf("0.5") if r_ >= 0 else mp.mpf(0)
         shift = peak * r_ - peak * peak * v_
+        scales = (abs(r_ - 2 * peak * v_), mp.sqrt(v_))
+        d = min([mp.mpf("0.5")] + [1 / x for x in scales if x > 0])
 
-        def f(e):
+        def f(s):
+            e = peak + d * s
             val = mp.e ** (e * r_ - e * e * v_ - shift)
-            return e * val if with_eta else val
+            return e / d * val if with_eta else val
 
-        pts = sorted({mp.mpf(0), peak, mp.mpf("0.5")})
+        lo, hi = -peak / d, (mp.mpf("0.5") - peak) / d
+        steps = [sign * mp.mpf(2) ** j for j in range(12) for sign in (-1, 1)]
+        pts = sorted({lo, mp.mpf(0), hi} | {s for s in steps if lo < s < hi})
         val = mp.quad(f, pts)
-        return float(shift + mp.log(val))
+        return float(shift + (2 if with_eta else 1) * mp.log(d) + mp.log(val))
 
 
 def mp_cv_weight_integral(r: float, v: float, dps: int = 40) -> float:

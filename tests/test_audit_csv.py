@@ -308,6 +308,19 @@ class TestParseErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"audit error: line {row + 1}: {column}={value!r} is not a float")
 
+    @pytest.mark.parametrize("value", ["abc", '"0.5"', "0x1p3", "--1"])
+    @pytest.mark.parametrize("row", [1, 10, 40])  # unsampled, sampled and the last line
+    def test_unreadable_potential_names_its_line(self, tmp_path, capsys, value, row):
+        lines = run_lines(experts_config(tmp_path))
+        put(lines, row, "potential", value)
+        path = tmp_path / "unreadable.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^line {row + 1}: potential="):
+            audit_csv(str(path))
+        assert main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"audit error: line {row + 1}: potential={value!r} is not a float\n"
+
     def test_quoted_cell_with_a_comma_is_a_field_count_error(self, tmp_path, capsys):
         lines = run_lines(experts_config(tmp_path))
         put(lines, 5, "R_S0", '"0,5"')

@@ -486,13 +486,19 @@ RUN_FAILURES = {
 
 README = Path(__file__).parents[1] / "README.md"
 
+
+def key_tables(rows):
+    """name -> key table of a name -> (constructor, key table) parse table."""
+    return {name: table for name, (_, table) in rows.items()}
+
+
 # README "CLI" object label -> the parse tables it describes (name -> key table)
 README_OBJECTS = {
-    "`algorithm` (experts)": hc._ALGORITHM_PARAMS["experts"],
-    "`algorithm` (combinatorial)": hc._ALGORITHM_PARAMS["combinatorial"],
-    "`algorithm.prior`": hc._PRIOR_PARAMS,
-    "`environment`": hc._ENV_PARAMS,
-    "`concept_class`": hc._CONCEPT_CLASS_PARAMS,
+    "`algorithm` (experts)": key_tables(hc._ALGORITHMS["experts"]),
+    "`algorithm` (combinatorial)": key_tables(hc._ALGORITHMS["combinatorial"]),
+    "`algorithm.prior`": key_tables(hc._PRIORS),
+    "`environment`": key_tables(hc._ENVIRONMENTS),
+    "`concept_class`": key_tables(hc._CONCEPT_CLASSES),
     "`report` (experts)": {"": hc._REPORT_PARAMS["experts"]},
     "`report` (combinatorial)": {"": hc._REPORT_PARAMS["combinatorial"]},
     "`output`": {"": hc._OUTPUT_PARAMS},
@@ -1128,6 +1134,38 @@ def strict_summary(doc):
     return json.loads(Path(doc["output"]["summary"]).read_text(), parse_constant=reject)
 
 
+def theorem3_gives(value):
+    """A patch: Theorem 3's bound is ``value`` for every audited item and the near-best set."""
+    return lambda mp: mp.setattr(rb, "bound_theorem3", lambda v_agg, pi_mass, horizon: value)
+
+
+def bound_is_regret(mp):
+    """A patch: each audited subset's bound is exactly its regret, which holds."""
+    audit = hc._Experts.audit
+
+    def audit_at_the_edge(self):
+        r, v, _ = audit(self)
+        return r, v, r.copy()
+
+    mp.setattr(hc._Experts, "audit", audit_at_the_edge)
+
+
+def potential_gives(value):
+    """A patch: every sampled potential is ``value``."""
+    return lambda mp: mp.setattr(ex, "potential", lambda state, prior: value)
+
+
+# the verdict's edge cases: case -> (patch, whether the bounds fail, whether the potential fails)
+VERDICT_EDGES = {
+    "nan_bound": (theorem3_gives(math.nan), True, False),
+    "inf_bound": (theorem3_gives(math.inf), True, False),
+    "regret_equal_to_bound": (bound_is_regret, False, False),
+    "nan_potential": (potential_gives(math.nan), False, True),
+    "potential_2e-9": (potential_gives(2e-9), False, True),
+    "potential_1e-9": (potential_gives(1e-9), False, False),  # exactly the tolerance: holds
+}
+
+
 class TestAudit:
     def test_clean_run_passes_audit(self, tmp_path):
         doc = experts_config(tmp_path)
@@ -1174,16 +1212,22 @@ class TestAudit:
             fh.writelines(lines)
         assert main(["audit", path]) == 2
 
-    def test_nan_bound_is_a_violation(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(rb, "bound_theorem3", lambda v_agg, pi_mass, horizon: math.nan)
+    @pytest.mark.parametrize("case", list(VERDICT_EDGES))
+    def test_nan_bound_is_a_violation(self, tmp_path, monkeypatch, case):
+        """run's exit status, the summary's violated flags and audit agree on each edge case."""
+        patch, bounds_fail, potential_fails = VERDICT_EDGES[case]
+        patch(monkeypatch)
+        violated = bounds_fail or potential_fails
         doc = experts_config(tmp_path)
         summary = run_experiment(parse_config(doc))
-        assert summary["any_violation"] is True
-        assert all(a["violated"] for a in summary["audits"])
+        assert summary["any_violation"] is violated
+        flags = [a["violated"] for a in summary["audits"]] + [summary["near_best"]["violated"]]
+        # the equal case bounds only the audits; the near-best set keeps Theorem 3's bound
+        assert flags == [bounds_fail] * 4
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
-        assert main(["run", str(cfg_path)]) == 2
-        assert main(["audit", doc["output"]["csv"]]) == 2
+        assert main(["run", str(cfg_path)]) == (2 if violated else 0)
+        assert main(["audit", doc["output"]["csv"]]) == (2 if violated else 0)
 
 
     @pytest.mark.parametrize("phis", [[-1.0, math.nan, -0.5], [math.nan, -1.0, -0.5]])

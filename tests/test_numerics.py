@@ -275,6 +275,15 @@ class TestExtremeArguments:
         want = mp_log_exp_integral(x, y, with_eta=True)
         assert log_eta_exp_integral(x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("with_eta", [False, True])
+    @pytest.mark.parametrize("x, y", [(-1e50, 1.0), (-1e200, 1.0)])
+    def test_boundary_layer_against_mpmath(self, x, y, with_eta):
+        # the integrand's mass lies within ~1/|x| of eta = 0, where mpmath works in window units
+        kernel = log_eta_exp_integral if with_eta else log_exp_integral
+        want = mp_log_exp_integral(x, y, with_eta=with_eta)
+        assert want == pytest.approx(leading_order(x, y, with_eta), rel=1e-12, abs=0.0)
+        assert kernel(x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_fallback_draws_against_mpmath(self):
         # every fourth of the fallback cases that TestBatchedSimpsonMatchesReference draws
         rng = np.random.default_rng(7)

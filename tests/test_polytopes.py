@@ -364,6 +364,15 @@ class TestDecomposition:
     def test_decomposition_validation(self):
         with pytest.raises(ValueError):
             Decomposition(np.array([[1.0, 0.0]]), np.array([0.5]))
+        concepts = np.eye(2)
+        for weights, message in [
+            ([math.nan, 1.0], "negative or nan"),  # its usage() would be nan
+            ([-0.5, 1.5], "negative or nan"),
+            ([0.5, 0.5 + 1e-9], "must sum to 1"),  # off the simplex
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Decomposition(concepts, np.array(weights))
+        Decomposition(concepts, np.array([0.25, 0.75]))  # on the simplex
 
 
 class TestExplicitVertices:
